@@ -6,12 +6,14 @@ Manifest schema:
 
 The blob holds every tensor as little-endian 32-bit floats concatenated
 in manifest order; ``offset`` counts float elements from the blob start.
-A checkpoint named ``prefix`` occupies ``prefix.json`` and ``prefix.bin``.
+A checkpoint named ``prefix`` occupies ``prefix.json`` and ``prefix.bin``
+(the suffix is appended, so ``run.v1`` and ``run.v2`` do not collide).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -37,6 +39,11 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
         raise
 
 
+def _files(prefix: str | Path) -> tuple[Path, Path]:
+    prefix = Path(prefix)
+    return prefix.with_name(prefix.name + ".json"), prefix.with_name(prefix.name + ".bin")
+
+
 def save_checkpoint(arrays: dict[str, np.ndarray], prefix: str | Path) -> None:
     """Write name->array mappings in manifest order (dict insertion order)."""
     prefix = Path(prefix)
@@ -50,24 +57,23 @@ def save_checkpoint(arrays: dict[str, np.ndarray], prefix: str | Path) -> None:
         chunks.append(arr.tobytes())
         offset += arr.size
     manifest = {"format_version": FORMAT_VERSION, "params": entries}
-    _atomic_write_bytes(prefix.with_suffix(".json"),
-                        json.dumps(manifest, indent=1).encode("utf-8"))
-    _atomic_write_bytes(prefix.with_suffix(".bin"), b"".join(chunks))
+    manifest_path, blob_path = _files(prefix)
+    _atomic_write_bytes(manifest_path, json.dumps(manifest, indent=1).encode("utf-8"))
+    _atomic_write_bytes(blob_path, b"".join(chunks))
 
 
 def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
-    prefix = Path(prefix)
-    with open(prefix.with_suffix(".json"), "r", encoding="utf-8") as fh:
+    """Read a checkpoint; the blob must hold exactly the floats the manifest lists."""
+    manifest_path, blob_path = _files(prefix)
+    with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {manifest.get('format_version')}")
-    blob = np.fromfile(prefix.with_suffix(".bin"), dtype="<f4")
-    out: dict[str, np.ndarray] = {}
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        if start + size > blob.size:
-            raise CheckpointError(f"blob too small for parameter {entry['name']!r}")
-        out[entry["name"]] = blob[start:start + size].reshape(shape).copy()
-    return out
+    entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in manifest["params"]]
+    needed = 4 * max((start + math.prod(shape) for _, shape, start in entries), default=0)
+    if blob_path.stat().st_size != needed:
+        raise CheckpointError(f"{blob_path.name} holds {blob_path.stat().st_size} bytes, "
+                              f"the manifest needs {needed}")
+    blob = np.fromfile(blob_path, dtype="<f4")
+    return {name: blob[start:start + math.prod(shape)].reshape(shape).copy()
+            for name, shape, start in entries}

@@ -15,7 +15,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import tensor as T
 from .checkpoint import load_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
 from .dataset import (DatasetError, SchemaError, _atomic_write_text, apply_affine_points,
@@ -58,8 +57,8 @@ def _load_config_near_checkpoint(checkpoint: str, config: str | None,
     return load_run_config(config, overrides)
 
 
-def _load_model(checkpoint: str, cfg: RunConfig) -> SvgNet:
-    model = SvgNet(cfg.model, seed=cfg.train.seed)
+def _load_model(checkpoint: str, cfg: RunConfig, dtype) -> SvgNet:
+    model = SvgNet(cfg.model, seed=cfg.train.seed, dtype=dtype)
     model.load_state(load_checkpoint(checkpoint))
     return model
 
@@ -77,7 +76,10 @@ def _read_records(data: str) -> list:
 input_mode_option = click.option(
     "--input-mode", type=click.Choice(["hist", "hist+scene", "hist+scene+agents"]),
     default=None, help="Which inputs the model attends to.")
-f64_option = click.option("--f64", is_flag=True, help="Run in float64 verification mode.")
+f64_option = click.option(
+    "--f64", "dtype", is_flag=True,
+    callback=lambda _ctx, _param, on: np.float64 if on else np.float32,
+    help="Build the model in float64 (for verification) instead of float32.")
 seed_option = click.option("--seed", type=int, default=None, help="Override the run seed.")
 
 
@@ -126,14 +128,12 @@ def import_argoverse(csv_path, map_json, out) -> None:
 @input_mode_option
 @f64_option
 @seed_option
-def train_cmd(config_path, data, out_dir, workers, input_mode, f64, seed) -> None:
+def train_cmd(config_path, data, out_dir, workers, input_mode, dtype, seed) -> None:
     """Train a model; writes checkpoints, loss log, and config.json."""
     cfg = load_run_config(config_path, _common_overrides(seed, input_mode))
-    if f64:
-        T.set_default_dtype(np.float64)
     records = _read_records(data)
     encoded = _encode_parallel(records, cfg, workers)
-    model = SvgNet(cfg.model, seed=cfg.train.seed)
+    model = SvgNet(cfg.model, seed=cfg.train.seed, dtype=dtype)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg.write_json(out / "config.json")
@@ -155,7 +155,7 @@ def _encode_parallel(records, cfg: RunConfig, workers: int):
 
 
 def _encode_one(record, ingest, caps):
-    return make_batch([normalize_sample(record, ingest)], *caps)
+    return encode_samples([record], ingest, *caps)[0]
 
 
 @cli.command("eval")
@@ -172,18 +172,16 @@ def _encode_one(record, ingest, caps):
 @f64_option
 @seed_option
 def eval_cmd(checkpoint, data, config_path, out, per_sample_csv, baseline, input_mode,
-             f64, seed) -> None:
+             dtype, seed) -> None:
     """Report ADE / FDE / miss rate on a dataset with targets."""
     cfg = _load_config_near_checkpoint(checkpoint, config_path,
                                        _common_overrides(seed, input_mode))
-    if f64:
-        T.set_default_dtype(np.float64)
     records = _read_records(data)
     caps = (cfg.model.n_paths, cfg.model.n_commands, cfg.model.n_agents)
     if baseline:
         predictor = constant_velocity_predictor(cfg.model.t_pred)
     else:
-        predictor = model_predictor(_load_model(checkpoint, cfg))
+        predictor = model_predictor(_load_model(checkpoint, cfg, dtype))
     report = evaluate(predictor, records, ingest=cfg.ingest, caps=caps,
                       per_sample=per_sample_csv is not None)
     click.echo(json.dumps({"ade": report.ade, "fde": report.fde,
@@ -204,13 +202,11 @@ def eval_cmd(checkpoint, data, config_path, out, per_sample_csv, baseline, input
 @input_mode_option
 @f64_option
 @seed_option
-def predict_cmd(checkpoint, data, out, config_path, input_mode, f64, seed) -> None:
+def predict_cmd(checkpoint, data, out, config_path, input_mode, dtype, seed) -> None:
     """Write city-frame predicted trajectories as JSONL, one line per scene."""
     cfg = _load_config_near_checkpoint(checkpoint, config_path,
                                        _common_overrides(seed, input_mode))
-    if f64:
-        T.set_default_dtype(np.float64)
-    model = _load_model(checkpoint, cfg)
+    model = _load_model(checkpoint, cfg, dtype)
     records = _read_records(data)
     lines = []
     for rec in records:
@@ -234,14 +230,12 @@ def predict_cmd(checkpoint, data, out, config_path, input_mode, f64, seed) -> No
 @input_mode_option
 @f64_option
 @seed_option
-def visualize_cmd(checkpoint, data, scene_id, out, config_path, input_mode, f64,
+def visualize_cmd(checkpoint, data, scene_id, out, config_path, input_mode, dtype,
                   seed) -> None:
     """Render one scene with the decoder's attention as opacity."""
     cfg = _load_config_near_checkpoint(checkpoint, config_path,
                                        _common_overrides(seed, input_mode))
-    if f64:
-        T.set_default_dtype(np.float64)
-    model = _load_model(checkpoint, cfg)
+    model = _load_model(checkpoint, cfg, dtype)
     record = None
     for rec in _read_records(data):
         if rec.scene_id == scene_id:

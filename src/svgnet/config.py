@@ -6,7 +6,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .dataset import IngestConfig
+from .dataset import IngestConfig, _atomic_write_text
 from .model import ModelConfig
 from .synth import SynthConfig
 from .train import TrainConfig
@@ -40,8 +40,7 @@ class RunConfig:
                 "ingest": asdict(self.ingest), "synth": asdict(self.synth)}
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_obj(), indent=1) + "\n",
-                              encoding="utf-8")
+        _atomic_write_text(Path(path), json.dumps(self.to_json_obj(), indent=1) + "\n")
 
 
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "ingest": IngestConfig,

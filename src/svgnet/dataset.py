@@ -19,14 +19,14 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .svg import (CommandKind, SvgCommand, SvgDocument, SvgPath, SemanticTag, Viewport,
-                  encode_command, path_points, split_path)
+from .svg import (CommandKind, SvgCommand, SvgDocument, SvgPath, Viewport, encode_command,
+                  path_points, split_path)
 
 
 class DatasetError(Exception):
@@ -228,14 +228,6 @@ def apply_affine_points(mat: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return pts @ mat[:, :2].T + mat[:, 2]
 
 
-def invert_affine(mat: np.ndarray) -> np.ndarray:
-    rot_inv = np.linalg.inv(mat[:, :2])
-    out = np.empty((2, 3), dtype=np.float64)
-    out[:, :2] = rot_inv
-    out[:, 2] = -rot_inv @ mat[:, 2]
-    return out
-
-
 def polylines_to_svg(polylines: Sequence[np.ndarray], viewport: Viewport,
                      max_commands: int = 30,
                      id_prefix: str = "lane") -> tuple[SvgDocument, int]:
@@ -256,7 +248,7 @@ def polylines_to_svg(polylines: Sequence[np.ndarray], viewport: Viewport,
             continue
         cmds = [SvgCommand.move_to(*poly[0])]
         cmds += [SvgCommand.line_to(*pt) for pt in poly[1:]]
-        path = SvgPath(tuple(cmds), id=f"{id_prefix}{i}", semantic_tag=SemanticTag.LANE)
+        path = SvgPath(tuple(cmds), id=f"{id_prefix}{i}")
         paths.extend(split_path(path, max_commands))
     return SvgDocument(tuple(paths), viewport), skipped
 
@@ -362,21 +354,12 @@ class Batch:
 
     def take(self, indices) -> "Batch":
         idx = np.asarray(indices)
-        return Batch(
-            command_kinds=self.command_kinds[idx],
-            command_args=self.command_args[idx],
-            path_mask=self.path_mask[idx],
-            command_mask=self.command_mask[idx],
-            main_history=self.main_history[idx],
-            agent_histories=self.agent_histories[idx],
-            agent_mask=self.agent_mask[idx],
-            agent_frame_mask=self.agent_frame_mask[idx],
-            targets=None if self.targets is None else self.targets[idx],
-            frame_to_city=self.frame_to_city[idx],
-            scene_ids=[self.scene_ids[i] for i in idx],
-            path_ids=[self.path_ids[i] for i in idx],
-            agent_ids=[self.agent_ids[i] for i in idx],
-        )
+
+        def pick(value):
+            if value is None:
+                return None
+            return [value[i] for i in idx] if isinstance(value, list) else value[idx]
+        return Batch(**{f.name: pick(getattr(self, f.name)) for f in fields(self)})
 
 
 def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: int,
@@ -445,25 +428,15 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
 
 
 def concat_batches(batches: Sequence[Batch]) -> Batch:
-    """Stack single-or-multi sample batches built with identical caps."""
-    tgt = None
-    if all(b.targets is not None for b in batches):
-        tgt = np.concatenate([b.targets for b in batches])
-    return Batch(
-        command_kinds=np.concatenate([b.command_kinds for b in batches]),
-        command_args=np.concatenate([b.command_args for b in batches]),
-        path_mask=np.concatenate([b.path_mask for b in batches]),
-        command_mask=np.concatenate([b.command_mask for b in batches]),
-        main_history=np.concatenate([b.main_history for b in batches]),
-        agent_histories=np.concatenate([b.agent_histories for b in batches]),
-        agent_mask=np.concatenate([b.agent_mask for b in batches]),
-        agent_frame_mask=np.concatenate([b.agent_frame_mask for b in batches]),
-        targets=tgt,
-        frame_to_city=np.concatenate([b.frame_to_city for b in batches]),
-        scene_ids=sum((b.scene_ids for b in batches), []),
-        path_ids=sum((b.path_ids for b in batches), []),
-        agent_ids=sum((b.agent_ids for b in batches), []),
-    )
+    """Stack single-or-multi sample batches built with identical caps.
+
+    The result has targets only when every input batch has them.
+    """
+    def join(values):
+        if any(v is None for v in values):
+            return None
+        return sum(values, []) if isinstance(values[0], list) else np.concatenate(values)
+    return Batch(**{f.name: join([getattr(b, f.name) for b in batches]) for f in fields(Batch)})
 
 
 # ---------------------------------------------------------------------------

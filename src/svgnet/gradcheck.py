@@ -6,7 +6,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .tensor import GradientTape, Parameter, Tensor
+from .tensor import GradientTape, Tensor
 
 
 def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor], eps: float = 1e-5,
@@ -14,7 +14,9 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor], eps: float = 1
     """Compare tape gradients of a scalar function against central differences.
 
     f is a deterministic closure over ``params`` returning a scalar Tensor.
-    Run in float64 mode for meaningful tolerances. When
+    The tape computes in the dtype of the tensors it is given, so build
+    the parameters and inputs in float64 (for a model,
+    ``SvgNet(cfg, dtype=np.float64)``) for meaningful tolerances. When
     max_coords_per_param is set, only a seeded random subset of each
     parameter's coordinates is finite-differenced (half of the subset is
     drawn from coordinates with nonzero analytic gradient, when any

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -9,13 +11,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import (Batch, IngestConfig, apply_affine_points, concat_batches,
-                      make_batch, normalize_sample)
+from .dataset import (Batch, IngestConfig, InsufficientHistoryError, _atomic_write_text,
+                      apply_affine_points, concat_batches, make_batch, normalize_sample)
 from .tensor import ShapeMismatchError
-
-
-class InsufficientHistoryError(ValueError):
-    pass
 
 
 class EmptyInputError(ValueError):
@@ -41,8 +39,7 @@ class MetricsReport:
         return obj
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_obj(), indent=1) + "\n",
-                              encoding="utf-8")
+        _atomic_write_text(Path(path), json.dumps(self.to_json_obj(), indent=1) + "\n")
 
 
 def _check_pair(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,15 +105,6 @@ def constant_velocity_predictor(t_pred: int = 30, k_vel: int = 3
     return predict
 
 
-def oracle_predictor() -> Callable[[Batch], np.ndarray]:
-    """Test hook returning the ground truth (all metrics must be zero)."""
-    def predict(batch: Batch) -> np.ndarray:
-        if batch.targets is None:
-            raise ValueError("oracle predictor needs targets")
-        return batch.targets.copy()
-    return predict
-
-
 def evaluate(predict_fn: Callable[[Batch], np.ndarray], data, *,
              ingest: IngestConfig | None = None, caps: tuple[int, int, int] = (128, 30, 16),
              batch_size: int = 64, per_sample: bool = False) -> MetricsReport:
@@ -162,7 +150,9 @@ def evaluate(predict_fn: Callable[[Batch], np.ndarray], data, *,
 def write_per_sample_csv(report: MetricsReport, path: str | Path) -> None:
     if report.per_sample is None:
         raise ValueError("report has no per-sample rows")
-    lines = ["scene_id,ade,fde,miss"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["scene_id", "ade", "fde", "miss"])
     for row in report.per_sample:
-        lines.append(f"{row['scene_id']},{row['ade']!r},{row['fde']!r},{int(row['miss'])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        writer.writerow([row["scene_id"], row["ade"], row["fde"], int(row["miss"])])
+    _atomic_write_text(Path(path), out.getvalue())

@@ -331,11 +331,16 @@ class Decoder:
 class SvgNet:
     """Full model: scene encoder, shared history encoder, fusion decoder."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
+        """dtype (float32, or float64 for gradient checks) is used for the
+        parameters and for every array the model feeds to the tape."""
         cfg.validate()
+        self.dtype = np.dtype(dtype).type
+        if self.dtype not in (np.float32, np.float64):
+            raise ValueError("dtype must be float32 or float64")
         self.cfg = cfg
         self.params: dict[str, Parameter] = {}
-        pf = _ParamFactory(self.params, np.random.default_rng(seed), T.default_dtype())
+        pf = _ParamFactory(self.params, np.random.default_rng(seed), self.dtype)
         self.scene_encoder = SceneEncoder(pf, cfg)
         self.history_encoder = HistoryEncoder(pf, cfg)
         self.decoder = Decoder(pf, cfg)
@@ -367,23 +372,23 @@ class SvgNet:
     def fusion_mask(self, batch) -> np.ndarray:
         """Key mask over [paths | agents | main] for the configured inputs."""
         b = batch.command_kinds.shape[0]
-        dt = T.default_dtype()
         path_part = batch.path_mask if self.cfg.use_scene else np.zeros_like(batch.path_mask)
         agent_part = batch.agent_mask if self.cfg.use_agents else np.zeros_like(batch.agent_mask)
-        return np.concatenate([path_part, agent_part, np.ones((b, 1))], axis=1).astype(dt)
+        mask = np.concatenate([path_part, agent_part, np.ones((b, 1))], axis=1)
+        return mask.astype(self.dtype)
 
     def encode_scene(self, batch) -> Tensor:
         return self.scene_encoder(batch)
 
     def encode_history(self, history) -> Tensor:
         if not isinstance(history, Tensor):
-            history = Tensor(np.asarray(history, dtype=T.default_dtype()))
+            history = Tensor(history, dtype=self.dtype)
         return self.history_encoder(history)
 
     def forward(self, batch, record_attention: bool = False
                 ) -> tuple[Tensor, AttentionRecord | None]:
         cfg = self.cfg
-        dt = T.default_dtype()
+        dt = self.dtype
         b, n_p, _ = batch.command_kinds.shape
         n_a = batch.agent_histories.shape[1]
 

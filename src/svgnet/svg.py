@@ -1,4 +1,4 @@
-"""SVG path objects: parsing, serialization, transforms, and quantization.
+"""SVG path objects: parsing, serialization, quantization, and splitting.
 
 Scenes are represented as a flat collection of path objects. Only the
 command subset {MoveTo, LineTo, CubicTo, ClosePath} is modelled; quadratic
@@ -118,18 +118,12 @@ class SvgCommand:
         return SvgCommand(CommandKind.CLOSE_PATH)
 
 
-class SemanticTag(IntEnum):
-    LANE = 0
-    OTHER = 1
-
-
 @dataclass(frozen=True)
 class SvgPath:
     """An ordered command sequence describing one shape."""
 
     commands: tuple[SvgCommand, ...]
     id: str | None = None
-    semantic_tag: SemanticTag = SemanticTag.OTHER
 
     def __post_init__(self):
         object.__setattr__(self, "commands", tuple(self.commands))
@@ -231,8 +225,7 @@ def _elevate_quadratic(p0, q, p2) -> SvgCommand:
     return SvgCommand.cubic_to(c1x, c1y, c2x, c2y, p2[0], p2[1])
 
 
-def parse_path_data(d: str, path_id: str | None = None,
-                    semantic_tag: SemanticTag = SemanticTag.OTHER) -> SvgPath:
+def parse_path_data(d: str, path_id: str | None = None) -> SvgPath:
     """Parse an SVG path-data string into an absolute-coordinate SvgPath.
 
     Supports M/m, L/l, C/c, Q/q, Z/z with the standard implicit-repetition
@@ -307,7 +300,7 @@ def parse_path_data(d: str, path_id: str | None = None,
             commands.append(_elevate_quadratic(cur, (args[0], args[1]), (args[2], args[3])))
             cur = (args[2], args[3])
 
-    return SvgPath(tuple(commands), id=path_id, semantic_tag=semantic_tag)
+    return SvgPath(tuple(commands), id=path_id)
 
 
 def _fmt(v: float) -> str:
@@ -386,55 +379,6 @@ def parse_document(xml: str) -> tuple[SvgDocument, int]:
     return SvgDocument(tuple(paths), viewport), ignored
 
 
-def document_to_xml(doc: SvgDocument) -> str:
-    """Minimal inverse of parse_document for the supported subset."""
-    (ox, oy), (w, h) = doc.viewport.origin, doc.viewport.extent
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_fmt(ox)} {_fmt(oy)} {_fmt(w)} {_fmt(h)}">'
-    ]
-    for path in doc.paths:
-        id_attr = f' id="{path.id}"' if path.id is not None else ""
-        lines.append(f'  <path{id_attr} d="{serialize_path(path)}" fill="none"/>')
-    lines.append("</svg>")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Transforms
-# ---------------------------------------------------------------------------
-
-def apply_affine(path: SvgPath, transform) -> SvgPath:
-    """Map every used coordinate slot of a path through a 2x3 affine matrix."""
-    a, b, tx = (float(v) for v in transform[0])
-    c, d, ty = (float(v) for v in transform[1])
-    out = []
-    for cmd in path.commands:
-        slots = cmd.used_slots()
-        if not slots:
-            out.append(cmd)
-            continue
-        args = list(cmd.args)
-        for sx in range(0, 6, 2):
-            if sx in slots:
-                x, y = args[sx], args[sx + 1]
-                args[sx] = a * x + b * y + tx
-                args[sx + 1] = c * x + d * y + ty
-        out.append(SvgCommand(cmd.kind, tuple(args)))
-    return SvgPath(tuple(out), id=path.id, semantic_tag=path.semantic_tag)
-
-
-def compose_affine(first, second):
-    """Return the 2x3 matrix applying ``second`` after ``first``."""
-    a1, b1, t1 = first[0]
-    c1, d1, u1 = first[1]
-    a2, b2, t2 = second[0]
-    c2, d2, u2 = second[1]
-    return (
-        (a2 * a1 + b2 * c1, a2 * b1 + b2 * d1, a2 * t1 + b2 * u1 + t2),
-        (c2 * a1 + d2 * c1, c2 * b1 + d2 * d1, c2 * t1 + d2 * u1 + u2),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Quantization
 # ---------------------------------------------------------------------------
@@ -444,10 +388,6 @@ def quantize_coord(value: float, origin: float, extent: float) -> int:
     rel = (value - origin) / extent * (N_COORD_BINS - 1)
     b = int(math.floor(rel + 0.5))
     return min(max(b, 0), N_COORD_BINS - 1)
-
-
-def dequantize_bin(b: int, origin: float, extent: float) -> float:
-    return origin + b / (N_COORD_BINS - 1) * extent
 
 
 def encode_command(cmd: SvgCommand, viewport: Viewport, clamp: bool = True) -> CommandVector:
@@ -470,17 +410,6 @@ def encode_command(cmd: SvgCommand, viewport: Viewport, clamp: bool = True) -> C
         v = min(max(v, origin), origin + extent)
         bins[slot] = quantize_coord(v, origin, extent)
     return CommandVector(int(cmd.kind), tuple(bins))
-
-
-def decode_command(vec: CommandVector, viewport: Viewport) -> SvgCommand:
-    """Inverse of encode_command up to quantization error."""
-    kind = CommandKind(vec.kind_index)
-    (ox, oy), (w, h) = viewport.origin, viewport.extent
-    args = [0.0] * N_ARG_SLOTS
-    for slot in _USED_SLOTS[kind]:
-        origin, extent = (ox, w) if slot % 2 == 0 else (oy, h)
-        args[slot] = dequantize_bin(vec.arg_bins[slot], origin, extent)
-    return SvgCommand(kind, tuple(args))
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +445,7 @@ def split_path(path: SvgPath, max_commands: int) -> list[SvgPath]:
     out = []
     for k, cmds in enumerate(chunks):
         chunk_id = None if path.id is None else f"{path.id}#{k}"
-        out.append(SvgPath(tuple(cmds), id=chunk_id, semantic_tag=path.semantic_tag))
+        out.append(SvgPath(tuple(cmds), id=chunk_id))
     return out
 
 

@@ -90,15 +90,6 @@ def _cum_lengths(poly: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def point_on_polyline(poly: np.ndarray, s: float) -> np.ndarray:
-    """Point at arc length s along a polyline (clamped to its ends)."""
-    cum = _cum_lengths(poly)
-    s = min(max(s, 0.0), cum[-1])
-    x = np.interp(s, cum, poly[:, 0])
-    y = np.interp(s, cum, poly[:, 1])
-    return np.array([x, y])
-
-
 def _points_at(poly: np.ndarray, s: np.ndarray) -> np.ndarray:
     cum = _cum_lengths(poly)
     s = np.clip(s, 0.0, cum[-1])

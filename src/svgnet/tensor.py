@@ -2,8 +2,9 @@
 
 A define-by-run tape: operations executed while a GradientTape is active
 append a node holding their inputs and a backward closure. Values are
-numpy arrays; the global default dtype is float32 for training and can be
-switched to float64 for verification (gradient checking).
+numpy arrays and every op keeps its inputs' dtype: the model picks the
+dtype (float32 for training, float64 for gradient checking) when it
+creates its parameters and inputs.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 MASK_LARGE = 1e9
-
-_default_dtype = np.float32
 
 
 class ShapeMismatchError(ValueError):
@@ -30,45 +29,13 @@ class DisconnectedLossError(ValueError):
     pass
 
 
-def set_default_dtype(dtype) -> None:
-    """Set the global floating dtype (np.float32 or np.float64)."""
-    global _default_dtype
-    dtype = np.dtype(dtype).type
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("default dtype must be float32 or float64")
-    _default_dtype = dtype
-
-
-def default_dtype():
-    return _default_dtype
-
-
-class use_dtype:
-    """Context manager that temporarily switches the default dtype."""
-
-    def __init__(self, dtype):
-        self._dtype = dtype
-        self._saved = None
-
-    def __enter__(self):
-        global _default_dtype
-        self._saved = _default_dtype
-        set_default_dtype(self._dtype)
-        return self
-
-    def __exit__(self, *exc):
-        global _default_dtype
-        _default_dtype = self._saved
-        return False
-
-
 class Tensor:
     """A numpy array with optional gradient tracking."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or _default_dtype)
+        self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -176,14 +143,12 @@ def _tracked(t: Tensor, tape: GradientTape) -> bool:
 
 
 def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=_default_dtype))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable) -> Tensor:
     tape = GradientTape.current()
-    out = Tensor(data, dtype=data.dtype)
+    out = Tensor(data)
     if tape is not None and any(_tracked(p, tape) for p in parents):
         out.requires_grad = True
         tape.record(out, parents, backward)

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import save_checkpoint, load_checkpoint
+from .checkpoint import save_checkpoint
 from .dataset import Batch, IngestConfig, _atomic_write_text, concat_batches, make_batch, \
     normalize_sample
 from .model import SvgNet
@@ -195,6 +195,3 @@ def write_loss_log(log: list[dict], path: str | Path) -> None:
     lines = [json.dumps(entry) for entry in log]
     _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
-
-def load_model_checkpoint(model: SvgNet, prefix: str | Path) -> None:
-    model.load_state(load_checkpoint(prefix))

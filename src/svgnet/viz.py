@@ -10,6 +10,8 @@ Coordinates are in the normalized agent frame.
 
 from __future__ import annotations
 
+from xml.sax.saxutils import quoteattr
+
 import numpy as np
 
 from .dataset import Batch, NormalizedSample
@@ -31,6 +33,13 @@ def _poly_d(points: np.ndarray) -> str:
     for x, y in points[1:]:
         parts.append(f"L {float(x)!r} {float(y)!r}")
     return " ".join(parts)
+
+
+def _path(**attrs) -> str:
+    """A path element; ids come from input data, so every value is escaped."""
+    text = " ".join(f"{name.replace('_', '-')}={quoteattr(str(value))}"
+                    for name, value in attrs.items())
+    return f"  <path {text}/>"
 
 
 def _opacity(score: float, max_score: float) -> float:
@@ -55,10 +64,9 @@ def render_attention_svg(sample: NormalizedSample, batch: Batch,
     ]
     for path in sample.scene_svg.paths:
         score = path_scores.get(path.id, 0.0)
-        lines.append(
-            f'  <path id="{path.id}" d="{serialize_path(path)}" fill="none" '
-            f'stroke="{COLORS["path"]}" stroke-width="0.6" '
-            f'opacity="{_opacity(score, max_score):.4f}" data-score="{score!r}"/>')
+        lines.append(_path(id=path.id, d=serialize_path(path), fill="none",
+                           stroke=COLORS["path"], stroke_width="0.6",
+                           opacity=f"{_opacity(score, max_score):.4f}", data_score=repr(score)))
 
     for hist, valid, aid in zip(sample.other_histories, sample.other_valid,
                                 sample.other_ids):
@@ -66,23 +74,19 @@ def render_attention_svg(sample: NormalizedSample, batch: Batch,
         if len(pts) < 2:
             continue
         score = agent_scores.get(aid, 0.0)
-        lines.append(
-            f'  <path id="agent-{aid}" d="{_poly_d(pts)}" fill="none" '
-            f'stroke="{COLORS["agent"]}" stroke-width="0.5" '
-            f'opacity="{_opacity(score, max_score):.4f}" data-score="{score!r}"/>')
+        lines.append(_path(id=f"agent-{aid}", d=_poly_d(pts), fill="none",
+                           stroke=COLORS["agent"], stroke_width="0.5",
+                           opacity=f"{_opacity(score, max_score):.4f}", data_score=repr(score)))
 
     main_score = next((s for kind, _, s in entries if kind == "main"), 0.0)
-    lines.append(
-        f'  <path id="main-history" d="{_poly_d(sample.main_history)}" fill="none" '
-        f'stroke="{COLORS["main"]}" stroke-width="0.6" data-score="{main_score!r}"/>')
+    lines.append(_path(id="main-history", d=_poly_d(sample.main_history), fill="none",
+                       stroke=COLORS["main"], stroke_width="0.6", data_score=repr(main_score)))
     if sample.target is not None:
-        lines.append(
-            f'  <path id="ground-truth" d="{_poly_d(sample.target)}" fill="none" '
-            f'stroke="{COLORS["gt"]}" stroke-width="0.5"/>')
+        lines.append(_path(id="ground-truth", d=_poly_d(sample.target), fill="none",
+                           stroke=COLORS["gt"], stroke_width="0.5"))
     if prediction is not None:
-        lines.append(
-            f'  <path id="prediction" d="{_poly_d(np.asarray(prediction))}" fill="none" '
-            f'stroke="{COLORS["pred"]}" stroke-width="0.5"/>')
+        lines.append(_path(id="prediction", d=_poly_d(np.asarray(prediction)), fill="none",
+                           stroke=COLORS["pred"], stroke_width="0.5"))
 
     lines.append(_legend(ox, oy, w))
     lines.append("</svg>")

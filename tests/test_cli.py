@@ -140,6 +140,23 @@ class TestTrainEvalPredict:
             "--out", str(workspace["dir"] / "x.svg")])
         assert main() == 3
 
+    def test_visualize_escapes_agent_ids(self, trained, workspace, runner, tmp_path):
+        odd_id = 'a"b<'
+        lines = workspace["data"].read_text().splitlines()
+        obj = json.loads(lines[0])
+        others = [a for a in obj["agents"] if not a["is_main"]]
+        assert others
+        others[0]["agent_id"] = odd_id
+        data = tmp_path / "odd.jsonl"
+        data.write_text(json.dumps(obj) + "\n")
+        out = tmp_path / "odd.svg"
+        res = runner.invoke(cli, ["visualize", "--checkpoint", str(trained / "model_final"),
+                                  "--data", str(data), "--scene-id", obj["scene_id"],
+                                  "--out", str(out)], catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+        doc, _ = parse_document(out.read_text())
+        assert f"agent-{odd_id}" in {p.id for p in doc.paths}
+
     def test_hist_only_visualization_floor_opacity(self, trained, workspace, runner,
                                                    tmp_path):
         out = tmp_path / "hist.svg"
@@ -155,3 +172,31 @@ class TestTrainEvalPredict:
         for elem in path_elems:
             op = float(re.search(r'opacity="([^"]+)"', elem).group(1))
             assert op == pytest.approx(0.15, abs=1e-6)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_without_targets_fails_the_same_way_for_any_worker_count(
+        tmp_path, runner, monkeypatch, capsys, workers):
+    cfg = dict(TINY_RUN_CONFIG, synth={**TINY_RUN_CONFIG["synth"], "n_scenes": 4,
+                                       "n_frames": 30})
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    data = tmp_path / "short.jsonl"
+    res = runner.invoke(cli, ["synth-gen", "--config", str(cfg_path), "--out", str(data)],
+                        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    monkeypatch.setattr("sys.argv", ["svgnet", "train", "--config", str(cfg_path),
+                                     "--data", str(data), "--out-dir", str(tmp_path / "run"),
+                                     "--workers", str(workers)])
+    assert main() == 4
+    assert "has no prediction target" in capsys.readouterr().err
+
+
+def test_baseline_on_one_frame_history_is_a_data_error(workspace, tmp_path, monkeypatch):
+    cfg = dict(TINY_RUN_CONFIG, model={**TINY_RUN_CONFIG["model"], "t_obs": 1})
+    cfg_path = tmp_path / "one_frame.json"
+    cfg_path.write_text(json.dumps(cfg))
+    monkeypatch.setattr("sys.argv", ["svgnet", "eval", "--checkpoint", str(tmp_path / "none"),
+                                     "--data", str(workspace["data"]),
+                                     "--config", str(cfg_path), "--baseline"])
+    assert main() == 3

@@ -6,7 +6,7 @@ import pytest
 from svgnet.dataset import (AgentTrack, BadTimestampGridError, Batch, IngestConfig,
                             InsufficientHistoryError, MissingMainAgentError, SceneRecord,
                             SchemaError, apply_affine_points, concat_batches,
-                            import_argoverse_csv, invert_affine, load_dataset, make_batch,
+                            import_argoverse_csv, load_dataset, make_batch,
                             normalize_sample, polylines_to_svg, save_dataset)
 from svgnet.svg import CommandKind, Viewport
 
@@ -162,12 +162,6 @@ class TestNormalize:
     def test_no_target_for_short_records(self):
         sample = normalize_sample(straight_record(n_frames=20), self.CFG)
         assert sample.target is None
-
-    def test_invert_affine(self, rng):
-        mat = np.hstack([np.linalg.qr(rng.normal(size=(2, 2)))[0], rng.normal(size=(2, 1))])
-        pts = rng.normal(size=(7, 2))
-        back = apply_affine_points(invert_affine(mat), apply_affine_points(mat, pts))
-        np.testing.assert_allclose(back, pts, atol=1e-9)
 
 
 class TestMakeBatch:

@@ -1,15 +1,17 @@
+import csv
+
 import numpy as np
 import pytest
 
-from svgnet.dataset import IngestConfig, normalize_sample
-from svgnet.metrics import (EmptyInputError, InsufficientHistoryError, MetricsReport, ade,
-                            constant_velocity_baseline, constant_velocity_predictor,
-                            evaluate, fde, miss_rate, model_predictor, oracle_predictor,
-                            write_per_sample_csv)
+from svgnet.dataset import DatasetError, IngestConfig, InsufficientHistoryError, \
+    normalize_sample
+from svgnet.metrics import (EmptyInputError, MetricsReport, ade, constant_velocity_baseline,
+                            constant_velocity_predictor, evaluate, fde, miss_rate,
+                            model_predictor, write_per_sample_csv)
 from svgnet.model import SvgNet
 from svgnet.synth import SynthConfig, generate_records
 from svgnet.tensor import ShapeMismatchError
-from conftest import tiny_config
+from model_helpers import tiny_config
 
 T30 = 30
 
@@ -97,8 +99,9 @@ class TestConstantVelocity:
         assert ade(constant_velocity_baseline(hist), gt) < 1e-9
 
     def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistoryError):
+        with pytest.raises(InsufficientHistoryError) as exc:
             constant_velocity_baseline(np.zeros((1, 2)))
+        assert isinstance(exc.value, DatasetError)
 
 
 class TestRigidInvariance:
@@ -124,7 +127,7 @@ class TestEvaluate:
         return generate_records(SynthConfig(seed=1, n_scenes=n, agents_max=3, lanes_max=3))
 
     def test_oracle_all_zero(self):
-        report = evaluate(oracle_predictor(), self.records(), caps=(16, 30, 4))
+        report = evaluate(lambda b: b.targets.copy(), self.records(), caps=(16, 30, 4))
         assert report.ade == 0.0 and report.fde == 0.0 and report.miss_rate == 0.0
         assert report.n_samples == 6
 
@@ -165,3 +168,17 @@ class TestEvaluate:
         import json
         obj = json.loads((tmp_path / "r.json").read_text())
         assert set(obj) >= {"ade", "fde", "miss_rate", "n_samples"}
+
+    def test_per_sample_csv_round_trips_any_scene_id(self, tmp_path):
+        ids = ['x,"y', "line\nbreak", "plain"]
+        rows = [{"scene_id": sid, "ade": 0.5 * k, "fde": 1.0 / 3.0, "miss": k == 1}
+                for k, sid in enumerate(ids)]
+        report = MetricsReport(ade=0.5, fde=1.0 / 3.0, miss_rate=1 / 3, n_samples=3,
+                               per_sample=rows)
+        write_per_sample_csv(report, tmp_path / "per.csv")
+        with open(tmp_path / "per.csv", newline="", encoding="utf-8") as fh:
+            back = list(csv.reader(fh))
+        assert back[0] == ["scene_id", "ade", "fde", "miss"]
+        assert [r[0] for r in back[1:]] == ids
+        assert [float(r[2]) for r in back[1:]] == [1.0 / 3.0] * 3
+        assert [r[3] for r in back[1:]] == ["0", "1", "0"]

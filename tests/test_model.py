@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_batch, tiny_config
+from model_helpers import random_batch, tiny_config
 from svgnet import tensor as T
 from svgnet.gradcheck import grad_check
-from svgnet.model import (AttentionRecord, ModelConfig, RecordingDisabledError, SvgNet,
-                          extract_attention, sinusoidal_encoding)
-from svgnet.tensor import GradientTape, Tensor, use_dtype
+from svgnet.model import (ModelConfig, RecordingDisabledError, SvgNet, extract_attention,
+                          sinusoidal_encoding)
+from svgnet.tensor import Tensor
 from svgnet.train import mse_loss
 
 
@@ -64,13 +64,12 @@ class TestEncoders:
         assert a.shape == (2, cfg.d_z)
 
     def test_history_encoder_gradient(self, rng):
-        with use_dtype(np.float64):
-            cfg = tiny_config()
-            model = SvgNet(cfg, seed=0)
-            h = T.Tensor(rng.normal(0, 1, (1, cfg.d_h)), requires_grad=True)
-            mix = rng.normal(size=(1, cfg.d_z))
-            err = grad_check(lambda: T.tsum(T.mul(model.encode_history(h), Tensor(mix))), [h])
-            assert err < 1e-4
+        cfg = tiny_config()
+        model = SvgNet(cfg, seed=0, dtype=np.float64)
+        h = T.Tensor(rng.normal(0, 1, (1, cfg.d_h)), requires_grad=True)
+        mix = rng.normal(size=(1, cfg.d_z))
+        err = grad_check(lambda: T.tsum(T.mul(model.encode_history(h), Tensor(mix))), [h])
+        assert err < 1e-4
 
 
 class TestForward:
@@ -105,24 +104,23 @@ class TestForward:
             np.testing.assert_allclose(model.predict(perm_b), base, atol=1e-5)
 
     def test_masked_mutation_bit_identical_f64(self, rng):
-        with use_dtype(np.float64):
-            cfg = tiny_config()
-            model = SvgNet(cfg, seed=3)
-            batch = random_batch(cfg, 2, rng, n_real_paths=2, n_real_agents=1)
-            base = model.predict(batch)
-            mutated = batch.take(np.arange(2))
-            # rewrite only masked slots: padded paths, padded agents, padded commands
-            pm = mutated.path_mask.astype(bool)
-            am = mutated.agent_mask.astype(bool)
-            cm = mutated.command_mask.astype(bool)
-            new_kinds = rng.integers(2, 6, mutated.command_kinds.shape).astype(np.int16)
-            new_args = rng.integers(0, 256, mutated.command_args.shape).astype(np.int16)
-            mutated.command_kinds[~cm] = new_kinds[~cm]
-            mutated.command_args[~cm] = new_args[~cm]
-            mutated.agent_histories[~am] = rng.normal(0, 9, mutated.agent_histories.shape)[~am]
-            assert not (mutated.command_kinds == batch.command_kinds).all()
-            assert (model.predict(mutated) == base).all()
-            del pm
+        cfg = tiny_config()
+        model = SvgNet(cfg, seed=3, dtype=np.float64)
+        batch = random_batch(cfg, 2, rng, n_real_paths=2, n_real_agents=1)
+        base = model.predict(batch)
+        mutated = batch.take(np.arange(2))
+        # rewrite only masked slots: padded paths, padded agents, padded commands
+        pm = mutated.path_mask.astype(bool)
+        am = mutated.agent_mask.astype(bool)
+        cm = mutated.command_mask.astype(bool)
+        new_kinds = rng.integers(2, 6, mutated.command_kinds.shape).astype(np.int16)
+        new_args = rng.integers(0, 256, mutated.command_args.shape).astype(np.int16)
+        mutated.command_kinds[~cm] = new_kinds[~cm]
+        mutated.command_args[~cm] = new_args[~cm]
+        mutated.agent_histories[~am] = rng.normal(0, 9, mutated.agent_histories.shape)[~am]
+        assert not (mutated.command_kinds == batch.command_kinds).all()
+        assert (model.predict(mutated) == base).all()
+        del pm
 
     def test_batch_consistency(self, rng):
         cfg = tiny_config()
@@ -188,49 +186,46 @@ class TestAttention:
 
 class TestGradients:
     def test_full_model_grad_check_tiny(self, rng):
-        with use_dtype(np.float64):
-            cfg = tiny_config()
-            model = SvgNet(cfg, seed=5)
-            batch = random_batch(cfg, 1, rng, n_real_paths=3, n_real_agents=2)
+        cfg = tiny_config()
+        model = SvgNet(cfg, seed=5, dtype=np.float64)
+        batch = random_batch(cfg, 1, rng, n_real_paths=3, n_real_agents=2)
 
-            def f():
-                pred, _ = model.forward(batch)
-                return mse_loss(pred, batch.targets)
+        def f():
+            pred, _ = model.forward(batch)
+            return mse_loss(pred, batch.targets)
 
-            err = grad_check(f, model.parameters().values(),
-                             max_coords_per_param=4, rng=np.random.default_rng(0))
-            assert err < 1e-4
+        err = grad_check(f, model.parameters().values(),
+                         max_coords_per_param=4, rng=np.random.default_rng(0))
+        assert err < 1e-4
 
     def test_transformer_layer_grad(self, rng):
-        with use_dtype(np.float64):
-            cfg = tiny_config()
-            model = SvgNet(cfg, seed=6)
-            layer = model.decoder.stack.layers[0]
-            x = rng.normal(0, 1, (2, 3, cfg.d_m))
-            mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-            mix = rng.normal(size=(2, 3, cfg.d_m))
-            layer_params = [p for name, p in model.parameters().items()
-                            if name.startswith("decoder.layer0")]
+        cfg = tiny_config()
+        model = SvgNet(cfg, seed=6, dtype=np.float64)
+        layer = model.decoder.stack.layers[0]
+        x = rng.normal(0, 1, (2, 3, cfg.d_m))
+        mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        mix = rng.normal(size=(2, 3, cfg.d_m))
+        layer_params = [p for name, p in model.parameters().items()
+                        if name.startswith("decoder.layer0")]
 
-            def f():
-                out = layer(Tensor(x), mask, empty_rows="error")
-                return T.tsum(T.mul(out, Tensor(mix)))
+        def f():
+            out = layer(Tensor(x), mask, empty_rows="error")
+            return T.tsum(T.mul(out, Tensor(mix)))
 
-            err = grad_check(f, layer_params, max_coords_per_param=8,
-                             rng=np.random.default_rng(1))
-            assert err < 1e-4
+        err = grad_check(f, layer_params, max_coords_per_param=8,
+                         rng=np.random.default_rng(1))
+        assert err < 1e-4
 
     def test_residual_block_grad(self, rng):
-        with use_dtype(np.float64):
-            cfg = tiny_config()
-            model = SvgNet(cfg, seed=7)
-            block = model.history_encoder.blocks[0]
-            x = rng.normal(0, 1, (4, cfg.d_m))
-            mix = rng.normal(size=(4, cfg.d_m))
-            params = [p for name, p in model.parameters().items()
-                      if name.startswith("history_encoder.block0")]
-            err = grad_check(lambda: T.tsum(T.mul(block(Tensor(x)), Tensor(mix))), params)
-            assert err < 1e-4
+        cfg = tiny_config()
+        model = SvgNet(cfg, seed=7, dtype=np.float64)
+        block = model.history_encoder.blocks[0]
+        x = rng.normal(0, 1, (4, cfg.d_m))
+        mix = rng.normal(size=(4, cfg.d_m))
+        params = [p for name, p in model.parameters().items()
+                  if name.startswith("history_encoder.block0")]
+        err = grad_check(lambda: T.tsum(T.mul(block(Tensor(x)), Tensor(mix))), params)
+        assert err < 1e-4
 
 
 class TestConfigAndState:
@@ -250,6 +245,23 @@ class TestConfigAndState:
         assert not np.allclose(a.predict(batch), b.predict(batch))
         b.load_state(a.state_arrays())
         assert (a.predict(batch) == b.predict(batch)).all()
+
+    @pytest.mark.parametrize("first, second", [(np.float32, np.float64),
+                                               (np.float64, np.float32)])
+    def test_each_model_keeps_its_own_dtype(self, rng, first, second):
+        cfg = tiny_config()
+        batch = random_batch(cfg, 2, rng)
+        a = SvgNet(cfg, seed=0, dtype=first)
+        b = SvgNet(cfg, seed=0, dtype=second)
+        for model, dtype in ((a, first), (b, second), (a, first)):
+            assert model.predict(batch).dtype == dtype
+            assert all(p.data.dtype == dtype for p in model.parameters().values())
+            assert model.fusion_mask(batch).dtype == dtype
+        np.testing.assert_allclose(a.predict(batch), b.predict(batch), rtol=1e-4, atol=1e-4)
+
+    def test_rejects_non_float_dtype(self):
+        with pytest.raises(ValueError):
+            SvgNet(tiny_config(), dtype=np.int32)
 
     def test_param_names_hierarchical(self):
         model = SvgNet(tiny_config(), seed=0)

@@ -7,7 +7,7 @@ import pytest
 from svgnet.dataset import IngestConfig, load_dataset, normalize_sample
 from svgnet.metrics import ade, constant_velocity_baseline, fde
 from svgnet.synth import (SynthConfig, generate_dataset, generate_records, generate_scene,
-                          point_on_polyline, _cum_lengths)
+                          _cum_lengths, _points_at)
 
 
 def point_to_polyline_distance(pt, poly):
@@ -93,7 +93,8 @@ class TestGeometry:
 
     def test_point_on_polyline(self):
         poly = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        np.testing.assert_allclose(point_on_polyline(poly, 1.5), [1.5, 0.0])
+        np.testing.assert_allclose(_points_at(poly, np.array([1.5, 9.0])),
+                                   [[1.5, 0.0], [2.0, 0.0]])
         np.testing.assert_allclose(_cum_lengths(poly), [0.0, 1.0, 2.0])
 
 

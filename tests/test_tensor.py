@@ -4,13 +4,7 @@ import pytest
 from svgnet import tensor as T
 from svgnet.gradcheck import grad_check
 from svgnet.tensor import (DisconnectedLossError, EmptyMaskRowError, GradientTape,
-                           Parameter, ShapeMismatchError, Tensor, use_dtype)
-
-
-@pytest.fixture(autouse=True)
-def f64_mode():
-    with use_dtype(np.float64):
-        yield
+                           Parameter, ShapeMismatchError, Tensor)
 
 
 class TestForwardOps:
@@ -214,9 +208,13 @@ class TestGradCheck:
 
 class TestDeterminismAndDtype:
     def test_dtype_switch(self):
-        with use_dtype(np.float32):
-            assert Tensor([1.0]).data.dtype == np.float32
+        for dtype in (np.float32, np.float64):
+            x = Tensor(np.ones((2, 3), dtype=dtype))
+            assert x.data.dtype == dtype
+            w = Parameter("w", np.ones((3, 2), dtype=dtype))
+            assert T.softmax(T.linear(x, w)).data.dtype == dtype
         assert Tensor([1.0]).data.dtype == np.float64
+        assert Tensor([1.0], dtype=np.float32).data.dtype == np.float32
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(12)

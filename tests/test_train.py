@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_batch, tiny_config
+from model_helpers import tiny_config
 from svgnet import tensor as T
-from svgnet.checkpoint import load_checkpoint, save_checkpoint
+from svgnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from svgnet.dataset import IngestConfig
 from svgnet.gradcheck import grad_check
 from svgnet.model import SvgNet
 from svgnet.synth import SynthConfig, generate_records
-from svgnet.tensor import GradientTape, Parameter, ShapeMismatchError, use_dtype
-from svgnet.train import AdamW, TrainConfig, encode_samples, lr_at, mse_loss, train
+from svgnet.tensor import GradientTape, Parameter, ShapeMismatchError
+from svgnet.train import AdamW, TrainConfig, lr_at, mse_loss, train
 
 
 class TestMseLoss:
@@ -43,13 +43,12 @@ class TestMseLoss:
             mse_loss(Parameter("p", np.zeros((1, 60))), np.zeros((1, 59)))
 
     def test_gradient_matches_fd(self):
-        with use_dtype(np.float64):
-            rng = np.random.default_rng(0)
-            pred = Parameter("p", rng.normal(0, 2, (3, 60)))
-            target = rng.normal(0, 2, (3, 60))
-            err = grad_check(lambda: mse_loss(pred, target), [pred],
-                             max_coords_per_param=30)
-            assert err < 1e-6
+        rng = np.random.default_rng(0)
+        pred = Parameter("p", rng.normal(0, 2, (3, 60)))
+        target = rng.normal(0, 2, (3, 60))
+        err = grad_check(lambda: mse_loss(pred, target), [pred],
+                         max_coords_per_param=30)
+        assert err < 1e-6
 
 
 class TestSchedule:
@@ -77,18 +76,17 @@ class TestAdamW:
         np.testing.assert_array_equal(p.data, before)
 
     def test_single_step_direction_and_size(self):
-        with use_dtype(np.float64):
-            p = Parameter("p", np.array([1.0]))
-            opt = AdamW({"p": p}, TrainConfig(weight_decay=0.0))
-            with GradientTape() as tape:
-                loss = T.tsum(T.mul(p, p))
-                tape.backward(loss)
-            opt.step(lr=0.1)
-            delta = p.data[0] - 1.0
-            assert delta < 0
-            assert abs(delta) <= 0.1 * (1.0 + 1e-6)
-            # first bias-corrected Adam step is ~lr for any nonzero gradient
-            assert abs(delta) == pytest.approx(0.1, rel=1e-4)
+        p = Parameter("p", np.array([1.0]))
+        opt = AdamW({"p": p}, TrainConfig(weight_decay=0.0))
+        with GradientTape() as tape:
+            loss = T.tsum(T.mul(p, p))
+            tape.backward(loss)
+        opt.step(lr=0.1)
+        delta = p.data[0] - 1.0
+        assert delta < 0
+        assert abs(delta) <= 0.1 * (1.0 + 1e-6)
+        # first bias-corrected Adam step is ~lr for any nonzero gradient
+        assert abs(delta) == pytest.approx(0.1, rel=1e-4)
 
     def test_decoupled_weight_decay(self):
         p = Parameter("p", np.array([4.0]))
@@ -132,6 +130,24 @@ class TestCheckpoint:
         assert manifest["params"][1] == {"name": "b", "shape": [4], "offset": 6}
         blob = (tmp_path / "c.bin").read_bytes()
         assert len(blob) == (6 + 4) * 4
+
+
+    def test_dotted_names_do_not_collide(self, tmp_path):
+        save_checkpoint({"a": np.zeros(2, np.float32)}, tmp_path / "run.v1")
+        save_checkpoint({"a": np.ones(3, np.float32)}, tmp_path / "run.v2")
+        assert (tmp_path / "run.v1.json").exists() and (tmp_path / "run.v2.bin").exists()
+        np.testing.assert_array_equal(load_checkpoint(tmp_path / "run.v1")["a"], np.zeros(2))
+        np.testing.assert_array_equal(load_checkpoint(tmp_path / "run.v2")["a"], np.ones(3))
+
+    @pytest.mark.parametrize("size_change", [8, 3, -4])
+    def test_blob_size_must_match_manifest(self, tmp_path, size_change):
+        save_checkpoint({"a": np.ones((2, 3), np.float32)}, tmp_path / "c")
+        blob = tmp_path / "c.bin"
+        data = blob.read_bytes()
+        blob.write_bytes(data + b"\0" * size_change if size_change > 0
+                         else data[:size_change])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "c")
 
 
 class TestTrainingLoop:
