@@ -14,29 +14,17 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .dataset import _atomic_write_bytes
 
 FORMAT_VERSION = 1
 
 
 class CheckpointError(ValueError):
     pass
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _files(prefix: str | Path) -> tuple[Path, Path]:

@@ -124,38 +124,22 @@ def import_argoverse(csv_path, map_json, out) -> None:
               default=None)
 @click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
-@click.option("--workers", type=int, default=1, help="Parallel record encoding workers.")
 @input_mode_option
 @f64_option
 @seed_option
-def train_cmd(config_path, data, out_dir, workers, input_mode, dtype, seed) -> None:
+def train_cmd(config_path, data, out_dir, input_mode, dtype, seed) -> None:
     """Train a model; writes checkpoints, loss log, and config.json."""
     cfg = load_run_config(config_path, _common_overrides(seed, input_mode))
-    records = _read_records(data)
-    encoded = _encode_parallel(records, cfg, workers)
+    encoded = encode_samples(_read_records(data), cfg.ingest, cfg.model.n_paths,
+                             cfg.model.n_commands, cfg.model.n_agents)
     model = SvgNet(cfg.model, seed=cfg.train.seed, dtype=dtype)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg.write_json(out / "config.json")
-    log_entries = run_training(model, encoded, cfg.train, ingest=cfg.ingest, out_dir=out)
+    log_entries = run_training(model, encoded, cfg.train, out_dir=out)
     final_losses = [e["loss"] for e in log_entries if e["loss"] is not None]
     click.echo(f"trained {cfg.train.epochs} epochs, final step loss "
                f"{final_losses[-1]:.4f}, checkpoints in {out}")
-
-
-def _encode_parallel(records, cfg: RunConfig, workers: int):
-    caps = (cfg.model.n_paths, cfg.model.n_commands, cfg.model.n_agents)
-    if workers <= 1:
-        return encode_samples(records, cfg.ingest, *caps)
-    import multiprocessing as mp
-    from functools import partial
-    fn = partial(_encode_one, ingest=cfg.ingest, caps=caps)
-    with mp.Pool(workers) as pool:
-        return pool.map(fn, records)
-
-
-def _encode_one(record, ingest, caps):
-    return encode_samples([record], ingest, *caps)[0]
 
 
 @cli.command("eval")

@@ -53,6 +53,10 @@ class BadTimestampGridError(DatasetError):
     pass
 
 
+class MissingTargetError(DatasetError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
@@ -177,16 +181,20 @@ def load_dataset(path: str | Path,
                 errors.append(exc)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write_bytes(path: Path, payload: bytes) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path: Path, text: str) -> None:
+    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def save_dataset(records: Sequence[SceneRecord], path: str | Path) -> int:
@@ -367,6 +375,9 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
     """Assemble padded tensors; excess paths/agents are dropped farthest-first."""
     if not samples:
         raise ValueError("cannot batch zero samples")
+    missing = [s.scene_id for s in samples if s.target is None]
+    if 0 < len(missing) < len(samples):
+        raise MissingTargetError(f"scene {missing[0]!r} has no target, unlike others in its batch")
     b = len(samples)
     t_obs = samples[0].main_history.shape[0]
     kinds = np.full((b, n_paths, n_commands), int(CommandKind.PAD), dtype=np.int16)
@@ -378,7 +389,7 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
     agent_mask = np.zeros((b, n_agents), dtype=np.float32)
     agent_frame_mask = np.zeros((b, n_agents, t_obs), dtype=np.float32)
     frame_to_city = np.zeros((b, 2, 3), dtype=np.float64)
-    has_target = all(s.target is not None for s in samples)
+    has_target = not missing
     targets = np.zeros((b, 2 * samples[0].target.shape[0]), dtype=np.float64) if has_target else None
 
     scene_ids, all_path_ids, all_agent_ids = [], [], []
@@ -392,7 +403,7 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
         for j, p in enumerate(paths):
             n_c = min(len(p.commands), n_commands)
             for k in range(n_c):
-                vec = encode_command(p.commands[k], s.scene_svg.viewport, clamp=True)
+                vec = encode_command(p.commands[k], s.scene_svg.viewport)
                 kinds[i, j, k] = vec.kind_index
                 args[i, j, k] = vec.arg_bins
             path_mask[i, j] = 1.0
@@ -422,9 +433,11 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
         all_path_ids.append(pids)
         all_agent_ids.append(aids)
 
-    return Batch(kinds, args, path_mask, command_mask, main_hist, agent_hist,
-                 agent_mask, agent_frame_mask, targets, frame_to_city,
-                 scene_ids, all_path_ids, all_agent_ids)
+    return Batch(command_kinds=kinds, command_args=args, path_mask=path_mask,
+                 command_mask=command_mask, main_history=main_hist, agent_histories=agent_hist,
+                 agent_mask=agent_mask, agent_frame_mask=agent_frame_mask, targets=targets,
+                 frame_to_city=frame_to_city, scene_ids=scene_ids, path_ids=all_path_ids,
+                 agent_ids=all_agent_ids)
 
 
 def concat_batches(batches: Sequence[Batch]) -> Batch:
@@ -468,6 +481,8 @@ def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
     if dt <= 0 or (np.abs(dts - dt) > 0.10 * dt).any():
         raise BadTimestampGridError(f"{csv_path.name}: non-uniform sampling")
     frame_of = {t: int(round((t - stamps[0]) / dt)) for t in stamps}
+    if len(set(frame_of.values())) < stamps.size:
+        raise BadTimestampGridError(f"{csv_path.name}: two timestamps round to one frame")
     n_frames = t_obs + t_pred
 
     tracks: dict[str, dict] = {}

@@ -11,8 +11,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import (Batch, IngestConfig, InsufficientHistoryError, _atomic_write_text,
-                      apply_affine_points, concat_batches, make_batch, normalize_sample)
+from .dataset import (Batch, IngestConfig, InsufficientHistoryError, MissingTargetError,
+                      _atomic_write_text, apply_affine_points, concat_batches, make_batch,
+                      normalize_sample)
 from .tensor import ShapeMismatchError
 
 
@@ -21,6 +22,7 @@ class EmptyInputError(ValueError):
 
 
 MISS_THRESHOLD = 2.0  # meters; a miss is a final error strictly beyond this
+EVAL_BATCH_SIZE = 64  # scenes per predict call in evaluate
 
 
 @dataclass
@@ -105,28 +107,26 @@ def constant_velocity_predictor(t_pred: int = 30, k_vel: int = 3
     return predict
 
 
-def evaluate(predict_fn: Callable[[Batch], np.ndarray], data, *,
+def evaluate(predict_fn: Callable[[Batch], np.ndarray], records: Sequence, *,
              ingest: IngestConfig | None = None, caps: tuple[int, int, int] = (128, 30, 16),
-             batch_size: int = 64, per_sample: bool = False) -> MetricsReport:
+             per_sample: bool = False) -> MetricsReport:
     """Aggregate ADE / FDE / miss rate in de-normalized city-frame meters.
 
-    ``data`` is a sequence of SceneRecords or of pre-encoded single-sample
-    batches. Records without prediction targets are rejected.
+    ``records`` are SceneRecords, encoded at ``caps`` (n_paths, n_commands, n_agents)
+    and predicted EVAL_BATCH_SIZE at a time. A record without a prediction target
+    raises MissingTargetError; no records raise EmptyInputError.
     """
     ingest = ingest or IngestConfig()
-    if isinstance(data[0], Batch):
-        encoded = list(data)
-    else:
-        encoded = []
-        for rec in data:
-            sample = normalize_sample(rec, ingest)
-            if sample.target is None:
-                raise ValueError(f"scene {rec.scene_id!r} has no prediction target")
-            encoded.append(make_batch([sample], *caps))
+    encoded = []
+    for rec in records:
+        sample = normalize_sample(rec, ingest)
+        if sample.target is None:
+            raise MissingTargetError(f"scene {rec.scene_id!r} has no prediction target")
+        encoded.append(make_batch([sample], *caps))
 
     ades, fdes, rows = [], [], []
-    for lo in range(0, len(encoded), batch_size):
-        batch = concat_batches(encoded[lo:lo + batch_size])
+    for lo in range(0, len(encoded), EVAL_BATCH_SIZE):
+        batch = concat_batches(encoded[lo:lo + EVAL_BATCH_SIZE])
         preds = predict_fn(batch)
         for i in range(len(batch)):
             pred_city = apply_affine_points(batch.frame_to_city[i],

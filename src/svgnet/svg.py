@@ -40,10 +40,6 @@ class MissingViewportError(SvgError):
     pass
 
 
-class OutOfViewportError(SvgError):
-    pass
-
-
 class CommandKind(IntEnum):
     """Command kinds in fixed encoding order (index == embedding row)."""
 
@@ -390,23 +386,16 @@ def quantize_coord(value: float, origin: float, extent: float) -> int:
     return min(max(b, 0), N_COORD_BINS - 1)
 
 
-def encode_command(cmd: SvgCommand, viewport: Viewport, clamp: bool = True) -> CommandVector:
+def encode_command(cmd: SvgCommand, viewport: Viewport) -> CommandVector:
     """Quantize a command's used coordinates onto the viewport grid.
 
-    With clamp=True (the default) out-of-viewport coordinates are clipped
-    to the boundary. With clamp=False, coordinates further than
-    1e-6 * extent outside the viewport raise OutOfViewportError.
+    Coordinates outside the viewport are clipped to its boundary first.
     """
     bins = [SENTINEL_BIN] * N_ARG_SLOTS
     (ox, oy), (w, h) = viewport.origin, viewport.extent
     for slot in cmd.used_slots():
         v = cmd.args[slot]
         origin, extent = (ox, w) if slot % 2 == 0 else (oy, h)
-        if not clamp:
-            tol = 1e-6 * extent
-            if v < origin - tol or v > origin + extent + tol:
-                raise OutOfViewportError(
-                    f"coordinate {v} outside viewport axis [{origin}, {origin + extent}]")
         v = min(max(v, origin), origin + extent)
         bins[slot] = quantize_coord(v, origin, extent)
     return CommandVector(int(cmd.kind), tuple(bins))

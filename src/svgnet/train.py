@@ -12,8 +12,9 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import save_checkpoint
-from .dataset import Batch, IngestConfig, _atomic_write_text, concat_batches, make_batch, \
-    normalize_sample
+from .dataset import (Batch, IngestConfig, MissingTargetError, _atomic_write_text,
+                      concat_batches, make_batch, normalize_sample)
+from .metrics import EmptyInputError
 from .model import SvgNet
 from .tensor import GradientTape, ShapeMismatchError, Tensor
 
@@ -119,23 +120,23 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
 
 
 def encode_samples(records, ingest: IngestConfig, n_paths: int, n_commands: int,
-                   n_agents: int, require_target: bool = True) -> list[Batch]:
-    """Normalize and pre-encode records into single-sample batches."""
+                   n_agents: int) -> list[Batch]:
+    """Encode records as single-sample batches; one without a target is a MissingTargetError."""
     out = []
     for rec in records:
         sample = normalize_sample(rec, ingest)
-        if require_target and sample.target is None:
-            raise ValueError(f"scene {rec.scene_id!r} has no prediction target")
+        if sample.target is None:
+            raise MissingTargetError(f"scene {rec.scene_id!r} has no prediction target")
         out.append(make_batch([sample], n_paths, n_commands, n_agents))
     return out
 
 
-def train(model: SvgNet, records: Sequence, cfg: TrainConfig, *,
-          ingest: IngestConfig | None = None, out_dir: str | Path | None = None,
-          eval_hook: Callable[[SvgNet], tuple[float, float]] | None = None,
-          log_every: int = 1) -> list[dict]:
-    """Run the full training loop; returns the per-step loss log.
+def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
+          out_dir: str | Path | None = None,
+          eval_hook: Callable[[SvgNet], tuple[float, float]] | None = None) -> list[dict]:
+    """Run the full training loop on ``encode_samples`` output; returns the per-step loss log.
 
+    An empty ``encoded`` raises EmptyInputError before anything is written.
     Deterministic for a fixed config seed (single-threaded). Checkpoints,
     when out_dir is given, are written after every epoch as
     ``model_epoch{N}`` plus final ``model_final`` / ``optimizer_final``.
@@ -143,12 +144,10 @@ def train(model: SvgNet, records: Sequence, cfg: TrainConfig, *,
     (ade, fde) on a validation set.
     """
     cfg.validate()
-    ingest = ingest or IngestConfig(t_obs=model.cfg.t_obs, t_pred=model.cfg.t_pred,
-                                    max_commands=model.cfg.n_commands)
-    encoded = records if isinstance(records[0], Batch) else encode_samples(
-        records, ingest, model.cfg.n_paths, model.cfg.n_commands, model.cfg.n_agents)
     n = len(encoded)
-    steps_per_epoch = max(math.ceil(n / cfg.batch_size), 1)
+    if n == 0:
+        raise EmptyInputError("no samples to train on")
+    steps_per_epoch = math.ceil(n / cfg.batch_size)
 
     optimizer = AdamW(model.parameters(), cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -171,9 +170,8 @@ def train(model: SvgNet, records: Sequence, cfg: TrainConfig, *,
             if cfg.grad_clip_norm is not None:
                 clip_grad_norm(model.parameters(), cfg.grad_clip_norm)
             optimizer.step(lr)
-            if step % log_every == 0:
-                log.append({"epoch": epoch, "step": step, "lr": lr,
-                            "loss": loss.item(), "val_ade": None, "val_fde": None})
+            log.append({"epoch": epoch, "step": step, "lr": lr,
+                        "loss": loss.item(), "val_ade": None, "val_fde": None})
             step += 1
 
         if eval_hook is not None:

@@ -174,9 +174,12 @@ class TestTrainEvalPredict:
             assert op == pytest.approx(0.15, abs=1e-6)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_train_without_targets_fails_the_same_way_for_any_worker_count(
-        tmp_path, runner, monkeypatch, capsys, workers):
+@pytest.mark.parametrize("command", [
+    ["train", "--out-dir", "run"],
+    ["eval", "--checkpoint", "none", "--baseline"],
+], ids=["train", "eval"])
+def test_records_without_targets_are_a_data_error(tmp_path, runner, monkeypatch, capsys,
+                                                  command):
     cfg = dict(TINY_RUN_CONFIG, synth={**TINY_RUN_CONFIG["synth"], "n_scenes": 4,
                                        "n_frames": 30})
     cfg_path = tmp_path / "run.json"
@@ -185,11 +188,11 @@ def test_train_without_targets_fails_the_same_way_for_any_worker_count(
     res = runner.invoke(cli, ["synth-gen", "--config", str(cfg_path), "--out", str(data)],
                         catch_exceptions=False)
     assert res.exit_code == 0, res.output
-    monkeypatch.setattr("sys.argv", ["svgnet", "train", "--config", str(cfg_path),
-                                     "--data", str(data), "--out-dir", str(tmp_path / "run"),
-                                     "--workers", str(workers)])
-    assert main() == 4
-    assert "has no prediction target" in capsys.readouterr().err
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.argv", ["svgnet", *command, "--config", str(cfg_path),
+                                     "--data", str(data)])
+    assert main() == 3
+    assert "scene 'synth-000000' has no prediction target" in capsys.readouterr().err
 
 
 def test_baseline_on_one_frame_history_is_a_data_error(workspace, tmp_path, monkeypatch):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from svgnet.dataset import (AgentTrack, BadTimestampGridError, Batch, IngestConfig,
-                            InsufficientHistoryError, MissingMainAgentError, SceneRecord,
-                            SchemaError, apply_affine_points, concat_batches,
+                            InsufficientHistoryError, MissingMainAgentError,
+                            MissingTargetError, SceneRecord, SchemaError, apply_affine_points, concat_batches,
                             import_argoverse_csv, load_dataset, make_batch,
                             normalize_sample, polylines_to_svg, save_dataset)
 from svgnet.svg import CommandKind, Viewport
@@ -215,6 +215,13 @@ class TestMakeBatch:
         assert (batch.command_kinds[masked] == int(CommandKind.PAD)).all()
         assert (batch.command_args[masked] == -1).all()
 
+    def test_targets_need_every_sample_or_none(self):
+        full = normalize_sample(straight_record(scene_id="full"), self.CFG)
+        short = normalize_sample(straight_record(n_frames=20, scene_id="short"), self.CFG)
+        assert make_batch([short, short], 16, 30, 4).targets is None
+        with pytest.raises(MissingTargetError, match="'short'"):
+            make_batch([full, short], 16, 30, 4)
+
     def test_take_and_concat(self):
         samples = [normalize_sample(straight_record(scene_id=f"s{i}"), self.CFG)
                    for i in range(4)]
@@ -282,4 +289,16 @@ class TestArgoverseImport:
         map_path = tmp_path / "map.json"
         map_path.write_text("{}")
         with pytest.raises(BadTimestampGridError):
+            import_argoverse_csv(csv_path, map_path, tmp_path / "o.jsonl")
+
+    def test_two_timestamps_on_one_frame(self, tmp_path):
+        # every step is within 10% of the median 1.0, but 1006.54 and 1007.45
+        # both round to frame 7 and frame 6 gets no stamp
+        stamps = 1000.0 + np.concatenate([[0.0], np.cumsum([1.09] * 6 + [0.91] * 6)])
+        rows = [(round(t, 2), "aa", "AGENT", 10.0 + i, 5.0, "PIT") for i, t in enumerate(stamps)]
+        csv_path = tmp_path / "seq5.csv"
+        self.write_csv(csv_path, rows)
+        map_path = tmp_path / "map.json"
+        map_path.write_text("{}")
+        with pytest.raises(BadTimestampGridError, match="one frame"):
             import_argoverse_csv(csv_path, map_path, tmp_path / "o.jsonl")

@@ -131,6 +131,10 @@ class TestEvaluate:
         assert report.ade == 0.0 and report.fde == 0.0 and report.miss_rate == 0.0
         assert report.n_samples == 6
 
+    def test_no_records_is_an_error(self):
+        with pytest.raises(EmptyInputError):
+            evaluate(constant_velocity_predictor(), [])
+
     def test_order_invariance(self):
         recs = self.records()
         a = evaluate(constant_velocity_predictor(), recs, caps=(16, 30, 4))

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from svgnet.svg import (ArityError, CommandKind, MalformedNumberError, MissingViewportError,
-                        OutOfViewportError, SvgCommand, SvgDocument, SvgPath,
-                        UnsupportedCommandError, Viewport, XmlParseError, encode_command,
-                        parse_document, parse_path_data, quantize_coord, serialize_path,
-                        split_path)
+                        SvgCommand, SvgDocument, SvgPath, UnsupportedCommandError, Viewport,
+                        XmlParseError, encode_command, parse_document, parse_path_data,
+                        quantize_coord, serialize_path, split_path)
 
 
 def random_supported_path(rng, max_cmds=12):
@@ -160,14 +159,9 @@ class TestQuantize:
         assert vec.kind_index == int(CommandKind.CLOSE_PATH)
         assert vec.arg_bins == (-1,) * 6
 
-    def test_clamping_and_error(self):
-        clamped = encode_command(SvgCommand.line_to(-5, 120), self.VIEW, clamp=True)
+    def test_clamping(self):
+        clamped = encode_command(SvgCommand.line_to(-5, 120), self.VIEW)
         assert clamped.arg_bins[4] == 0 and clamped.arg_bins[5] == 255
-        with pytest.raises(OutOfViewportError):
-            encode_command(SvgCommand.line_to(-5, 50), self.VIEW, clamp=False)
-        # within the 1e-6 * extent tolerance no error is raised
-        vec = encode_command(SvgCommand.line_to(100 + 5e-5, 50), self.VIEW, clamp=False)
-        assert vec.arg_bins[4] == 255
 
     def test_monotonicity(self):
         rng = np.random.default_rng(11)

@@ -7,11 +7,12 @@ from model_helpers import tiny_config
 from svgnet import tensor as T
 from svgnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from svgnet.dataset import IngestConfig
+from svgnet.metrics import EmptyInputError
 from svgnet.gradcheck import grad_check
 from svgnet.model import SvgNet
 from svgnet.synth import SynthConfig, generate_records
 from svgnet.tensor import GradientTape, Parameter, ShapeMismatchError
-from svgnet.train import AdamW, TrainConfig, lr_at, mse_loss, train
+from svgnet.train import AdamW, TrainConfig, encode_samples, lr_at, mse_loss, train
 
 
 class TestMseLoss:
@@ -151,27 +152,31 @@ class TestCheckpoint:
 
 
 class TestTrainingLoop:
-    def make_records(self, n=8):
+    def make_batches(self, n=8):
         cfg = SynthConfig(seed=0, n_scenes=n, agents_max=2, lanes_max=3)
-        return generate_records(cfg)
+        caps = tiny_config()
+        return encode_samples(generate_records(cfg), IngestConfig(max_commands=caps.n_commands),
+                              caps.n_paths, caps.n_commands, caps.n_agents)
 
     def test_deterministic_runs(self, tmp_path):
-        records = self.make_records(6)
-        ingest = IngestConfig(max_commands=6)
+        batches = self.make_batches(6)
         tc = TrainConfig(epochs=2, batch_size=3, seed=7)
         outs = []
         for name in ("run1", "run2"):
             model = SvgNet(tiny_config(), seed=7)
-            train(model, records, tc, ingest=ingest, out_dir=tmp_path / name)
+            train(model, batches, tc, out_dir=tmp_path / name)
             outs.append((tmp_path / name / "model_final.bin").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_no_samples_is_an_error_before_any_write(self, tmp_path):
+        with pytest.raises(EmptyInputError):
+            train(SvgNet(tiny_config()), [], TrainConfig(), out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_loss_decreases_on_fixed_batch(self):
-        records = self.make_records(4)
-        ingest = IngestConfig(max_commands=6)
+        batches = self.make_batches(4)
         model = SvgNet(tiny_config(), seed=1)
-        log = train(model, records, TrainConfig(epochs=25, batch_size=4, lr=1e-4, seed=0),
-                    ingest=ingest)
+        log = train(model, batches, TrainConfig(epochs=25, batch_size=4, lr=1e-4, seed=0))
         losses = [e["loss"] for e in log if e["loss"] is not None]
         assert np.isfinite(losses).all()
         # fixed batch, small lr: loss non-increasing nearly everywhere
@@ -180,11 +185,9 @@ class TestTrainingLoop:
         assert losses[-1] < losses[0]
 
     def test_checkpoints_and_log_written(self, tmp_path):
-        records = self.make_records(4)
         model = SvgNet(tiny_config(), seed=2)
-        log = train(model, records, TrainConfig(epochs=2, batch_size=2, seed=0),
-                    ingest=IngestConfig(max_commands=6), out_dir=tmp_path,
-                    eval_hook=lambda m: (1.5, 2.5))
+        log = train(model, self.make_batches(4), TrainConfig(epochs=2, batch_size=2, seed=0),
+                    out_dir=tmp_path, eval_hook=lambda m: (1.5, 2.5))
         assert (tmp_path / "model_epoch000.json").exists()
         assert (tmp_path / "model_final.bin").exists()
         assert (tmp_path / "optimizer_final.json").exists()
