@@ -18,13 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _atomic_write_bytes
+from .dataset import DatasetError, _atomic_write_bytes
 
 FORMAT_VERSION = 1
 
 
-class CheckpointError(ValueError):
-    pass
+class CheckpointError(DatasetError):
+    """A checkpoint that cannot be read, or that does not fit the model."""
 
 
 def _files(prefix: str | Path) -> tuple[Path, Path]:
@@ -53,11 +53,16 @@ def save_checkpoint(arrays: dict[str, np.ndarray], prefix: str | Path) -> None:
 def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint; the blob must hold exactly the floats the manifest lists."""
     manifest_path, blob_path = _files(prefix)
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {manifest.get('format_version')}")
-    entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in manifest["params"]]
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        if manifest.get("format_version") != FORMAT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {manifest.get('format_version')}")
+        entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in manifest["params"]]
+    except (ValueError, AttributeError, KeyError, TypeError) as exc:
+        # CheckpointError is not a ValueError, so the version check passes through
+        raise CheckpointError(f"{manifest_path.name}: unreadable manifest ({exc})") from exc
     needed = 4 * max((start + math.prod(shape) for _, shape, start in entries), default=0)
     if blob_path.stat().st_size != needed:
         raise CheckpointError(f"{blob_path.name} holds {blob_path.stat().st_size} bytes, "

@@ -1,6 +1,9 @@
 """Command-line entry point: dataset tooling, training, evaluation, plots.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 runtime error.
+Exit codes: 0 success, 2 configuration error, 3 data error (bad records, or a
+checkpoint that is corrupt or does not fit the model), 4 runtime error. A
+training step whose loss is NaN or inf raises train.NonFiniteLossError, exit 4,
+before that step's update and before any further checkpoint or loss log write.
 Set SVGNET_LOG to a logging level name (DEBUG, INFO, ...) for diagnostics.
 """
 
@@ -21,7 +24,7 @@ from .dataset import (DatasetError, SchemaError, _atomic_write_text, apply_affin
                       load_dataset, make_batch, normalize_sample)
 from .metrics import constant_velocity_predictor, evaluate, model_predictor, \
     write_per_sample_csv
-from .model import SvgNet, extract_attention
+from .model import INPUT_MODES, SvgNet, extract_attention
 from .synth import generate_dataset
 from .train import encode_samples, train as run_training
 from .viz import render_attention_svg
@@ -74,7 +77,7 @@ def _read_records(data: str) -> list:
 
 
 input_mode_option = click.option(
-    "--input-mode", type=click.Choice(["hist", "hist+scene", "hist+scene+agents"]),
+    "--input-mode", type=click.Choice(INPUT_MODES),
     default=None, help="Which inputs the model attends to.")
 f64_option = click.option(
     "--f64", "dtype", is_flag=True,
@@ -233,7 +236,7 @@ def visualize_cmd(checkpoint, data, scene_id, out, config_path, input_mode, dtyp
     pred_t, attn = model.forward(batch, record_attention=True)
     entries = extract_attention(attn)[0]
     pred = pred_t.data[0].reshape(-1, 2)
-    svg_text = render_attention_svg(sample, batch, entries, prediction=pred)
+    svg_text = render_attention_svg(sample, entries, prediction=pred)
     _atomic_write_text(Path(out), svg_text)
     click.echo(f"wrote {out}")
 

@@ -19,7 +19,7 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -350,12 +350,14 @@ class Batch:
     main_history: np.ndarray      # (B, 2 * t_obs) float64, agent frame
     agent_histories: np.ndarray   # (B, N_A, 2 * t_obs) float64
     agent_mask: np.ndarray        # (B, N_A) float32
-    agent_frame_mask: np.ndarray  # (B, N_A, t_obs) float32
     targets: np.ndarray | None    # (B, 2 * t_pred) float64
     frame_to_city: np.ndarray     # (B, 2, 3) float64
     scene_ids: list[str] = field(default_factory=list)
     path_ids: list[list] = field(default_factory=list)
     agent_ids: list[list] = field(default_factory=list)
+    # not stored: nothing read per-frame agent validity, but the benchmark's
+    # tests still build a Batch with this keyword; drop it once they stop
+    agent_frame_mask: InitVar[np.ndarray | None] = None
 
     def __len__(self) -> int:
         return self.command_kinds.shape[0]
@@ -387,7 +389,6 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
     main_hist = np.zeros((b, 2 * t_obs), dtype=np.float64)
     agent_hist = np.zeros((b, n_agents, 2 * t_obs), dtype=np.float64)
     agent_mask = np.zeros((b, n_agents), dtype=np.float32)
-    agent_frame_mask = np.zeros((b, n_agents, t_obs), dtype=np.float32)
     frame_to_city = np.zeros((b, 2, 3), dtype=np.float64)
     has_target = not missing
     targets = np.zeros((b, 2 * samples[0].target.shape[0]), dtype=np.float64) if has_target else None
@@ -426,7 +427,6 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
         for slot, idx in enumerate(order):
             agent_hist[i, slot] = s.other_histories[idx].reshape(-1)
             agent_mask[i, slot] = 1.0
-            agent_frame_mask[i, slot] = s.other_valid[idx]
             aids.append(s.other_ids[idx])
 
         scene_ids.append(s.scene_id)
@@ -435,7 +435,7 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
 
     return Batch(command_kinds=kinds, command_args=args, path_mask=path_mask,
                  command_mask=command_mask, main_history=main_hist, agent_histories=agent_hist,
-                 agent_mask=agent_mask, agent_frame_mask=agent_frame_mask, targets=targets,
+                 agent_mask=agent_mask, targets=targets,
                  frame_to_city=frame_to_city, scene_ids=scene_ids, path_ids=all_path_ids,
                  agent_ids=all_agent_ids)
 

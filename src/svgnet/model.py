@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import CheckpointError
 from .tensor import Parameter, Tensor
 
 INPUT_MODES = ("hist", "hist+scene", "hist+scene+agents")
@@ -80,14 +81,13 @@ class AttentionRecord:
 
     scores has shape (B, L) with L = n_paths + n_agents + 1; entries are
     the last fusion layer's attention weights for the main-agent query,
-    averaged over heads.
+    averaged over heads. mask is the (B, L) fusion key mask they used.
     """
 
     scores: np.ndarray
     n_paths: int
     n_agents: int
-    path_mask: np.ndarray
-    agent_mask: np.ndarray
+    mask: np.ndarray
     path_ids: list
     agent_ids: list
 
@@ -100,11 +100,11 @@ def extract_attention(record: AttentionRecord | None) -> list[list[tuple[str, st
     for b in range(record.scores.shape[0]):
         entries: list[tuple[str, str, float]] = []
         for i in range(record.n_paths):
-            if record.path_mask[b, i] > 0:
+            if record.mask[b, i] > 0:
                 pid = record.path_ids[b][i] if i < len(record.path_ids[b]) else str(i)
                 entries.append(("path", pid, float(record.scores[b, i])))
         for j in range(record.n_agents):
-            if record.agent_mask[b, j] > 0:
+            if record.mask[b, record.n_paths + j] > 0:
                 aid = record.agent_ids[b][j] if j < len(record.agent_ids[b]) else str(j)
                 entries.append(("agent", aid, float(record.scores[b, record.n_paths + j])))
         entries.append(("main", "main", float(record.scores[b, -1])))
@@ -207,16 +207,14 @@ class _TransformerLayer:
     def _heads(self, x: Tensor, n: int, t: int) -> Tensor:
         return T.swapaxes(T.reshape(x, (n, t, self.n_heads, self.d_head)), 1, 2)
 
-    def __call__(self, x: Tensor, key_mask: np.ndarray, empty_rows: str,
-                 record: list | None = None) -> Tensor:
+    def __call__(self, x: Tensor, key_mask: np.ndarray, record: list | None = None) -> Tensor:
         n, t, d_m = x.shape
         h = self.ln1(x)
         q = self._heads(self.wq(h), n, t)
         k = self._heads(self.wk(h), n, t)
         v = self._heads(self.wv(h), n, t)
         mask = key_mask[:, None, None, :]
-        att = T.scaled_dot_product_attention(q, k, v, mask=mask, empty_rows=empty_rows,
-                                             record=record)
+        att = T.scaled_dot_product_attention(q, k, v, mask=mask, record=record)
         att = T.reshape(T.swapaxes(att, 1, 2), (n, t, d_m))
         x = T.add(x, self.wo(att))
         h = self.ln2(x)
@@ -229,11 +227,10 @@ class _TransformerStack:
                        for i in range(n_layers)]
         self.final_ln = _LayerNorm(pf, f"{name}.final_ln", d_m)
 
-    def __call__(self, x: Tensor, key_mask: np.ndarray, empty_rows: str,
-                 record: list | None = None) -> Tensor:
+    def __call__(self, x: Tensor, key_mask: np.ndarray, record: list | None = None) -> Tensor:
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            x = layer(x, key_mask, empty_rows, record=record if i == last else None)
+            x = layer(x, key_mask, record=record if i == last else None)
         return self.final_ln(x)
 
 
@@ -264,14 +261,13 @@ class SceneEncoder:
         emb = T.add_const(emb, self.pos_enc[None, None, :n_c, :])
         x = T.reshape(emb, (b * n_p, n_c, cfg.d_m))
         cmd_mask = batch.command_mask.reshape(b * n_p, n_c)
-        x = self.stack(x, cmd_mask, empty_rows="zero")
-        # masked mean over real command positions; fully padded paths -> 0
+        x = self.stack(x, cmd_mask)
+        # masked mean over real command positions; a fully padded path pools
+        # to 0, and the decoder's key mask hides its latent
         x = T.mul_const(x, cmd_mask[:, :, None])
         counts = np.maximum(cmd_mask.sum(axis=1), 1.0)
         pooled = T.mul_const(T.tsum(x, axis=1), (1.0 / counts)[:, None])
-        latents = self.pool(pooled)
-        latents = T.mul_const(latents, batch.path_mask.reshape(b * n_p, 1))
-        return T.reshape(latents, (b, n_p, cfg.d_z))
+        return T.reshape(self.pool(pooled), (b, n_p, cfg.d_z))
 
 
 class HistoryEncoder:
@@ -317,8 +313,8 @@ class Decoder:
         type_idx = np.concatenate([np.zeros(n_p, np.int64), np.ones(n_a, np.int64),
                                    np.full(1, 2, np.int64)])
         x = T.add(x, T.embedding_lookup(self.type_embed, type_idx))
-        # the main-agent slot is always visible, so no attention row is empty
-        x = self.stack(x, fusion_mask, empty_rows="error", record=record)
+        # the main-agent key is always visible, so no fusion row is fully masked
+        x = self.stack(x, fusion_mask, record=record)
         r = T.take_index(x, axis=1, index=n_p + n_a)
         for block in self.blocks:
             r = block(r)
@@ -358,11 +354,15 @@ class SvgNet:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Load every parameter; the names and shapes must match the model's exactly."""
+        extra = sorted(arrays.keys() - self.params.keys())
+        if extra:
+            raise CheckpointError(f"checkpoint parameter {extra[0]!r} is not in the model")
         for name, p in self.params.items():
             if name not in arrays:
-                raise KeyError(f"checkpoint is missing parameter {name!r}")
+                raise CheckpointError(f"checkpoint is missing parameter {name!r}")
             if tuple(arrays[name].shape) != p.shape:
-                raise T.ShapeMismatchError(
+                raise CheckpointError(
                     f"parameter {name!r}: checkpoint shape {arrays[name].shape}, "
                     f"model shape {p.shape}")
             p.data = arrays[name].astype(p.data.dtype)
@@ -377,9 +377,6 @@ class SvgNet:
         mask = np.concatenate([path_part, agent_part, np.ones((b, 1))], axis=1)
         return mask.astype(self.dtype)
 
-    def encode_scene(self, batch) -> Tensor:
-        return self.scene_encoder(batch)
-
     def encode_history(self, history) -> Tensor:
         if not isinstance(history, Tensor):
             history = Tensor(history, dtype=self.dtype)
@@ -393,7 +390,7 @@ class SvgNet:
         n_a = batch.agent_histories.shape[1]
 
         if cfg.use_scene:
-            path_latents = self.encode_scene(batch)
+            path_latents = self.scene_encoder(batch)
         else:
             path_latents = Tensor(np.zeros((b, n_p, cfg.d_z), dt))
 
@@ -407,18 +404,16 @@ class SvgNet:
         main_latent = self.encode_history(main_history)
 
         rec_list: list | None = [] if record_attention else None
-        pred = self.decoder(path_latents, agent_latents, main_latent,
-                            self.fusion_mask(batch), main_history, record=rec_list)
+        mask = self.fusion_mask(batch)
+        pred = self.decoder(path_latents, agent_latents, main_latent, mask, main_history,
+                            record=rec_list)
 
         record = None
         if record_attention:
             attn = rec_list[-1]  # (B, H, L, L) from the last fusion layer
             scores = attn[:, :, n_p + n_a, :].mean(axis=1)
-            record = AttentionRecord(
-                scores=scores, n_paths=n_p, n_agents=n_a,
-                path_mask=batch.path_mask if cfg.use_scene else np.zeros_like(batch.path_mask),
-                agent_mask=batch.agent_mask if cfg.use_agents else np.zeros_like(batch.agent_mask),
-                path_ids=batch.path_ids, agent_ids=batch.agent_ids)
+            record = AttentionRecord(scores=scores, n_paths=n_p, n_agents=n_a, mask=mask,
+                                     path_ids=batch.path_ids, agent_ids=batch.agent_ids)
         return pred, record
 
     def predict(self, batch) -> np.ndarray:

@@ -81,10 +81,6 @@ def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a, b[1:]], axis=0)
 
 
-def _end_heading(heading: float, curvature: float, length: float) -> float:
-    return heading + curvature * length
-
-
 def _cum_lengths(poly: np.ndarray) -> np.ndarray:
     seg = np.linalg.norm(np.diff(poly, axis=0), axis=1)
     return np.concatenate([[0.0], np.cumsum(seg)])

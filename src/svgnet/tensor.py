@@ -21,10 +21,6 @@ class ShapeMismatchError(ValueError):
     pass
 
 
-class EmptyMaskRowError(ValueError):
-    pass
-
-
 class DisconnectedLossError(ValueError):
     pass
 
@@ -399,31 +395,23 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     return _make(out, (table,), backward)
 
 
-def scaled_dot_product_attention(q, k, v, mask=None, empty_rows: str = "error",
-                                 record: list | None = None) -> Tensor:
+def scaled_dot_product_attention(q, k, v, mask=None, record: list | None = None) -> Tensor:
     """softmax(q kT / sqrt(d) + (mask - 1) * MASK_LARGE) v.
 
     mask holds 1 for visible keys and 0 for hidden ones, broadcastable to
-    the logit shape (..., Tq, Tk). Rows whose keys are all hidden either
-    raise EmptyMaskRowError (empty_rows="error") or produce zero output
-    rows (empty_rows="zero"). When ``record`` is a list, the attention
-    weight array is appended to it.
+    the logit shape (..., Tq, Tk); a hidden key gets a weight of exactly 0
+    in any row that has a visible key. A row whose keys are all hidden
+    stays finite but mixes hidden values, so the caller must discard its
+    output. When ``record`` is a list, the attention weight array is
+    appended to it.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     d = q.shape[-1]
     logits = scale(matmul(q, swapaxes(k, -1, -2)), 1.0 / math.sqrt(d))
-    row_keep = None
     if mask is not None:
         mask_arr = np.asarray(mask, dtype=logits.data.dtype)
         logits = add_const(logits, (mask_arr - 1.0) * MASK_LARGE)
-        has_key = np.broadcast_to(mask_arr, logits.shape).max(axis=-1)
-        if not has_key.all():
-            if empty_rows == "error":
-                raise EmptyMaskRowError("attention row with every key masked")
-            row_keep = has_key[..., None]
     attn = softmax(logits, axis=-1)
-    if row_keep is not None:
-        attn = mul_const(attn, row_keep)
     if record is not None:
         record.append(attn.data)
     return matmul(attn, v)

@@ -19,6 +19,10 @@ from .model import SvgNet
 from .tensor import GradientTape, ShapeMismatchError, Tensor
 
 
+class NonFiniteLossError(RuntimeError):
+    pass
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 20
@@ -38,6 +42,8 @@ class TrainConfig:
             raise ValueError("lr must be positive")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
+        if self.lr_decay_epochs <= 0:
+            raise ValueError("lr_decay_epochs must be positive")
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
 
@@ -137,6 +143,8 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
     """Run the full training loop on ``encode_samples`` output; returns the per-step loss log.
 
     An empty ``encoded`` raises EmptyInputError before anything is written.
+    A NaN or inf step loss raises NonFiniteLossError, naming the step,
+    before that step's update and before any further file is written.
     Deterministic for a fixed config seed (single-threaded). Checkpoints,
     when out_dir is given, are written after every epoch as
     ``model_epoch{N}`` plus final ``model_final`` / ``optimizer_final``.
@@ -166,6 +174,8 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
             with GradientTape() as tape:
                 pred, _ = model.forward(batch)
                 loss = mse_loss(pred, batch.targets)
+                if not np.isfinite(loss.data).all():
+                    raise NonFiniteLossError(f"step {step} (epoch {epoch}): loss is {loss.item()}")
                 tape.backward(loss)
             if cfg.grad_clip_norm is not None:
                 clip_grad_norm(model.parameters(), cfg.grad_clip_norm)

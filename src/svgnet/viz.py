@@ -14,7 +14,7 @@ from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
-from .dataset import Batch, NormalizedSample
+from .dataset import NormalizedSample
 from .svg import serialize_path
 
 COLORS = {
@@ -47,10 +47,9 @@ def _opacity(score: float, max_score: float) -> float:
     return OPACITY_FLOOR + (1.0 - OPACITY_FLOOR) * rel
 
 
-def render_attention_svg(sample: NormalizedSample, batch: Batch,
-                         entries: list[tuple[str, str, float]],
+def render_attention_svg(sample: NormalizedSample, entries: list[tuple[str, str, float]],
                          prediction: np.ndarray | None = None) -> str:
-    """Build the SVG text for one sample (batch must hold exactly it)."""
+    """Build the SVG text for one sample from its extract_attention entries."""
     (ox, oy), (w, h) = sample.scene_svg.viewport.origin, sample.scene_svg.viewport.extent
     path_scores = {key: score for kind, key, score in entries if kind == "path"}
     agent_scores = {key: score for kind, key, score in entries if kind == "agent"}

@@ -48,7 +48,5 @@ def random_batch(cfg: ModelConfig, batch_size: int, rng, with_targets: bool = Tr
         command_kinds=kinds, command_args=args, path_mask=path_mask,
         command_mask=command_mask,
         main_history=rng.normal(0, 5, (b, 2 * cfg.t_obs)),
-        agent_histories=agent_hist, agent_mask=agent_mask,
-        agent_frame_mask=np.repeat(agent_mask[:, :, None], cfg.t_obs, axis=2),
-        targets=targets, frame_to_city=f2c,
+        agent_histories=agent_hist, agent_mask=agent_mask, targets=targets, frame_to_city=f2c,
         scene_ids=[f"s{i}" for i in range(b)], path_ids=path_ids, agent_ids=agent_ids)

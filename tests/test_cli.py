@@ -203,3 +203,56 @@ def test_baseline_on_one_frame_history_is_a_data_error(workspace, tmp_path, monk
                                      "--data", str(workspace["data"]),
                                      "--config", str(cfg_path), "--baseline"])
     assert main() == 3
+
+
+def _run_main(monkeypatch, *argv) -> int:
+    monkeypatch.setattr("sys.argv", ["svgnet", *argv])
+    return main()
+
+
+@pytest.mark.parametrize("damage", ["truncated_blob", "broken_manifest", "d_m_mismatch",
+                                    "extra_parameters"])
+def test_bad_checkpoint_is_a_data_error(workspace, runner, monkeypatch, capsys, damage):
+    out_dir = workspace["dir"] / "run"
+    res = runner.invoke(cli, ["train", "--config", str(workspace["cfg"]),
+                              "--data", str(workspace["data"]), "--out-dir", str(out_dir)],
+                        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    config = []
+    if damage == "truncated_blob":
+        blob = out_dir / "model_final.bin"
+        blob.write_bytes(blob.read_bytes()[:-4])
+    elif damage == "broken_manifest":
+        (out_dir / "model_final.json").write_text('{"format_version": 1, "params": [')
+    else:
+        change = {"d_m": 32} if damage == "d_m_mismatch" else {"n_decoder_blocks": 2}
+        other = dict(TINY_RUN_CONFIG, model={**TINY_RUN_CONFIG["model"], **change})
+        config = ["--config", str(workspace["dir"] / "other.json")]
+        (workspace["dir"] / "other.json").write_text(json.dumps(other))
+    assert _run_main(monkeypatch, "eval", "--checkpoint", str(out_dir / "model_final"),
+                     "--data", str(workspace["data"]), *config) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("period", [0, -1])
+def test_nonpositive_lr_decay_epochs_is_a_config_error(workspace, monkeypatch, capsys, period):
+    cfg = dict(TINY_RUN_CONFIG, train={**TINY_RUN_CONFIG["train"], "lr_decay_epochs": period})
+    cfg_path = workspace["dir"] / "decay.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert _run_main(monkeypatch, "train", "--config", str(cfg_path),
+                     "--data", str(workspace["data"]),
+                     "--out-dir", str(workspace["dir"] / "run")) == 2
+    assert "lr_decay_epochs must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_loss_stops_training_before_any_write(workspace, monkeypatch, capsys):
+    cfg = dict(TINY_RUN_CONFIG, train={**TINY_RUN_CONFIG["train"], "lr": 1e30})
+    cfg_path = workspace["dir"] / "diverge.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = workspace["dir"] / "run"
+    assert _run_main(monkeypatch, "train", "--config", str(cfg_path),
+                     "--data", str(workspace["data"]), "--out-dir", str(out_dir)) == 4
+    assert "error: step 1 (epoch 0): loss is" in capsys.readouterr().err
+    assert [p.name for p in out_dir.iterdir()] == ["config.json"]

@@ -203,8 +203,7 @@ class TestMakeBatch:
         rec.agents.append(AgentTrack("partial", frames, xy))
         sample = normalize_sample(rec, self.CFG)
         batch = make_batch([sample], 128, 30, 16)
-        fm = batch.agent_frame_mask[0, 0]
-        assert fm[:12].all() and not fm[12:].any()
+        assert batch.agent_mask[0, 0] == 1.0
         hist = batch.agent_histories[0, 0].reshape(20, 2)
         assert (hist[12:] == 0).all()
 

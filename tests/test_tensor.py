@@ -3,8 +3,8 @@ import pytest
 
 from svgnet import tensor as T
 from svgnet.gradcheck import grad_check
-from svgnet.tensor import (DisconnectedLossError, EmptyMaskRowError, GradientTape,
-                           Parameter, ShapeMismatchError, Tensor)
+from svgnet.tensor import (DisconnectedLossError, GradientTape, Parameter, ShapeMismatchError,
+                           Tensor)
 
 
 class TestForwardOps:
@@ -74,16 +74,15 @@ class TestAttention:
         b = T.scaled_dot_product_attention(q, k, v).data
         assert (a == b).all()
 
-    def test_empty_row_error_and_zero(self):
+    def test_all_masked_row_is_finite(self):
         rng = np.random.default_rng(6)
         q = Tensor(rng.normal(size=(1, 1, 2, 4)))
         k = Tensor(rng.normal(size=(1, 1, 2, 4)))
         v = Tensor(rng.normal(size=(1, 1, 2, 4)))
-        mask = np.zeros((1, 1, 1, 2))
-        with pytest.raises(EmptyMaskRowError):
-            T.scaled_dot_product_attention(q, k, v, mask=mask)
-        out = T.scaled_dot_product_attention(q, k, v, mask=mask, empty_rows="zero")
-        assert (out.data == 0).all()
+        mask = np.array([[0.0, 0.0], [1.0, 0.0]])[None, None]  # row 0 sees no key
+        out = T.scaled_dot_product_attention(q, k, v, mask=mask).data
+        assert np.isfinite(out).all()
+        assert (out[0, 0, 1] == v.data[0, 0, 0]).all()
 
     def test_masked_values_cannot_leak(self):
         rng = np.random.default_rng(7)
