@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error (bad records, or a
 checkpoint that is corrupt or does not fit the model), 4 runtime error. A
-training step whose loss is NaN or inf raises train.NonFiniteLossError, exit 4,
-before that step's update and before any further checkpoint or loss log write.
+training step whose loss or any gradient is NaN or inf raises
+train.NonFiniteLossError, exit 4, before that step's update and before any
+further checkpoint or loss log write.
 Set SVGNET_LOG to a logging level name (DEBUG, INFO, ...) for diagnostics.
 """
 

@@ -6,6 +6,13 @@ residual-MLP history encoder, and the main agent's latent. The fused
 representation at the main-agent slot is decoded into 30 future (x, y)
 steps, with a small MLP on the raw main history ("speed profiler")
 concatenated in before the output head.
+
+The encoders see only real elements. A batch's padded (B, N) slots are
+packed to the n_real rows whose mask is set, encoded, and placed into
+(B, W, d_z), where W is the most real elements of that kind in any
+sample of the batch; each sample's elements sit at the front in slot
+order. So the fusion sequence has L = W_p + W_a + 1 positions per batch,
+and neither its work nor its outputs depend on the n_paths/n_agents caps.
 """
 
 from __future__ import annotations
@@ -79,9 +86,13 @@ class ModelConfig:
 class AttentionRecord:
     """Main-agent attention over the fusion sequence, one row per sample.
 
-    scores has shape (B, L) with L = n_paths + n_agents + 1; entries are
-    the last fusion layer's attention weights for the main-agent query,
-    averaged over heads. mask is the (B, L) fusion key mask they used.
+    scores has shape (B, L) with L = n_paths + n_agents + 1, where
+    n_paths and n_agents are the batch's packed widths W_p and W_a (the
+    most real paths and agents in any sample), not the caps. Position i
+    of a kind is a sample's i-th real element of that kind in slot order.
+    Entries are the last fusion layer's attention weights for the
+    main-agent query, averaged over heads. mask is the (B, L) fusion key
+    mask they used.
     """
 
     scores: np.ndarray
@@ -118,6 +129,29 @@ def sinusoidal_encoding(n_positions: int, dim: int, dtype) -> np.ndarray:
     angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / dim)
     enc = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
     return enc.astype(dtype)
+
+
+def _pack(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real slots of a (B, N) slot mask, and where they go when packed.
+
+    Returns the flat (B * N) indices of the slots whose mask is set, in
+    row-major order, and a (B, W) index into the rows so selected that
+    puts each sample's real slots at the front in slot order, W being
+    the most real slots in any sample. Places past a sample's count
+    point at row n_real, one past the selected rows.
+    """
+    real = mask > 0
+    counts = real.sum(axis=1)
+    i = np.arange(counts.max(initial=0))
+    start = np.cumsum(counts) - counts
+    place = np.where(i < counts[:, None], start[:, None] + i, counts.sum())
+    return np.flatnonzero(real), place
+
+
+def _place(rows: Tensor, place: np.ndarray) -> Tensor:
+    """Packed (n_real, d) rows -> (B, W, d) by a ``_pack`` index; empty places are 0."""
+    zero = Tensor(np.zeros((1, rows.shape[1]), rows.data.dtype))
+    return T.embedding_lookup(T.concat([rows, zero], axis=0), place)
 
 
 class _ParamFactory:
@@ -235,7 +269,12 @@ class _TransformerStack:
 
 
 class SceneEncoder:
-    """Per-path transformer over embedded command vectors, pooled to d_z."""
+    """Per-path transformer over embedded command vectors, pooled to d_z.
+
+    Only real paths (path_mask > 0) are encoded; the result is placed
+    into (B, W_p, d_z) as the module docstring describes, 0 where a
+    sample has fewer than W_p real paths.
+    """
 
     def __init__(self, pf: _ParamFactory, cfg: ModelConfig):
         self.cfg = cfg
@@ -255,19 +294,19 @@ class SceneEncoder:
         return T.add(T.embedding_lookup(self.kind_embed, kinds), arg_vecs)
 
     def __call__(self, batch) -> Tensor:
-        cfg = self.cfg
-        b, n_p, n_c = batch.command_kinds.shape
-        emb = self.embed_commands(batch.command_kinds, batch.command_args)
-        emb = T.add_const(emb, self.pos_enc[None, None, :n_c, :])
-        x = T.reshape(emb, (b * n_p, n_c, cfg.d_m))
-        cmd_mask = batch.command_mask.reshape(b * n_p, n_c)
+        rows, place = _pack(batch.path_mask)
+        n_c = batch.command_kinds.shape[2]
+        kinds = batch.command_kinds.reshape(-1, n_c)[rows]
+        args = batch.command_args.reshape(-1, n_c, N_ARG_SLOTS)[rows]
+        cmd_mask = batch.command_mask.reshape(-1, n_c)[rows]
+        x = T.add_const(self.embed_commands(kinds, args), self.pos_enc[None, :n_c, :])
         x = self.stack(x, cmd_mask)
-        # masked mean over real command positions; a fully padded path pools
-        # to 0, and the decoder's key mask hides its latent
+        # masked mean over real command positions; a path with no real
+        # command pools to 0
         x = T.mul_const(x, cmd_mask[:, :, None])
         counts = np.maximum(cmd_mask.sum(axis=1), 1.0)
         pooled = T.mul_const(T.tsum(x, axis=1), (1.0 / counts)[:, None])
-        return T.reshape(self.pool(pooled), (b, n_p, cfg.d_z))
+        return _place(self.pool(pooled), place)
 
 
 class HistoryEncoder:
@@ -370,12 +409,21 @@ class SvgNet:
     # -- forward ------------------------------------------------------------
 
     def fusion_mask(self, batch) -> np.ndarray:
-        """Key mask over [paths | agents | main] for the configured inputs."""
-        b = batch.command_kinds.shape[0]
-        path_part = batch.path_mask if self.cfg.use_scene else np.zeros_like(batch.path_mask)
-        agent_part = batch.agent_mask if self.cfg.use_agents else np.zeros_like(batch.agent_mask)
-        mask = np.concatenate([path_part, agent_part, np.ones((b, 1))], axis=1)
-        return mask.astype(self.dtype)
+        """(B, W_p + W_a + 1) key mask over [paths | agents | main].
+
+        Each kind is packed as the module docstring describes: a sample's
+        real elements are set at the front of its W slots. W_p and W_a
+        come from the batch masks whatever the input mode, and a kind the
+        mode leaves out is all 0.
+        """
+        cfg = self.cfg
+        parts = []
+        for slot_mask, used in ((batch.path_mask, cfg.use_scene),
+                                (batch.agent_mask, cfg.use_agents)):
+            rows, place = _pack(slot_mask)
+            parts.append((place < rows.size) & used)
+        parts.append(np.ones((len(batch), 1), bool))
+        return np.concatenate(parts, axis=1).astype(self.dtype)
 
     def encode_history(self, history) -> Tensor:
         if not isinstance(history, Tensor):
@@ -386,19 +434,20 @@ class SvgNet:
                 ) -> tuple[Tensor, AttentionRecord | None]:
         cfg = self.cfg
         dt = self.dtype
-        b, n_p, _ = batch.command_kinds.shape
-        n_a = batch.agent_histories.shape[1]
+        _, path_place = _pack(batch.path_mask)
+        agent_rows, agent_place = _pack(batch.agent_mask)
+        n_p, n_a = path_place.shape[1], agent_place.shape[1]
 
         if cfg.use_scene:
             path_latents = self.scene_encoder(batch)
         else:
-            path_latents = Tensor(np.zeros((b, n_p, cfg.d_z), dt))
+            path_latents = Tensor(np.zeros(path_place.shape + (cfg.d_z,), dt))
 
         if cfg.use_agents:
-            flat = batch.agent_histories.reshape(b * n_a, cfg.d_h).astype(dt)
-            agent_latents = T.reshape(self.encode_history(Tensor(flat)), (b, n_a, cfg.d_z))
+            flat = batch.agent_histories.reshape(-1, cfg.d_h)[agent_rows].astype(dt)
+            agent_latents = _place(self.encode_history(Tensor(flat)), agent_place)
         else:
-            agent_latents = Tensor(np.zeros((b, n_a, cfg.d_z), dt))
+            agent_latents = Tensor(np.zeros(agent_place.shape + (cfg.d_z,), dt))
 
         main_history = Tensor(batch.main_history.astype(dt))
         main_latent = self.encode_history(main_history)

@@ -143,8 +143,11 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
     """Run the full training loop on ``encode_samples`` output; returns the per-step loss log.
 
     An empty ``encoded`` raises EmptyInputError before anything is written.
-    A NaN or inf step loss raises NonFiniteLossError, naming the step,
-    before that step's update and before any further file is written.
+    A NaN or inf step loss, or a NaN or inf in any parameter's gradient
+    (a finite loss can still overflow in backward), raises
+    NonFiniteLossError naming the step, and the first such parameter,
+    before that step's clipping and update and before any further file is
+    written.
     Deterministic for a fixed config seed (single-threaded). Checkpoints,
     when out_dir is given, are written after every epoch as
     ``model_epoch{N}`` plus final ``model_final`` / ``optimizer_final``.
@@ -177,6 +180,10 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
                 if not np.isfinite(loss.data).all():
                     raise NonFiniteLossError(f"step {step} (epoch {epoch}): loss is {loss.item()}")
                 tape.backward(loss)
+            for name, p in model.parameters().items():
+                if not np.isfinite(p.grad).all():
+                    raise NonFiniteLossError(
+                        f"step {step} (epoch {epoch}): gradient of {name!r} is not finite")
             if cfg.grad_clip_norm is not None:
                 clip_grad_norm(model.parameters(), cfg.grad_clip_norm)
             optimizer.step(lr)

@@ -3,10 +3,13 @@ import pytest
 
 from model_helpers import random_batch, tiny_config
 from svgnet import tensor as T
+from svgnet.dataset import IngestConfig, make_batch, normalize_sample
 from svgnet.gradcheck import grad_check
 from svgnet.model import (ModelConfig, RecordingDisabledError, SvgNet, extract_attention,
                           sinusoidal_encoding)
-from svgnet.tensor import Tensor
+from svgnet.svg import CommandKind
+from svgnet.synth import SynthConfig, generate_records
+from svgnet.tensor import GradientTape, Tensor
 from svgnet.train import mse_loss
 
 
@@ -39,9 +42,17 @@ class TestEncoders:
         model = SvgNet(cfg, seed=1)
         batch = random_batch(cfg, 2, rng)
         perm = rng.permutation(cfg.n_paths)
+        permuted = permute_batch(batch, perm, np.arange(cfg.n_agents))
         base = model.scene_encoder(batch).data
-        permuted = model.scene_encoder(permute_batch(batch, perm, np.arange(cfg.n_agents))).data
-        np.testing.assert_allclose(permuted, base[:, perm], atol=1e-6)
+        out = model.scene_encoder(permuted).data
+        for b in range(2):
+            # packed position i holds the sample's i-th real slot; match
+            # each real path through the permutation by its original slot
+            by_slot = dict(zip(perm[np.flatnonzero(permuted.path_mask[b])], out[b]))
+            slots = np.flatnonzero(batch.path_mask[b])
+            assert sorted(by_slot) == list(slots)
+            for i, slot in enumerate(slots):
+                np.testing.assert_allclose(by_slot[slot], base[b, i], atol=1e-6)
 
     def test_history_encoder_deterministic_and_finite(self, rng):
         cfg = tiny_config()
@@ -97,13 +108,17 @@ class TestForward:
     def test_masked_mutation_bit_identical_f64(self, rng):
         cfg = tiny_config()
         model = SvgNet(cfg, seed=3, dtype=np.float64)
-        # a non-zero pool bias makes padded path latents non-zero, so only the
-        # fusion key mask keeps them out of the prediction
+        # a non-zero pool bias makes every encoded path latent non-zero, so
+        # only the fusion key mask keeps the empty places out of the prediction
         model.scene_encoder.pool.b.data[:] = rng.normal(0, 1, cfg.d_z)
         batch = random_batch(cfg, 2, rng, n_real_paths=2, n_real_agents=1)
-        pm = batch.path_mask.astype(bool)
+        batch.path_mask[1, 1] = 0.0   # sample 1 keeps one real path: one empty place
+        batch.command_mask[1, 1] = 0.0
         encode = model.scene_encoder
-        assert (encode(batch).data[~pm] != 0).all()
+        latents = encode(batch).data
+        empty = np.array([[False, False], [False, True]])
+        assert latents.shape == (2, 2, cfg.d_z)
+        assert (latents[~empty] != 0).all() and (latents[empty] == 0).all()
         base = model.predict(batch)
         mutated = batch.take(np.arange(2))
         # rewrite only masked slots: padded paths, padded agents, padded commands
@@ -116,8 +131,9 @@ class TestForward:
         mutated.agent_histories[~am] = rng.normal(0, 9, mutated.agent_histories.shape)[~am]
         assert not (mutated.command_kinds == batch.command_kinds).all()
         assert (model.predict(mutated) == base).all()
-        # any value in a padded path's latent leaves the prediction unchanged
-        noise = rng.normal(0, 9, (2, cfg.n_paths, cfg.d_z)) * ~pm[:, :, None]
+        # any value at an empty place of the (B, W_p, d_z) latents leaves the
+        # prediction unchanged
+        noise = rng.normal(0, 9, latents.shape) * empty[:, :, None]
         model.scene_encoder = lambda b: T.add_const(encode(b), noise)
         assert (model.predict(mutated) == base).all()
 
@@ -139,6 +155,75 @@ class TestForward:
         assert (hist <= scene).all() and (scene <= full).all()
         assert hist.sum() < scene.sum() < full.sum()
         assert (hist[:, -1] == 1).all()
+
+
+class TestPacking:
+    """Only real paths and agents are encoded, and the fusion sequence is as
+    long as the batch's real elements need, whatever the caps."""
+
+    @pytest.fixture(scope="class")
+    def small_scenes(self):
+        samples = [normalize_sample(r, IngestConfig())
+                   for r in generate_records(SynthConfig(seed=0, n_scenes=8))]
+        return [s for s in samples if len(s.scene_svg.paths) <= 16 and len(s.other_ids) <= 8]
+
+    @pytest.mark.parametrize("caps", [(16, 16), (128, 8)], ids=["n_paths", "n_agents"])
+    def test_predictions_do_not_depend_on_the_caps(self, small_scenes, caps):
+        assert len(small_scenes) == 6
+        model = SvgNet(ModelConfig(d_m=32, n_layers=1), seed=0, dtype=np.float64)
+        wide = model.predict(make_batch(small_scenes, 128, 30, 16))
+        n_paths, n_agents = caps
+        assert np.array_equal(model.predict(make_batch(small_scenes, n_paths, 30, n_agents)), wide)
+
+    def test_encoders_see_only_real_rows(self, rng):
+        cfg = tiny_config(n_paths=6, n_agents=5)
+        model = SvgNet(cfg, seed=0)
+        batch = random_batch(cfg, 3, rng)
+        assert batch.path_mask.sum() < batch.path_mask.size   # some padding to skip
+        seen = {}
+        stack, history = model.scene_encoder.stack, model.history_encoder
+
+        def spy_stack(x, key_mask, record=None):
+            seen["paths"] = x.shape[0]
+            return stack(x, key_mask, record)
+
+        def spy_history(h):
+            seen.setdefault("histories", []).append(h.shape[0])
+            return history(h)
+
+        model.scene_encoder.stack, model.history_encoder = spy_stack, spy_history
+        model.predict(batch)
+        assert seen == {"paths": batch.path_mask.sum(),
+                        "histories": [batch.agent_mask.sum(), len(batch)]}
+        w_p = batch.path_mask.sum(axis=1).max()
+        w_a = batch.agent_mask.sum(axis=1).max()
+        assert model.fusion_mask(batch).shape == (3, w_p + w_a + 1)
+
+    @pytest.mark.parametrize("mode", ["hist", "hist+scene", "hist+scene+agents"])
+    @pytest.mark.parametrize("case", ["no_real_elements", "path_without_commands"])
+    def test_edge_batches_are_finite(self, rng, mode, case):
+        cfg = tiny_config(input_mode=mode)
+        model = SvgNet(cfg, seed=0)
+        if case == "no_real_elements":
+            batch = random_batch(cfg, 2, rng, n_real_paths=0, n_real_agents=0)
+        else:
+            batch = random_batch(cfg, 2, rng, n_real_paths=2, n_real_agents=1)
+            batch.command_kinds[0, 1] = int(CommandKind.PAD)
+            batch.command_args[0, 1] = -1
+            batch.command_mask[0, 1] = 0.0
+        with GradientTape() as tape:
+            pred, rec = model.forward(batch, record_attention=True)
+            loss = mse_loss(pred, batch.targets)
+            tape.backward(loss)
+        assert np.isfinite(loss.data)
+        assert all(np.isfinite(p.grad).all() for p in model.parameters().values())
+        entries = extract_attention(rec)
+        assert all(np.isfinite(score) for sample in entries for _, _, score in sample)
+        if case == "no_real_elements":
+            assert rec.n_paths == rec.n_agents == 0
+            assert entries == [[("main", "main", 1.0)]] * 2
+        elif mode != "hist":
+            assert ("path", "p1") in [(kind, key) for kind, key, _ in entries[0]]
 
 
 class TestAttention:

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from model_helpers import tiny_config
+from model_helpers import random_batch, tiny_config
 from svgnet import tensor as T
 from svgnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from svgnet.dataset import IngestConfig
@@ -12,7 +13,8 @@ from svgnet.gradcheck import grad_check
 from svgnet.model import SvgNet
 from svgnet.synth import SynthConfig, generate_records
 from svgnet.tensor import GradientTape, Parameter, ShapeMismatchError
-from svgnet.train import AdamW, TrainConfig, encode_samples, lr_at, mse_loss, train
+from svgnet.train import (AdamW, NonFiniteLossError, TrainConfig, encode_samples, lr_at,
+                          mse_loss, train)
 
 
 class TestMseLoss:
@@ -195,3 +197,25 @@ class TestTrainingLoop:
         val_entries = [e for e in log if e["val_ade"] is not None]
         assert len(val_entries) == 2
         assert val_entries[0]["val_fde"] == 2.5
+
+    def test_non_finite_gradient_stops_training_before_the_update(self, tmp_path):
+        cfg = tiny_config()
+        model = SvgNet(cfg, seed=0)
+        batch = random_batch(cfg, 2, np.random.default_rng(1))
+        params = model.parameters()
+        # a near-zero head.l2 and a huge head.l3 give |pred| ~ 1e17: the loss
+        # (~1e35) is finite in float32, but backward overflows
+        params["decoder.head.l2.w"].data *= 1e-15
+        params["decoder.head.l2.b"].data[:] = 0.0
+        params["decoder.head.l3.w"].data *= 1e17 / np.abs(model.predict(batch)).max()
+        before = model.state_arrays()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteLossError, match=r"^step 0 \(epoch 0\): gradient of ") as err:
+                train(model, [batch.take([0]), batch.take([1])],
+                      TrainConfig(epochs=1, batch_size=2), out_dir=tmp_path / "run")
+        name = re.search(r"gradient of '(.+)' is not finite", str(err.value)).group(1)
+        names = list(params)
+        assert all(np.isfinite(params[n].grad).all() for n in names[:names.index(name)])
+        assert not np.isfinite(params[name].grad).all()
+        assert all((p.data == before[n]).all() for n, p in params.items())
+        assert list((tmp_path / "run").iterdir()) == []
