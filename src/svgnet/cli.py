@@ -1,10 +1,13 @@
 """Command-line entry point: dataset tooling, training, evaluation, plots.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (bad records, or a
-checkpoint that is corrupt or does not fit the model), 4 runtime error. A
-training step whose loss or any gradient is NaN or inf raises
-train.NonFiniteLossError, exit 4, before that step's update and before any
-further checkpoint or loss log write.
+checkpoint that is corrupt or does not fit the model), 4 runtime error. The
+model, train, ingest and synth sections of the config are all checked before
+any work starts, so a value out of range exits 2 without reading data or
+writing files. Map or agent coordinates that are not finite numbers make a
+record bad (exit 3 when no usable record is left). A training step whose loss
+or any gradient is NaN or inf raises train.NonFiniteLossError, exit 4, before
+that step's update and before any further checkpoint or loss log write.
 Set SVGNET_LOG to a logging level name (DEBUG, INFO, ...) for diagnostics.
 """
 

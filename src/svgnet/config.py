@@ -27,6 +27,7 @@ class RunConfig:
         try:
             self.model.validate()
             self.train.validate()
+            self.ingest.validate()
             self.synth.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

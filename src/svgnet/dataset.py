@@ -11,6 +11,8 @@ JSONL record schema (one object per line):
      "map_polylines": [[[x, y], ...], ...],
      "agents": [{"agent_id": str, "is_main": bool,
                  "positions": [[frame, x, y], ...]}, ...]}
+Every coordinate must be a finite number; a record with any other is a
+SchemaError.
 """
 
 from __future__ import annotations
@@ -115,6 +117,19 @@ class SceneRecord:
         }
 
 
+def _points(value, width: int) -> np.ndarray:
+    """value as an (n, width) float64 array of finite numbers; ValueError otherwise."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"not numeric: {exc}") from exc
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"expected a list of {width}-number points, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite coordinate")
+    return arr
+
+
 def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
     def need(key, typ=None):
         if key not in obj:
@@ -131,10 +146,10 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
 
     polylines = []
     for i, p in enumerate(polys_raw):
-        arr = np.asarray(p, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise SchemaError(line_no, f"map_polylines[{i}]", "expected [[x,y],...]")
-        polylines.append(arr)
+        try:
+            polylines.append(_points(p, 2))
+        except ValueError as exc:
+            raise SchemaError(line_no, f"map_polylines[{i}]", str(exc)) from exc
 
     agents = []
     for i, a in enumerate(agents_raw):
@@ -143,9 +158,10 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
         for key in ("agent_id", "is_main", "positions"):
             if key not in a:
                 raise SchemaError(line_no, f"agents[{i}].{key}")
-        pos = np.asarray(a["positions"], dtype=np.float64)
-        if pos.ndim != 2 or pos.shape[1] != 3:
-            raise SchemaError(line_no, f"agents[{i}].positions", "expected [[frame,x,y],...]")
+        try:
+            pos = _points(a["positions"], 3)
+        except ValueError as exc:
+            raise SchemaError(line_no, f"agents[{i}].positions", str(exc)) from exc
         try:
             agents.append(AgentTrack(str(a["agent_id"]), pos[:, 0].astype(np.int64),
                                      pos[:, 1:3], bool(a["is_main"])))
@@ -217,6 +233,16 @@ class IngestConfig:
     min_heading_disp: float = 0.1   # below this the rotation falls back to identity
     view_extent: float = 100.0   # square viewport side, meters
     max_commands: int = 30       # split limit for converted lane paths
+
+    def validate(self) -> None:
+        if not self.view_extent > 0:
+            raise ValueError("ingest view_extent must be positive")
+        if self.k_heading < 1:
+            raise ValueError("ingest k_heading must be >= 1 (an observed frame before the last)")
+        if not self.min_heading_disp >= 0:
+            raise ValueError("ingest min_heading_disp must be >= 0")
+        if self.max_commands < 2:
+            raise ValueError("ingest max_commands must be >= 2")
 
 
 @dataclass
@@ -467,9 +493,20 @@ def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
         missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise SchemaError(0, ",".join(missing), f"missing CSV columns in {csv_path.name}")
+
+        def number(row: dict, column: str) -> float:
+            try:
+                value = float(row[column])
+            except (TypeError, ValueError):
+                value = float("nan")
+            if not np.isfinite(value):
+                raise SchemaError(reader.line_num, column,
+                                  f"{row[column]!r} in {csv_path.name} is not a finite number")
+            return value
+
         for row in reader:
-            rows.append((float(row["TIMESTAMP"]), row["TRACK_ID"], row["OBJECT_TYPE"],
-                         float(row["X"]), float(row["Y"]), row["CITY_NAME"]))
+            rows.append((number(row, "TIMESTAMP"), row["TRACK_ID"], row["OBJECT_TYPE"],
+                         number(row, "X"), number(row, "Y"), row["CITY_NAME"]))
     if not rows:
         raise MissingMainAgentError(f"{csv_path.name}: empty sequence")
 
@@ -511,14 +548,34 @@ def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
     city = rows[0][5]
     polylines = []
     half = map_box / 2.0
-    for poly in city_maps.get(city, []):
-        arr = np.asarray(poly, dtype=np.float64)
+    for arr in city_maps.get(city, []):
         if ((np.abs(arr[:, 0] - main_xy[0]) <= half) &
                 (np.abs(arr[:, 1] - main_xy[1]) <= half)).any():
             polylines.append(arr)
 
     rate = 1.0 / dt
     return SceneRecord(csv_path.stem, polylines, agents, frame_rate=rate)
+
+
+def _load_city_maps(path: Path) -> dict[str, list[np.ndarray]]:
+    """City name -> centerline polylines, each an (n, 2) array of finite floats."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{path.name}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise DatasetError(f"{path.name}: expected an object mapping city name to polylines")
+    city_maps = {}
+    for city, polys in raw.items():
+        if not isinstance(polys, list):
+            raise DatasetError(f"{path.name}: {city!r} is not a list of polylines")
+        city_maps[city] = []
+        for i, poly in enumerate(polys):
+            try:
+                city_maps[city].append(_points(poly, 2))
+            except ValueError as exc:
+                raise DatasetError(f"{path.name}: bad polyline {city}[{i}] ({exc})") from exc
+    return city_maps
 
 
 def import_argoverse_csv(csv_path: str | Path, map_json_path: str | Path,
@@ -532,8 +589,7 @@ def import_argoverse_csv(csv_path: str | Path, map_json_path: str | Path,
     square around the main agent's last observed position.
     """
     csv_path = Path(csv_path)
-    with open(map_json_path, "r", encoding="utf-8") as fh:
-        city_maps = json.load(fh)
+    city_maps = _load_city_maps(Path(map_json_path))
     files = sorted(csv_path.glob("*.csv")) if csv_path.is_dir() else [csv_path]
     records = [_import_one_csv(f, city_maps, t_obs, t_pred, map_box) for f in files]
     return save_dataset(records, out_path)

@@ -7,12 +7,15 @@ representation at the main-agent slot is decoded into 30 future (x, y)
 steps, with a small MLP on the raw main history ("speed profiler")
 concatenated in before the output head.
 
-The encoders see only real elements. A batch's padded (B, N) slots are
-packed to the n_real rows whose mask is set, encoded, and placed into
-(B, W, d_z), where W is the most real elements of that kind in any
-sample of the batch; each sample's elements sit at the front in slot
-order. So the fusion sequence has L = W_p + W_a + 1 positions per batch,
-and neither its work nor its outputs depend on the n_paths/n_agents caps.
+The encoders map rows to latents and see only real elements. SvgNet
+packs a batch's padded (B, N) slots to the n_real rows whose mask is set,
+encodes them, and places the latents into (B, W, d_z), where W is the
+most real elements of that kind in any sample of the batch; each
+sample's elements sit at the front in slot order. The input mode masks
+the inputs: a kind it leaves out has no real element, so it is not
+encoded and has W = 0. So the fusion sequence has L = W_p + W_a + 1
+positions per batch, and neither its work nor its outputs depend on the
+n_paths/n_agents caps.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ class ModelConfig:
                      "t_obs", "t_pred", "n_paths", "n_commands", "n_agents"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.n_commands < 2:
+            raise ValueError("n_commands must be >= 2 (a MoveTo and a LineTo)")
 
 
 @dataclass
@@ -88,11 +93,11 @@ class AttentionRecord:
 
     scores has shape (B, L) with L = n_paths + n_agents + 1, where
     n_paths and n_agents are the batch's packed widths W_p and W_a (the
-    most real paths and agents in any sample), not the caps. Position i
-    of a kind is a sample's i-th real element of that kind in slot order.
-    Entries are the last fusion layer's attention weights for the
-    main-agent query, averaged over heads. mask is the (B, L) fusion key
-    mask they used.
+    most real paths and agents in any sample), not the caps; a kind the
+    input mode leaves out has W = 0. Position i of a kind is a sample's
+    i-th real element of that kind in slot order. Entries are the last
+    fusion layer's attention weights for the main-agent query, averaged
+    over heads. mask is the (B, L) fusion key mask they used.
     """
 
     scores: np.ndarray
@@ -112,12 +117,11 @@ def extract_attention(record: AttentionRecord | None) -> list[list[tuple[str, st
         entries: list[tuple[str, str, float]] = []
         for i in range(record.n_paths):
             if record.mask[b, i] > 0:
-                pid = record.path_ids[b][i] if i < len(record.path_ids[b]) else str(i)
-                entries.append(("path", pid, float(record.scores[b, i])))
+                entries.append(("path", record.path_ids[b][i], float(record.scores[b, i])))
         for j in range(record.n_agents):
-            if record.mask[b, record.n_paths + j] > 0:
-                aid = record.agent_ids[b][j] if j < len(record.agent_ids[b]) else str(j)
-                entries.append(("agent", aid, float(record.scores[b, record.n_paths + j])))
+            k = record.n_paths + j
+            if record.mask[b, k] > 0:
+                entries.append(("agent", record.agent_ids[b][j], float(record.scores[b, k])))
         entries.append(("main", "main", float(record.scores[b, -1])))
         out.append(entries)
     return out
@@ -271,9 +275,8 @@ class _TransformerStack:
 class SceneEncoder:
     """Per-path transformer over embedded command vectors, pooled to d_z.
 
-    Only real paths (path_mask > 0) are encoded; the result is placed
-    into (B, W_p, d_z) as the module docstring describes, 0 where a
-    sample has fewer than W_p real paths.
+    Maps n paths' command rows, kinds (n, N_C), args (n, N_C, 6) and
+    cmd_mask (n, N_C), to (n, d_z) latents.
     """
 
     def __init__(self, pf: _ParamFactory, cfg: ModelConfig):
@@ -293,12 +296,8 @@ class SceneEncoder:
         arg_vecs = T.tsum(T.embedding_lookup(table, rows), axis=-2)
         return T.add(T.embedding_lookup(self.kind_embed, kinds), arg_vecs)
 
-    def __call__(self, batch) -> Tensor:
-        rows, place = _pack(batch.path_mask)
-        n_c = batch.command_kinds.shape[2]
-        kinds = batch.command_kinds.reshape(-1, n_c)[rows]
-        args = batch.command_args.reshape(-1, n_c, N_ARG_SLOTS)[rows]
-        cmd_mask = batch.command_mask.reshape(-1, n_c)[rows]
+    def __call__(self, kinds: np.ndarray, args: np.ndarray, cmd_mask: np.ndarray) -> Tensor:
+        n_c = kinds.shape[1]
         x = T.add_const(self.embed_commands(kinds, args), self.pos_enc[None, :n_c, :])
         x = self.stack(x, cmd_mask)
         # masked mean over real command positions; a path with no real
@@ -306,7 +305,7 @@ class SceneEncoder:
         x = T.mul_const(x, cmd_mask[:, :, None])
         counts = np.maximum(cmd_mask.sum(axis=1), 1.0)
         pooled = T.mul_const(T.tsum(x, axis=1), (1.0 / counts)[:, None])
-        return _place(self.pool(pooled), place)
+        return self.pool(pooled)
 
 
 class HistoryEncoder:
@@ -408,49 +407,43 @@ class SvgNet:
 
     # -- forward ------------------------------------------------------------
 
+    def _layout(self, batch) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The ``_pack`` of the path and of the agent slot mask, with every
+        slot of a kind the input mode leaves out unset."""
+        cfg = self.cfg
+        return _pack(batch.path_mask * cfg.use_scene), _pack(batch.agent_mask * cfg.use_agents)
+
     def fusion_mask(self, batch) -> np.ndarray:
         """(B, W_p + W_a + 1) key mask over [paths | agents | main].
 
         Each kind is packed as the module docstring describes: a sample's
-        real elements are set at the front of its W slots. W_p and W_a
-        come from the batch masks whatever the input mode, and a kind the
-        mode leaves out is all 0.
+        real elements are set at the front of its W slots. A kind the
+        input mode leaves out has W = 0.
         """
-        cfg = self.cfg
-        parts = []
-        for slot_mask, used in ((batch.path_mask, cfg.use_scene),
-                                (batch.agent_mask, cfg.use_agents)):
-            rows, place = _pack(slot_mask)
-            parts.append((place < rows.size) & used)
+        parts = [place < rows.size for rows, place in self._layout(batch)]
         parts.append(np.ones((len(batch), 1), bool))
         return np.concatenate(parts, axis=1).astype(self.dtype)
-
-    def encode_history(self, history) -> Tensor:
-        if not isinstance(history, Tensor):
-            history = Tensor(history, dtype=self.dtype)
-        return self.history_encoder(history)
 
     def forward(self, batch, record_attention: bool = False
                 ) -> tuple[Tensor, AttentionRecord | None]:
         cfg = self.cfg
         dt = self.dtype
-        _, path_place = _pack(batch.path_mask)
-        agent_rows, agent_place = _pack(batch.agent_mask)
-        n_p, n_a = path_place.shape[1], agent_place.shape[1]
-
-        if cfg.use_scene:
-            path_latents = self.scene_encoder(batch)
-        else:
-            path_latents = Tensor(np.zeros(path_place.shape + (cfg.d_z,), dt))
-
-        if cfg.use_agents:
-            flat = batch.agent_histories.reshape(-1, cfg.d_h)[agent_rows].astype(dt)
-            agent_latents = _place(self.encode_history(Tensor(flat)), agent_place)
-        else:
-            agent_latents = Tensor(np.zeros(agent_place.shape + (cfg.d_z,), dt))
+        n_c = batch.command_kinds.shape[2]
+        kinds = batch.command_kinds.reshape(-1, n_c)
+        args = batch.command_args.reshape(-1, n_c, N_ARG_SLOTS)
+        cmd_mask = batch.command_mask.reshape(-1, n_c)
+        histories = batch.agent_histories.reshape(-1, cfg.d_h)
+        encoders = (lambda r: self.scene_encoder(kinds[r], args[r], cmd_mask[r]),
+                    lambda r: self.history_encoder(Tensor(histories[r].astype(dt))))
+        # an encoder runs only on real rows; a kind with none, left out by
+        # the input mode or absent from the batch, is placed with W = 0
+        path_latents, agent_latents = (
+            _place(encode(rows) if rows.size else Tensor(np.zeros((0, cfg.d_z), dt)), place)
+            for encode, (rows, place) in zip(encoders, self._layout(batch)))
+        n_p, n_a = path_latents.shape[1], agent_latents.shape[1]
 
         main_history = Tensor(batch.main_history.astype(dt))
-        main_latent = self.encode_history(main_history)
+        main_latent = self.history_encoder(main_history)
 
         rec_list: list | None = [] if record_attention else None
         mask = self.fusion_mask(batch)

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from svgnet.cli import cli, main
 from svgnet.svg import parse_document
+from svgnet.synth import SynthConfig, generate_records
 
 TINY_RUN_CONFIG = {
     "model": {"d_m": 16, "d_z": 8, "d_f": 16, "d_profiler": 8, "n_layers": 1,
@@ -256,3 +257,50 @@ def test_non_finite_loss_stops_training_before_any_write(workspace, monkeypatch,
                      "--data", str(workspace["data"]), "--out-dir", str(out_dir)) == 4
     assert "error: step 1 (epoch 0): loss is" in capsys.readouterr().err
     assert [p.name for p in out_dir.iterdir()] == ["config.json"]
+
+
+def test_non_finite_map_coordinate_is_a_data_error(tmp_path, monkeypatch, capsys):
+    # synth scene 0 with a NaN at an interior vertex of lane0: before, it
+    # trained (exit 0) on a lane missing two vertices
+    obj = generate_records(SynthConfig(seed=0, n_scenes=1))[0].to_json_obj()
+    obj["map_polylines"][0][5][0] = float("nan")
+    data = tmp_path / "nan.jsonl"
+    data.write_text(json.dumps(obj) + "\n")
+    assert _run_main(monkeypatch, "train", "--data", str(data),
+                     "--out-dir", str(tmp_path / "run")) == 3
+    assert "no usable records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "n_commands", 1), ("ingest", "view_extent", 0), ("ingest", "k_heading", -3),
+    ("ingest", "min_heading_disp", -0.5)])
+def test_bad_ingest_setting_is_a_config_error(workspace, monkeypatch, capsys, section, key,
+                                              value):
+    cfg = dict(TINY_RUN_CONFIG, **{section: {**TINY_RUN_CONFIG.get(section, {}), key: value}})
+    cfg_path = workspace["dir"] / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = workspace["dir"] / "run"
+    assert _run_main(monkeypatch, "train", "--config", str(cfg_path),
+                     "--data", str(workspace["data"]), "--out-dir", str(out_dir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("bad", ["csv_x", "map_polyline"])
+def test_bad_argoverse_input_is_a_data_error(tmp_path, monkeypatch, capsys, bad):
+    rows = [f"{1000 + 0.1 * i:.1f},aa,AGENT,{10 + i},5.0,PIT" for i in range(50)]
+    polylines = [[[0.0, 0.0], [50.0, 0.0]]]
+    if bad == "csv_x":
+        rows[3] = "1000.3,aa,AGENT,ten,5.0,PIT"
+    else:
+        polylines.append([[0.0, 1.0, 2.0]])
+    csv_path = tmp_path / "seq.csv"
+    csv_path.write_text("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME\n" + "\n".join(rows) + "\n")
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"PIT": polylines}))
+    assert _run_main(monkeypatch, "import-argoverse", "--csv", str(csv_path),
+                     "--map-json", str(map_path), "--out", str(tmp_path / "o.jsonl")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert ("'X'" in err and "seq.csv" in err) if bad == "csv_x" else "map.json" in err

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from svgnet.dataset import (AgentTrack, BadTimestampGridError, Batch, IngestConfig,
-                            InsufficientHistoryError, MissingMainAgentError,
+from svgnet.dataset import (AgentTrack, BadTimestampGridError, Batch, DatasetError,
+                            IngestConfig, InsufficientHistoryError, MissingMainAgentError,
                             MissingTargetError, SceneRecord, SchemaError, apply_affine_points, concat_batches,
                             import_argoverse_csv, load_dataset, make_batch,
                             normalize_sample, polylines_to_svg, save_dataset)
 from svgnet.svg import CommandKind, Viewport
+from svgnet.synth import SynthConfig, generate_records
 
 
 def straight_record(heading=(1.0, 0.0), speed=1.0, n_frames=50, scene_id="s0",
@@ -70,6 +71,34 @@ class TestJsonl:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert list(load_dataset(path)) == []
+
+    @pytest.mark.parametrize("vertex, value", [(0, float("nan")), (5, float("nan")),
+                                               (5, float("inf"))],
+                             ids=["first-nan", "interior-nan", "interior-inf"])
+    def test_non_finite_map_coordinate_is_a_schema_error(self, tmp_path, vertex, value):
+        # synth scene 0, whose lane0 has 74 vertices: before, an interior NaN
+        # silently dropped that vertex and the next one during normalization
+        good = generate_records(SynthConfig(seed=0, n_scenes=1))[0].to_json_obj()
+        bad = json.loads(json.dumps(good))
+        bad["map_polylines"][0][vertex][0] = value
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n")
+        errors: list[SchemaError] = []
+        records = list(load_dataset(path, errors=errors))
+        assert [r.scene_id for r in records] == ["synth-000000"]
+        assert len(errors) == 1
+        assert errors[0].line_no == 1 and errors[0].field == "map_polylines[0]"
+        assert "non-finite" in str(errors[0])
+
+    @pytest.mark.parametrize("positions", [[[0, 1.0, "x"]], [[0, 1.0]], [[float("nan"), 1.0, 2.0]]],
+                             ids=["non-numeric", "two-columns", "nan-frame"])
+    def test_bad_agent_positions_are_a_schema_error(self, tmp_path, positions):
+        obj = straight_record().to_json_obj()
+        obj["agents"][0]["positions"] = positions
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(SchemaError, match=r"agents\[0\]\.positions"):
+            list(load_dataset(path))
 
 
 class TestPolylinesToSvg:
@@ -162,6 +191,14 @@ class TestNormalize:
     def test_no_target_for_short_records(self):
         sample = normalize_sample(straight_record(n_frames=20), self.CFG)
         assert sample.target is None
+
+    @pytest.mark.parametrize("field, value", [("view_extent", 0.0), ("k_heading", 0),
+                                              ("k_heading", -3), ("min_heading_disp", -0.1),
+                                              ("max_commands", 1)])
+    def test_config_validation(self, field, value):
+        IngestConfig().validate()
+        with pytest.raises(ValueError, match=field):
+            IngestConfig(**{field: value}).validate()
 
 
 class TestMakeBatch:
@@ -288,6 +325,28 @@ class TestArgoverseImport:
         map_path = tmp_path / "map.json"
         map_path.write_text("{}")
         with pytest.raises(BadTimestampGridError):
+            import_argoverse_csv(csv_path, map_path, tmp_path / "o.jsonl")
+
+    @pytest.mark.parametrize("column, value", [("X", "abc"), ("Y", "nan"), ("TIMESTAMP", "")])
+    def test_bad_csv_number_is_a_schema_error(self, tmp_path, column, value):
+        rows = [list(r) for r in self.make_rows()]
+        rows[3][{"TIMESTAMP": 0, "X": 3, "Y": 4}[column]] = value   # line 5, after the header
+        csv_path = tmp_path / "seq6.csv"
+        self.write_csv(csv_path, rows)
+        map_path = tmp_path / "map.json"
+        map_path.write_text("{}")
+        with pytest.raises(SchemaError, match=rf"line 5: .*'{column}'.*seq6\.csv") as info:
+            import_argoverse_csv(csv_path, map_path, tmp_path / "o.jsonl")
+        assert info.value.field == column
+
+    @pytest.mark.parametrize("poly", [[], [[0.0, 0.0, 1.0]], [[0.0, "a"]], [[0.0, float("nan")]]],
+                             ids=["empty", "three-columns", "non-numeric", "nan"])
+    def test_bad_map_polyline_is_a_data_error(self, tmp_path, poly):
+        csv_path = tmp_path / "seq7.csv"
+        self.write_csv(csv_path, self.make_rows())
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps({"PIT": [[[0.0, 0.0], [50.0, 0.0]], poly]}))
+        with pytest.raises(DatasetError, match=r"map\.json: bad polyline PIT\[1\]"):
             import_argoverse_csv(csv_path, map_path, tmp_path / "o.jsonl")
 
     def test_two_timestamps_on_one_frame(self, tmp_path):

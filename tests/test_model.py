@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from model_helpers import random_batch, tiny_config
+from svgnet import model as model_module
 from svgnet import tensor as T
 from svgnet.dataset import IngestConfig, make_batch, normalize_sample
 from svgnet.gradcheck import grad_check
@@ -26,6 +27,12 @@ def permute_batch(batch, path_perm, agent_perm):
     return out
 
 
+def path_rows(batch):
+    """The real paths' command rows of a batch, as the scene encoder takes them."""
+    real = batch.path_mask > 0
+    return batch.command_kinds[real], batch.command_args[real], batch.command_mask[real]
+
+
 class TestEncoders:
     def test_duplicate_paths_equal_latents(self, rng):
         cfg = tiny_config()
@@ -34,34 +41,27 @@ class TestEncoders:
         batch.command_kinds[0, 1] = batch.command_kinds[0, 0]
         batch.command_args[0, 1] = batch.command_args[0, 0]
         batch.command_mask[0, 1] = batch.command_mask[0, 0]
-        latents = model.scene_encoder(batch).data
-        np.testing.assert_allclose(latents[0, 0], latents[0, 1], atol=1e-6)
+        latents = model.scene_encoder(*path_rows(batch)).data
+        assert latents.shape == (2, cfg.d_z)
+        np.testing.assert_allclose(latents[0], latents[1], atol=1e-6)
 
     def test_scene_encoder_permutation_equivariance(self, rng):
         cfg = tiny_config()
         model = SvgNet(cfg, seed=1)
-        batch = random_batch(cfg, 2, rng)
-        perm = rng.permutation(cfg.n_paths)
-        permuted = permute_batch(batch, perm, np.arange(cfg.n_agents))
-        base = model.scene_encoder(batch).data
-        out = model.scene_encoder(permuted).data
-        for b in range(2):
-            # packed position i holds the sample's i-th real slot; match
-            # each real path through the permutation by its original slot
-            by_slot = dict(zip(perm[np.flatnonzero(permuted.path_mask[b])], out[b]))
-            slots = np.flatnonzero(batch.path_mask[b])
-            assert sorted(by_slot) == list(slots)
-            for i, slot in enumerate(slots):
-                np.testing.assert_allclose(by_slot[slot], base[b, i], atol=1e-6)
+        rows = path_rows(random_batch(cfg, 2, rng))
+        perm = rng.permutation(len(rows[0]))
+        base = model.scene_encoder(*rows).data
+        out = model.scene_encoder(*(x[perm] for x in rows)).data
+        np.testing.assert_allclose(out, base[perm], atol=1e-6)
 
     def test_history_encoder_deterministic_and_finite(self, rng):
         cfg = tiny_config()
         model = SvgNet(cfg, seed=0)
-        h = rng.normal(0, 5, (2, cfg.d_h))
-        a = model.encode_history(h).data
-        b = model.encode_history(h.copy()).data
+        h = rng.normal(0, 5, (2, cfg.d_h)).astype(np.float32)
+        a = model.history_encoder(Tensor(h)).data
+        b = model.history_encoder(Tensor(h.copy())).data
         assert (a == b).all()
-        z = model.encode_history(np.zeros((1, cfg.d_h))).data
+        z = model.history_encoder(Tensor(np.zeros((1, cfg.d_h), np.float32))).data
         assert np.isfinite(z).all()
         assert a.shape == (2, cfg.d_z)
 
@@ -70,7 +70,7 @@ class TestEncoders:
         model = SvgNet(cfg, seed=0, dtype=np.float64)
         h = T.Tensor(rng.normal(0, 1, (1, cfg.d_h)), requires_grad=True)
         mix = rng.normal(size=(1, cfg.d_z))
-        err = grad_check(lambda: T.tsum(T.mul(model.encode_history(h), Tensor(mix))), [h])
+        err = grad_check(lambda: T.tsum(T.mul(model.history_encoder(h), Tensor(mix))), [h])
         assert err < 1e-4
 
 
@@ -105,7 +105,7 @@ class TestForward:
                                    rng.permutation(cfg.n_agents))
             np.testing.assert_allclose(model.predict(perm_b), base, atol=1e-5)
 
-    def test_masked_mutation_bit_identical_f64(self, rng):
+    def test_masked_mutation_bit_identical_f64(self, rng, monkeypatch):
         cfg = tiny_config()
         model = SvgNet(cfg, seed=3, dtype=np.float64)
         # a non-zero pool bias makes every encoded path latent non-zero, so
@@ -114,12 +114,19 @@ class TestForward:
         batch = random_batch(cfg, 2, rng, n_real_paths=2, n_real_agents=1)
         batch.path_mask[1, 1] = 0.0   # sample 1 keeps one real path: one empty place
         batch.command_mask[1, 1] = 0.0
-        encode = model.scene_encoder
-        latents = encode(batch).data
+        place = model_module._place
+        placed = []
+
+        def spy_place(rows, where):
+            placed.append(place(rows, where))
+            return placed[-1]
+
+        monkeypatch.setattr(model_module, "_place", spy_place)
+        base = model.predict(batch)
+        latents = placed[0].data   # the paths are placed first, then the agents
         empty = np.array([[False, False], [False, True]])
         assert latents.shape == (2, 2, cfg.d_z)
         assert (latents[~empty] != 0).all() and (latents[empty] == 0).all()
-        base = model.predict(batch)
         mutated = batch.take(np.arange(2))
         # rewrite only masked slots: padded paths, padded agents, padded commands
         am = mutated.agent_mask.astype(bool)
@@ -134,7 +141,12 @@ class TestForward:
         # any value at an empty place of the (B, W_p, d_z) latents leaves the
         # prediction unchanged
         noise = rng.normal(0, 9, latents.shape) * empty[:, :, None]
-        model.scene_encoder = lambda b: T.add_const(encode(b), noise)
+        def noisy_place(rows, where):
+            out = place(rows, where)
+            # only the paths' (2, W_p = 2) placement has the noise's shape
+            return T.add_const(out, noise) if out.shape == noise.shape else out
+
+        monkeypatch.setattr(model_module, "_place", noisy_place)
         assert (model.predict(mutated) == base).all()
 
     def test_batch_consistency(self, rng):
@@ -152,9 +164,12 @@ class TestForward:
             model = SvgNet(tiny_config(input_mode=mode), seed=0)
             masks[mode] = model.fusion_mask(batch)
         hist, scene, full = masks["hist"], masks["hist+scene"], masks["hist+scene+agents"]
-        assert (hist <= scene).all() and (scene <= full).all()
+        assert hist.shape == (3, 1) and (hist == 1).all()
+        w_p = int(batch.path_mask.sum(axis=1).max())
+        real_paths = np.arange(w_p) < batch.path_mask.sum(axis=1)[:, None]
+        assert np.array_equal(scene, np.concatenate([real_paths, np.ones((3, 1))], axis=1))
+        assert np.array_equal(full[:, :w_p], scene[:, :w_p])
         assert hist.sum() < scene.sum() < full.sum()
-        assert (hist[:, -1] == 1).all()
 
 
 class TestPacking:
@@ -198,6 +213,31 @@ class TestPacking:
         w_p = batch.path_mask.sum(axis=1).max()
         w_a = batch.agent_mask.sum(axis=1).max()
         assert model.fusion_mask(batch).shape == (3, w_p + w_a + 1)
+
+    @pytest.mark.parametrize("mode", ["hist", "hist+scene"])
+    def test_excluded_kinds_take_no_position_and_are_not_encoded(self, rng, mode):
+        cfg = tiny_config(input_mode=mode)
+        model = SvgNet(cfg, seed=0)
+        batch = random_batch(cfg, 3, rng, n_real_paths=2, n_real_agents=1)
+        seen = {"paths": 0, "histories": []}
+        scene, history = model.scene_encoder, model.history_encoder
+
+        def spy_scene(*rows):
+            seen["paths"] += len(rows[0])
+            return scene(*rows)
+
+        def spy_history(h):
+            seen["histories"].append(h.shape[0])
+            return history(h)
+
+        model.scene_encoder, model.history_encoder = spy_scene, spy_history
+        _, rec = model.forward(batch, record_attention=True)
+        n_paths = 2 if cfg.use_scene else 0
+        assert seen == {"paths": 3 * n_paths, "histories": [3]}
+        assert (rec.n_paths, rec.n_agents) == (n_paths, 0)
+        assert model.fusion_mask(batch).shape == (3, n_paths + 1)
+        kinds = {kind for sample in extract_attention(rec) for kind, _, _ in sample}
+        assert kinds == ({"path", "main"} if cfg.use_scene else {"main"})
 
     @pytest.mark.parametrize("mode", ["hist", "hist+scene", "hist+scene+agents"])
     @pytest.mark.parametrize("case", ["no_real_elements", "path_without_commands"])
