@@ -237,7 +237,7 @@ def visualize_cmd(checkpoint, data, scene_id, out, config_path, input_mode, dtyp
     sample = normalize_sample(record, cfg.ingest)
     batch = make_batch([sample], cfg.model.n_paths, cfg.model.n_commands,
                        cfg.model.n_agents)
-    pred_t, attn = model.forward(batch, record_attention=True)
+    pred_t, attn = model.forward(batch)
     entries = extract_attention(attn)[0]
     pred = pred_t.data[0].reshape(-1, 2)
     svg_text = render_attention_svg(sample, entries, prediction=pred)

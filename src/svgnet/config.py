@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -48,15 +50,36 @@ _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "ingest": IngestConfig,
              "synth": SynthConfig}
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation. An int field takes no
+    float or bool, a float field also takes an int, and None fits only a
+    field whose annotation allows it."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(_fits(v, h) for v, h in zip(value, args)))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def _build_section(cls, data: dict, section: str):
-    names = {f.name for f in fields(cls)}
-    unknown = set(data) - names
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in {section!r} section: {sorted(unknown)}")
     coerced = dict(data)
-    for f in fields(cls):
-        if f.name in coerced and isinstance(coerced[f.name], list):
-            coerced[f.name] = tuple(coerced[f.name])
+    for name, value in data.items():
+        hint = hints[name]
+        if not _fits(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"{section}.{name} must be {expected}, got {value!r}")
+        if isinstance(value, list):
+            coerced[name] = tuple(value)
     return cls(**coerced)
 
 

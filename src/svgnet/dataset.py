@@ -23,7 +23,7 @@ import os
 import tempfile
 from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -160,6 +160,9 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
                 raise SchemaError(line_no, f"agents[{i}].{key}")
         try:
             pos = _points(a["positions"], 3)
+            # a whole number up to 2**53 converts to int64 exactly
+            if not ((pos[:, 0] == np.floor(pos[:, 0])) & (np.abs(pos[:, 0]) <= 2 ** 53)).all():
+                raise ValueError("frame numbers must be integers")
         except ValueError as exc:
             raise SchemaError(line_no, f"agents[{i}].positions", str(exc)) from exc
         try:
@@ -262,29 +265,27 @@ def apply_affine_points(mat: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return pts @ mat[:, :2].T + mat[:, 2]
 
 
-def polylines_to_svg(polylines: Sequence[np.ndarray], viewport: Viewport,
-                     max_commands: int = 30,
-                     id_prefix: str = "lane") -> tuple[SvgDocument, int]:
+def polylines_to_svg(polylines: Iterable[tuple[int, np.ndarray]], viewport: Viewport,
+                     max_commands: int = 30) -> SvgDocument:
     """Convert vector polylines to line-command paths inside a viewport.
 
-    One path per polyline (MoveTo then LineTos), split to max_commands,
-    with paths wholly outside the viewport dropped. Returns the document
-    and a count of skipped degenerate (< 2 point) polylines.
+    Takes (index, polyline) pairs, the index being the polyline's place in
+    the record's map_polylines: the path of polyline i is named lane{i}.
+    One path per polyline (MoveTo then LineTos), split to max_commands;
+    degenerate (< 2 point) polylines and paths wholly outside the viewport
+    are dropped.
     """
     paths: list[SvgPath] = []
-    skipped = 0
-    for i, poly in enumerate(polylines):
+    for i, poly in polylines:
         poly = np.asarray(poly, dtype=np.float64)
         if poly.ndim != 2 or poly.shape[0] < 2:
-            skipped += 1
             continue
         if not any(viewport.contains(x, y) for x, y in poly):
             continue
         cmds = [SvgCommand.move_to(*poly[0])]
         cmds += [SvgCommand.line_to(*pt) for pt in poly[1:]]
-        path = SvgPath(tuple(cmds), id=f"{id_prefix}{i}")
-        paths.extend(split_path(path, max_commands))
-    return SvgDocument(tuple(paths), viewport), skipped
+        paths.extend(split_path(SvgPath(tuple(cmds), id=f"lane{i}"), max_commands))
+    return SvgDocument(tuple(paths), viewport)
 
 
 def _heading_rotation(disp: np.ndarray) -> np.ndarray:
@@ -344,7 +345,7 @@ def normalize_sample(record: SceneRecord, cfg: IngestConfig) -> NormalizedSample
     half = cfg.view_extent / 2.0
     viewport = Viewport((-half, -half), (cfg.view_extent, cfg.view_extent))
     clamped = []
-    for poly in record.map_polylines:
+    for i, poly in enumerate(record.map_polylines):
         pts = to_frame(poly)
         if not ((np.abs(pts[:, 0]) <= half) & (np.abs(pts[:, 1]) <= half)).any():
             continue
@@ -352,8 +353,8 @@ def normalize_sample(record: SceneRecord, cfg: IngestConfig) -> NormalizedSample
         # boundary clamping creates runs of identical vertices; collapse them
         keep = np.ones(len(pts), dtype=bool)
         keep[1:] = (np.abs(np.diff(pts, axis=0)) > 1e-12).any(axis=1)
-        clamped.append(pts[keep])
-    scene_svg, _ = polylines_to_svg(clamped, viewport, cfg.max_commands)
+        clamped.append((i, pts[keep]))
+    scene_svg = polylines_to_svg(clamped, viewport, cfg.max_commands)
 
     return NormalizedSample(
         scene_id=record.scene_id, scene_svg=scene_svg, main_history=main_hist,

@@ -108,7 +108,7 @@ def constant_velocity_predictor(t_pred: int = 30, k_vel: int = 3
 
 
 def evaluate(predict_fn: Callable[[Batch], np.ndarray], records: Sequence, *,
-             ingest: IngestConfig | None = None, caps: tuple[int, int, int] = (128, 30, 16),
+             ingest: IngestConfig, caps: tuple[int, int, int],
              per_sample: bool = False) -> MetricsReport:
     """Aggregate ADE / FDE / miss rate in de-normalized city-frame meters.
 
@@ -116,7 +116,6 @@ def evaluate(predict_fn: Callable[[Batch], np.ndarray], records: Sequence, *,
     and predicted EVAL_BATCH_SIZE at a time. A record without a prediction target
     raises MissingTargetError; no records raise EmptyInputError.
     """
-    ingest = ingest or IngestConfig()
     encoded = []
     for rec in records:
         sample = normalize_sample(rec, ingest)

@@ -8,14 +8,16 @@ steps, with a small MLP on the raw main history ("speed profiler")
 concatenated in before the output head.
 
 The encoders map rows to latents and see only real elements. SvgNet
-packs a batch's padded (B, N) slots to the n_real rows whose mask is set,
-encodes them, and places the latents into (B, W, d_z), where W is the
-most real elements of that kind in any sample of the batch; each
-sample's elements sit at the front in slot order. The input mode masks
+packs a batch's padded (B, N) slots of each kind, with the main agent as
+the third kind of one slot per sample, into a fusion sequence of
+L = W_p + W_a + 1 positions: W is the most real elements of that kind in
+any sample of the batch, and each sample's elements sit at the front of
+their kind's positions in slot order. The scene encoder runs once on the
+real paths and the history encoder once on the real agents followed by
+the main agents; one gather places their latents. The input mode masks
 the inputs: a kind it leaves out has no real element, so it is not
-encoded and has W = 0. So the fusion sequence has L = W_p + W_a + 1
-positions per batch, and neither its work nor its outputs depend on the
-n_paths/n_agents caps.
+encoded and has W = 0. Neither the fusion sequence's work nor its
+outputs depend on the n_paths/n_agents caps.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ N_ARG_SLOTS = 6
 N_ARG_ROWS = 257  # 256 coordinate bins + 1 sentinel row for unused slots
 SENTINEL_ROW = 256
 N_ELEMENT_TYPES = 3  # scene path / other agent / main agent
-
-
-class RecordingDisabledError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -95,9 +93,10 @@ class AttentionRecord:
     n_paths and n_agents are the batch's packed widths W_p and W_a (the
     most real paths and agents in any sample), not the caps; a kind the
     input mode leaves out has W = 0. Position i of a kind is a sample's
-    i-th real element of that kind in slot order. Entries are the last
-    fusion layer's attention weights for the main-agent query, averaged
-    over heads. mask is the (B, L) fusion key mask they used.
+    i-th real element of that kind in slot order, and the main agent is
+    position L - 1. Entries are the last fusion layer's attention weights
+    for the main-agent query, averaged over heads. mask is the (B, L)
+    fusion key mask they used. Every forward pass returns one.
     """
 
     scores: np.ndarray
@@ -108,10 +107,8 @@ class AttentionRecord:
     agent_ids: list
 
 
-def extract_attention(record: AttentionRecord | None) -> list[list[tuple[str, str, float]]]:
+def extract_attention(record: AttentionRecord) -> list[list[tuple[str, str, float]]]:
     """Per-sample (kind, id, score) triples for every unmasked element."""
-    if record is None:
-        raise RecordingDisabledError("forward pass ran without attention recording")
     out = []
     for b in range(record.scores.shape[0]):
         entries: list[tuple[str, str, float]] = []
@@ -135,27 +132,28 @@ def sinusoidal_encoding(n_positions: int, dim: int, dtype) -> np.ndarray:
     return enc.astype(dtype)
 
 
-def _pack(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real slots of a (B, N) slot mask, and where they go when packed.
+def _pack(masks: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Real slots of each kind's (B, N_k) slot mask, and where they go when packed.
 
-    Returns the flat (B * N) indices of the slots whose mask is set, in
-    row-major order, and a (B, W) index into the rows so selected that
-    puts each sample's real slots at the front in slot order, W being
-    the most real slots in any sample. Places past a sample's count
-    point at row n_real, one past the selected rows.
+    Returns, per kind, the flat (B * N_k) indices of the slots whose mask
+    is set, in row-major order; a (B, L) index into the rows so selected,
+    kind after kind; and the (L,) kind of each position. Kind k takes W_k
+    positions, the most real slots of that kind in any sample, and puts
+    each sample's real slots at the front of them in slot order. Places
+    past a sample's count point at row n_real, one past the selected rows.
     """
-    real = mask > 0
-    counts = real.sum(axis=1)
-    i = np.arange(counts.max(initial=0))
-    start = np.cumsum(counts) - counts
-    place = np.where(i < counts[:, None], start[:, None] + i, counts.sum())
-    return np.flatnonzero(real), place
-
-
-def _place(rows: Tensor, place: np.ndarray) -> Tensor:
-    """Packed (n_real, d) rows -> (B, W, d) by a ``_pack`` index; empty places are 0."""
-    zero = Tensor(np.zeros((1, rows.shape[1]), rows.data.dtype))
-    return T.embedding_lookup(T.concat([rows, zero], axis=0), place)
+    real = [mask > 0 for mask in masks]
+    counts = [r.sum(axis=1) for r in real]
+    n_real = sum(int(c.sum()) for c in counts)
+    offset, places, kinds = 0, [], []
+    for k, c in enumerate(counts):
+        i = np.arange(c.max(initial=0))
+        start = offset + np.cumsum(c) - c
+        places.append(np.where(i < c[:, None], start[:, None] + i, n_real))
+        kinds.append(np.full(i.size, k))
+        offset += int(c.sum())
+    return ([np.flatnonzero(r) for r in real], np.concatenate(places, axis=1),
+            np.concatenate(kinds))
 
 
 class _ParamFactory:
@@ -340,20 +338,14 @@ class Decoder:
         self.head2 = _Linear(pf, "decoder.head.l2", cfg.d_f, cfg.d_f)
         self.head3 = _Linear(pf, "decoder.head.l3", cfg.d_f, cfg.d_out)
 
-    def __call__(self, path_latents: Tensor, agent_latents: Tensor, main_latent: Tensor,
-                 fusion_mask: np.ndarray, main_history: Tensor,
-                 record: list | None = None) -> Tensor:
-        b, n_p, _ = path_latents.shape
-        n_a = agent_latents.shape[1]
-        elems = T.concat([path_latents, agent_latents,
-                          T.reshape(main_latent, (b, 1, self.cfg.d_z))], axis=1)
+    def __call__(self, elems: Tensor, kinds: np.ndarray, fusion_mask: np.ndarray,
+                 main_history: Tensor, record: list) -> Tensor:
+        """elems (B, L, d_z) with kinds (L,); the main agent is position L - 1."""
         x = self.input(elems)
-        type_idx = np.concatenate([np.zeros(n_p, np.int64), np.ones(n_a, np.int64),
-                                   np.full(1, 2, np.int64)])
-        x = T.add(x, T.embedding_lookup(self.type_embed, type_idx))
+        x = T.add(x, T.embedding_lookup(self.type_embed, kinds))
         # the main-agent key is always visible, so no fusion row is fully masked
         x = self.stack(x, fusion_mask, record=record)
-        r = T.take_index(x, axis=1, index=n_p + n_a)
+        r = T.take_index(x, axis=1, index=x.shape[1] - 1)
         for block in self.blocks:
             r = block(r)
         prof = self.prof2(T.relu(self.prof1(main_history)))
@@ -407,55 +399,48 @@ class SvgNet:
 
     # -- forward ------------------------------------------------------------
 
-    def _layout(self, batch) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The ``_pack`` of the path and of the agent slot mask, with every
-        slot of a kind the input mode leaves out unset."""
+    def _layout(self, batch) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """The ``_pack`` of [paths | agents | main], with every slot of a
+        kind the input mode leaves out unset."""
         cfg = self.cfg
-        return _pack(batch.path_mask * cfg.use_scene), _pack(batch.agent_mask * cfg.use_agents)
+        return _pack([batch.path_mask * cfg.use_scene, batch.agent_mask * cfg.use_agents,
+                      np.ones((len(batch), 1))])
 
     def fusion_mask(self, batch) -> np.ndarray:
         """(B, W_p + W_a + 1) key mask over [paths | agents | main].
 
         Each kind is packed as the module docstring describes: a sample's
-        real elements are set at the front of its W slots. A kind the
-        input mode leaves out has W = 0.
+        real elements are set at the front of its kind's W positions. A
+        kind the input mode leaves out has W = 0.
         """
-        parts = [place < rows.size for rows, place in self._layout(batch)]
-        parts.append(np.ones((len(batch), 1), bool))
-        return np.concatenate(parts, axis=1).astype(self.dtype)
+        rows, place, _ = self._layout(batch)
+        return (place < sum(r.size for r in rows)).astype(self.dtype)
 
-    def forward(self, batch, record_attention: bool = False
-                ) -> tuple[Tensor, AttentionRecord | None]:
+    def forward(self, batch) -> tuple[Tensor, AttentionRecord]:
         cfg = self.cfg
         dt = self.dtype
-        n_c = batch.command_kinds.shape[2]
-        kinds = batch.command_kinds.reshape(-1, n_c)
-        args = batch.command_args.reshape(-1, n_c, N_ARG_SLOTS)
-        cmd_mask = batch.command_mask.reshape(-1, n_c)
-        histories = batch.agent_histories.reshape(-1, cfg.d_h)
-        encoders = (lambda r: self.scene_encoder(kinds[r], args[r], cmd_mask[r]),
-                    lambda r: self.history_encoder(Tensor(histories[r].astype(dt))))
-        # an encoder runs only on real rows; a kind with none, left out by
-        # the input mode or absent from the batch, is placed with W = 0
-        path_latents, agent_latents = (
-            _place(encode(rows) if rows.size else Tensor(np.zeros((0, cfg.d_z), dt)), place)
-            for encode, (rows, place) in zip(encoders, self._layout(batch)))
-        n_p, n_a = path_latents.shape[1], agent_latents.shape[1]
+        (paths, agents, _), place, kinds = self._layout(batch)
+        latents = []
+        if paths.size:
+            n_c = batch.command_kinds.shape[2]
+            latents.append(self.scene_encoder(
+                batch.command_kinds.reshape(-1, n_c)[paths],
+                batch.command_args.reshape(-1, n_c, N_ARG_SLOTS)[paths],
+                batch.command_mask.reshape(-1, n_c)[paths]))
+        histories = np.concatenate([batch.agent_histories.reshape(-1, cfg.d_h)[agents],
+                                    batch.main_history])
+        latents.append(self.history_encoder(Tensor(histories.astype(dt))))
+        latents.append(Tensor(np.zeros((1, cfg.d_z), dt)))   # the empty places' row
+        elems = T.embedding_lookup(T.concat(latents, axis=0), place)
 
-        main_history = Tensor(batch.main_history.astype(dt))
-        main_latent = self.history_encoder(main_history)
-
-        rec_list: list | None = [] if record_attention else None
+        rec: list = []
         mask = self.fusion_mask(batch)
-        pred = self.decoder(path_latents, agent_latents, main_latent, mask, main_history,
-                            record=rec_list)
-
-        record = None
-        if record_attention:
-            attn = rec_list[-1]  # (B, H, L, L) from the last fusion layer
-            scores = attn[:, :, n_p + n_a, :].mean(axis=1)
-            record = AttentionRecord(scores=scores, n_paths=n_p, n_agents=n_a, mask=mask,
-                                     path_ids=batch.path_ids, agent_ids=batch.agent_ids)
+        pred = self.decoder(elems, kinds, mask, Tensor(batch.main_history.astype(dt)), rec)
+        # rec[-1] is the last fusion layer's (B, H, L, L) attention
+        record = AttentionRecord(scores=rec[-1][:, :, -1, :].mean(axis=1),
+                                 n_paths=int((kinds == 0).sum()),
+                                 n_agents=int((kinds == 1).sum()), mask=mask,
+                                 path_ids=batch.path_ids, agent_ids=batch.agent_ids)
         return pred, record
 
     def predict(self, batch) -> np.ndarray:

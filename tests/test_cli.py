@@ -287,6 +287,19 @@ def test_bad_ingest_setting_is_a_config_error(workspace, monkeypatch, capsys, se
     assert not out_dir.exists()
 
 
+def test_config_value_of_the_wrong_type_is_a_config_error(workspace, monkeypatch, capsys):
+    # before, a fractional k_heading passed validation and normalize_sample
+    # failed with a TypeError (exit 4)
+    cfg = dict(TINY_RUN_CONFIG, ingest={"k_heading": 2.5})
+    cfg_path = workspace["dir"] / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = workspace["dir"] / "run"
+    assert _run_main(monkeypatch, "train", "--config", str(cfg_path),
+                     "--data", str(workspace["data"]), "--out-dir", str(out_dir)) == 2
+    assert capsys.readouterr().err == "config error: ingest.k_heading must be int, got 2.5\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("bad", ["csv_x", "map_polyline"])
 def test_bad_argoverse_input_is_a_data_error(tmp_path, monkeypatch, capsys, bad):
     rows = [f"{1000 + 0.1 * i:.1f},aa,AGENT,{10 + i},5.0,PIT" for i in range(50)]

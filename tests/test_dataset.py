@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,42 +102,63 @@ class TestJsonl:
             list(load_dataset(path))
 
 
+    @pytest.mark.parametrize("agent, frame, value", [(0, 2, 2.9), (1, -1, 1e300)],
+                             ids=["fraction", "beyond-int64"])
+    def test_non_integer_frame_is_a_schema_error(self, tmp_path, agent, frame, value):
+        # before, frame 2 written as 2.9 loaded as frame 2 without a word
+        obj = generate_records(SynthConfig(seed=0, n_scenes=1))[0].to_json_obj()
+        obj["agents"][agent]["positions"][frame][0] = value
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(SchemaError, match=rf"agents\[{agent}\]\.positions.*integers"):
+            list(load_dataset(path))
+
+
 class TestPolylinesToSvg:
     VIEW = Viewport((-50.0, -50.0), (100.0, 100.0))
 
     def test_direct_mapping(self):
-        doc, skipped = polylines_to_svg([np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])],
-                                        self.VIEW)
-        assert skipped == 0
+        doc = polylines_to_svg([(0, np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))], self.VIEW)
         assert len(doc.paths) == 1
         kinds = [c.kind for c in doc.paths[0].commands]
         assert kinds == [CommandKind.MOVE_TO, CommandKind.LINE_TO, CommandKind.LINE_TO]
 
     def test_empty_input(self):
-        doc, _ = polylines_to_svg([], self.VIEW)
+        doc = polylines_to_svg([], self.VIEW)
         assert len(doc.paths) == 0
 
     def test_degenerate_skipped(self):
-        doc, skipped = polylines_to_svg([np.array([[0.0, 0.0]])], self.VIEW)
-        assert skipped == 1 and len(doc.paths) == 0
+        doc = polylines_to_svg([(0, np.array([[0.0, 0.0]]))], self.VIEW)
+        assert len(doc.paths) == 0
 
     def test_fully_outside_dropped(self):
         far = np.array([[200.0, 200.0], [210.0, 200.0]])
-        doc, skipped = polylines_to_svg([far], self.VIEW)
-        assert skipped == 0 and len(doc.paths) == 0
+        doc = polylines_to_svg([(0, far)], self.VIEW)
+        assert len(doc.paths) == 0
+
+    def test_path_ids_follow_the_record_index(self):
+        # an out-of-view polyline first: the lanes keep their record index
+        rec = generate_records(SynthConfig(seed=0, n_scenes=1))[0]
+        base = normalize_sample(rec, IngestConfig())
+        rec.map_polylines.insert(0, np.array([[1e5, 1e5], [1e5 + 10.0, 1e5]]))
+        shifted = normalize_sample(rec, IngestConfig())
+        ids = [p.id for p in shifted.scene_svg.paths]
+        assert ids[0] == "lane1#0"
+        assert ids == [re.sub(r"\d+", lambda m: str(int(m.group()) + 1), p.id, count=1)
+                       for p in base.scene_svg.paths]
 
     def test_counting_property(self, rng):
         for _ in range(20):
             k = int(rng.integers(1, 6))
             m = int(rng.integers(2, 20))
             polys = [rng.uniform(-40, 40, (m, 2)) for _ in range(k)]
-            doc, _ = polylines_to_svg(polys, self.VIEW, max_commands=30)
+            doc = polylines_to_svg(enumerate(polys), self.VIEW, max_commands=30)
             assert len(doc.paths) == k
             assert all(len(p.commands) == m for p in doc.paths)
 
     def test_line_kinds_only(self, rng):
         polys = [rng.uniform(-40, 40, (int(rng.integers(2, 90)), 2)) for _ in range(5)]
-        doc, _ = polylines_to_svg(polys, self.VIEW, max_commands=12)
+        doc = polylines_to_svg(enumerate(polys), self.VIEW, max_commands=12)
         for p in doc.paths:
             assert all(c.kind in (CommandKind.MOVE_TO, CommandKind.LINE_TO)
                        for c in p.commands)

@@ -127,22 +127,25 @@ class TestEvaluate:
         return generate_records(SynthConfig(seed=1, n_scenes=n, agents_max=3, lanes_max=3))
 
     def test_oracle_all_zero(self):
-        report = evaluate(lambda b: b.targets.copy(), self.records(), caps=(16, 30, 4))
+        report = evaluate(lambda b: b.targets.copy(), self.records(), ingest=IngestConfig(),
+                          caps=(16, 30, 4))
         assert report.ade == 0.0 and report.fde == 0.0 and report.miss_rate == 0.0
         assert report.n_samples == 6
 
     def test_no_records_is_an_error(self):
         with pytest.raises(EmptyInputError):
-            evaluate(constant_velocity_predictor(), [])
+            evaluate(constant_velocity_predictor(), [], ingest=IngestConfig(), caps=(16, 30, 4))
 
     def test_order_invariance(self):
         recs = self.records()
-        a = evaluate(constant_velocity_predictor(), recs, caps=(16, 30, 4))
-        b = evaluate(constant_velocity_predictor(), recs[::-1], caps=(16, 30, 4))
+        a = evaluate(constant_velocity_predictor(), recs, ingest=IngestConfig(), caps=(16, 30, 4))
+        b = evaluate(constant_velocity_predictor(), recs[::-1], ingest=IngestConfig(),
+                     caps=(16, 30, 4))
         assert a.ade == pytest.approx(b.ade, abs=1e-12)
 
     def test_cv_positive_on_curved_scenes(self):
-        report = evaluate(constant_velocity_predictor(), self.records(10), caps=(16, 30, 4))
+        report = evaluate(constant_velocity_predictor(), self.records(10), ingest=IngestConfig(),
+                          caps=(16, 30, 4))
         assert report.ade > 0.0
 
     def test_city_frame_equals_normalized_frame(self):

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from model_helpers import random_batch, tiny_config
-from svgnet import model as model_module
 from svgnet import tensor as T
 from svgnet.dataset import IngestConfig, make_batch, normalize_sample
 from svgnet.gradcheck import grad_check
-from svgnet.model import (ModelConfig, RecordingDisabledError, SvgNet, extract_attention,
+from svgnet.model import (AttentionRecord, ModelConfig, SvgNet, extract_attention,
                           sinusoidal_encoding)
 from svgnet.svg import CommandKind
 from svgnet.synth import SynthConfig, generate_records
@@ -82,7 +81,8 @@ class TestForward:
         pred, rec = model.forward(batch)
         assert pred.shape == (5, cfg.d_out)
         assert np.isfinite(pred.data).all()
-        assert rec is None
+        assert isinstance(rec, AttentionRecord)
+        assert rec.scores.shape == rec.mask.shape == (5, rec.n_paths + rec.n_agents + 1)
 
     def test_hist_only_ignores_scene_and_agents(self, rng):
         cfg = tiny_config(input_mode="hist")
@@ -105,7 +105,7 @@ class TestForward:
                                    rng.permutation(cfg.n_agents))
             np.testing.assert_allclose(model.predict(perm_b), base, atol=1e-5)
 
-    def test_masked_mutation_bit_identical_f64(self, rng, monkeypatch):
+    def test_masked_mutation_bit_identical_f64(self, rng):
         cfg = tiny_config()
         model = SvgNet(cfg, seed=3, dtype=np.float64)
         # a non-zero pool bias makes every encoded path latent non-zero, so
@@ -114,16 +114,16 @@ class TestForward:
         batch = random_batch(cfg, 2, rng, n_real_paths=2, n_real_agents=1)
         batch.path_mask[1, 1] = 0.0   # sample 1 keeps one real path: one empty place
         batch.command_mask[1, 1] = 0.0
-        place = model_module._place
+        decoder = model.decoder
         placed = []
 
-        def spy_place(rows, where):
-            placed.append(place(rows, where))
-            return placed[-1]
+        def spy_decoder(elems, kinds, *rest):
+            placed.append(elems.data[:, kinds == 0])
+            return decoder(elems, kinds, *rest)
 
-        monkeypatch.setattr(model_module, "_place", spy_place)
+        model.decoder = spy_decoder
         base = model.predict(batch)
-        latents = placed[0].data   # the paths are placed first, then the agents
+        latents = placed[0]   # the placed path latents
         empty = np.array([[False, False], [False, True]])
         assert latents.shape == (2, 2, cfg.d_z)
         assert (latents[~empty] != 0).all() and (latents[empty] == 0).all()
@@ -138,15 +138,16 @@ class TestForward:
         mutated.agent_histories[~am] = rng.normal(0, 9, mutated.agent_histories.shape)[~am]
         assert not (mutated.command_kinds == batch.command_kinds).all()
         assert (model.predict(mutated) == base).all()
-        # any value at an empty place of the (B, W_p, d_z) latents leaves the
+        # any value at an empty place of the placed path latents leaves the
         # prediction unchanged
         noise = rng.normal(0, 9, latents.shape) * empty[:, :, None]
-        def noisy_place(rows, where):
-            out = place(rows, where)
-            # only the paths' (2, W_p = 2) placement has the noise's shape
-            return T.add_const(out, noise) if out.shape == noise.shape else out
 
-        monkeypatch.setattr(model_module, "_place", noisy_place)
+        def noisy_decoder(elems, kinds, *rest):
+            at_paths = np.zeros(elems.shape)
+            at_paths[:, kinds == 0] = noise
+            return decoder(T.add_const(elems, at_paths), kinds, *rest)
+
+        model.decoder = noisy_decoder
         assert (model.predict(mutated) == base).all()
 
     def test_batch_consistency(self, rng):
@@ -208,8 +209,9 @@ class TestPacking:
 
         model.scene_encoder.stack, model.history_encoder = spy_stack, spy_history
         model.predict(batch)
+        # one history-encoder pass: the real agents, then every sample's main agent
         assert seen == {"paths": batch.path_mask.sum(),
-                        "histories": [batch.agent_mask.sum(), len(batch)]}
+                        "histories": [batch.agent_mask.sum() + len(batch)]}
         w_p = batch.path_mask.sum(axis=1).max()
         w_a = batch.agent_mask.sum(axis=1).max()
         assert model.fusion_mask(batch).shape == (3, w_p + w_a + 1)
@@ -231,7 +233,7 @@ class TestPacking:
             return history(h)
 
         model.scene_encoder, model.history_encoder = spy_scene, spy_history
-        _, rec = model.forward(batch, record_attention=True)
+        _, rec = model.forward(batch)
         n_paths = 2 if cfg.use_scene else 0
         assert seen == {"paths": 3 * n_paths, "histories": [3]}
         assert (rec.n_paths, rec.n_agents) == (n_paths, 0)
@@ -252,7 +254,7 @@ class TestPacking:
             batch.command_args[0, 1] = -1
             batch.command_mask[0, 1] = 0.0
         with GradientTape() as tape:
-            pred, rec = model.forward(batch, record_attention=True)
+            pred, rec = model.forward(batch)
             loss = mse_loss(pred, batch.targets)
             tape.backward(loss)
         assert np.isfinite(loss.data)
@@ -271,7 +273,7 @@ class TestAttention:
         cfg = tiny_config(input_mode="hist")
         model = SvgNet(cfg, seed=0)
         batch = random_batch(cfg, 2, rng)
-        _, rec = model.forward(batch, record_attention=True)
+        _, rec = model.forward(batch)
         entries = extract_attention(rec)
         for sample in entries:
             assert len(sample) == 1
@@ -282,7 +284,7 @@ class TestAttention:
         cfg = tiny_config()
         model = SvgNet(cfg, seed=1)
         batch = random_batch(cfg, 4, rng)
-        _, rec = model.forward(batch, record_attention=True)
+        _, rec = model.forward(batch)
         for sample in extract_attention(rec):
             total = sum(score for _, _, score in sample)
             assert abs(total - 1.0) < 1e-5
@@ -295,17 +297,20 @@ class TestAttention:
         batch.command_kinds[0, 1] = batch.command_kinds[0, 0]
         batch.command_args[0, 1] = batch.command_args[0, 0]
         batch.command_mask[0, 1] = batch.command_mask[0, 0]
-        _, rec = model.forward(batch, record_attention=True)
+        _, rec = model.forward(batch)
         scores = [s for kind, _, s in extract_attention(rec)[0] if kind == "path"]
         assert len(scores) == 2
         assert abs(scores[0] - scores[1]) < 1e-5
 
-    def test_recording_disabled(self, rng):
+    def test_every_forward_pass_returns_the_record(self, rng):
         cfg = tiny_config()
         model = SvgNet(cfg, seed=0)
-        _, rec = model.forward(random_batch(cfg, 1, rng))
-        with pytest.raises(RecordingDisabledError):
-            extract_attention(rec)
+        batch = random_batch(cfg, 2, rng, n_real_paths=3, n_real_agents=1)
+        pred, rec = model.forward(batch)
+        assert (rec.n_paths, rec.n_agents) == (3, 1)
+        assert np.array_equal(rec.mask, model.fusion_mask(batch))
+        assert [len(sample) for sample in extract_attention(rec)] == [5, 5]
+        assert (pred.data == model.predict(batch)).all()
 
 
 class TestGradients:

@@ -13,8 +13,8 @@ from svgnet.gradcheck import grad_check
 from svgnet.model import SvgNet
 from svgnet.synth import SynthConfig, generate_records
 from svgnet.tensor import GradientTape, Parameter, ShapeMismatchError
-from svgnet.train import (AdamW, NonFiniteLossError, TrainConfig, encode_samples, lr_at,
-                          mse_loss, train)
+from svgnet.train import (AdamW, NonFiniteLossError, TrainConfig, clip_grad_norm,
+                          encode_samples, lr_at, mse_loss, train)
 
 
 class TestMseLoss:
@@ -109,6 +109,29 @@ class TestAdamW:
         assert opt2.step_count == 1
         np.testing.assert_array_equal(opt2.m["p"], opt.m["p"])
         np.testing.assert_array_equal(opt2.v["p"], opt.v["p"])
+
+
+class TestClipGradNorm:
+    def params(self):
+        a, b = Parameter("a", np.zeros((2,))), Parameter("b", np.zeros((1, 2)))
+        a.grad[:] = [3.0, 0.0]
+        b.grad[:] = [[0.0, 4.0]]   # global norm 5
+        return {"a": a, "b": b}
+
+    def test_scales_to_max_norm_and_returns_the_pre_clip_norm(self):
+        params = self.params()
+        assert clip_grad_norm(params, 2.0) == 5.0
+        assert params["a"].grad.tolist() == pytest.approx([1.2, 0.0])
+        assert params["b"].grad.tolist() == [pytest.approx([0.0, 1.6])]
+        norm = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params.values()))
+        assert norm == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("max_norm", [5.0, 10.0])
+    def test_norm_within_the_bound_leaves_gradients_untouched(self, max_norm):
+        params = self.params()
+        assert clip_grad_norm(params, max_norm) == 5.0
+        assert params["a"].grad.tolist() == [3.0, 0.0]
+        assert params["b"].grad.tolist() == [[0.0, 4.0]]
 
 
 class TestCheckpoint:
