@@ -4,15 +4,20 @@ A record couples map centerline polylines (city frame, meters) with agent
 tracks. Normalization moves everything into the main agent's frame: its
 last observed position becomes the origin and its recent heading points
 along +y. The map is clamped to a square viewport around the origin and
-converted to line-command SVG paths.
+stored as arrays of chunk vertices, each chunk one line-command SVG path
+(a MoveTo, then LineTos). With mc = max_commands, a polyline of n vertices
+splits into chunks k = 0, 1, ... covering vertices [k*(mc-1), k*(mc-1)+mc)
+cut at n, so a chunk starts on the last vertex of the one before.
+make_batch quantizes the vertex arrays directly; SvgPath objects are only
+built on demand, for visualization.
 
 JSONL record schema (one object per line):
     {"scene_id": str, "frame_rate": number,
      "map_polylines": [[[x, y], ...], ...],
      "agents": [{"agent_id": str, "is_main": bool,
                  "positions": [[frame, x, y], ...]}, ...]}
-Every coordinate must be a finite number; a record with any other is a
-SchemaError.
+Every coordinate must be a finite number, frame_rate a positive one, agent_id
+a string and is_main a boolean; a record with anything else is a SchemaError.
 """
 
 from __future__ import annotations
@@ -20,15 +25,18 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 import tempfile
 from dataclasses import InitVar, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .svg import (CommandKind, SvgCommand, SvgDocument, SvgPath, Viewport, encode_command,
-                  path_points, split_path)
+# encode_command and split_path are unused here; the benchmark's tracer patches these names
+from .svg import (CommandKind, SvgCommand, SvgPath, Viewport, encode_command,  # noqa: F401
+                  quantize_coords, split_path)
 
 
 class DatasetError(Exception):
@@ -79,10 +87,6 @@ class AgentTrack:
             raise ValueError(f"agent {self.agent_id!r}: frame indices not strictly increasing")
         if not np.isfinite(self.xy).all():
             raise ValueError(f"agent {self.agent_id!r}: non-finite coordinates")
-
-    def position_at(self, frame: int) -> np.ndarray | None:
-        hits = np.flatnonzero(self.frames == frame)
-        return self.xy[hits[0]] if hits.size else None
 
 
 @dataclass
@@ -140,7 +144,10 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
         return v
 
     scene_id = need("scene_id", str)
-    frame_rate = float(need("frame_rate", (int, float)))
+    frame_rate = need("frame_rate", (int, float))
+    # a bool is an int to Python; the upper bound also rejects inf and NaN
+    if isinstance(frame_rate, bool) or not 0 < frame_rate <= sys.float_info.max:
+        raise SchemaError(line_no, "frame_rate", "expected a finite positive number")
     polys_raw = need("map_polylines", list)
     agents_raw = need("agents", list)
 
@@ -158,6 +165,9 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
         for key in ("agent_id", "is_main", "positions"):
             if key not in a:
                 raise SchemaError(line_no, f"agents[{i}].{key}")
+        for key, typ in (("agent_id", str), ("is_main", bool)):
+            if not isinstance(a[key], typ):
+                raise SchemaError(line_no, f"agents[{i}].{key}", f"expected {typ.__name__}")
         try:
             pos = _points(a["positions"], 3)
             # a whole number up to 2**53 converts to int64 exactly
@@ -166,12 +176,12 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
         except ValueError as exc:
             raise SchemaError(line_no, f"agents[{i}].positions", str(exc)) from exc
         try:
-            agents.append(AgentTrack(str(a["agent_id"]), pos[:, 0].astype(np.int64),
-                                     pos[:, 1:3], bool(a["is_main"])))
+            agents.append(AgentTrack(a["agent_id"], pos[:, 0].astype(np.int64),
+                                     pos[:, 1:3], a["is_main"]))
         except ValueError as exc:
             raise SchemaError(line_no, f"agents[{i}]", str(exc)) from exc
     try:
-        return SceneRecord(scene_id, polylines, agents, frame_rate)
+        return SceneRecord(scene_id, polylines, agents, float(frame_rate))
     except ValueError as exc:
         raise SchemaError(line_no, "agents", str(exc)) from exc
 
@@ -248,10 +258,31 @@ class IngestConfig:
             raise ValueError("ingest max_commands must be >= 2")
 
 
+@dataclass(eq=False)
+class LaneChunks:
+    """A scene's lanes as chunk vertices in the agent frame: chunk k is
+    vertices[offsets[k]:offsets[k + 1]], a MoveTo then LineTos. ``paths``
+    builds them as SvgPath objects on first use, for visualization."""
+
+    vertices: np.ndarray    # (n_vertices, 2) float64, inside the viewport
+    offsets: np.ndarray     # (n_chunks + 1,) int64
+    ids: list[str]          # lane{i}, or lane{i}#{k} for each chunk of a split lane
+    viewport: Viewport
+
+    @cached_property
+    def paths(self) -> tuple[SvgPath, ...]:
+        out = []
+        for path_id, start, stop in zip(self.ids, self.offsets[:-1], self.offsets[1:]):
+            first, *rest = self.vertices[start:stop].tolist()
+            cmds = [SvgCommand.move_to(*first)] + [SvgCommand.line_to(*pt) for pt in rest]
+            out.append(SvgPath(tuple(cmds), id=path_id))
+        return tuple(out)
+
+
 @dataclass
 class NormalizedSample:
     scene_id: str
-    scene_svg: SvgDocument
+    scene_svg: LaneChunks
     main_history: np.ndarray            # (t_obs, 2), ends at the origin
     other_histories: list[np.ndarray]   # each (t_obs, 2), zero-filled gaps
     other_valid: list[np.ndarray]       # each (t_obs,) bool
@@ -265,27 +296,39 @@ def apply_affine_points(mat: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return pts @ mat[:, :2].T + mat[:, 2]
 
 
-def polylines_to_svg(polylines: Iterable[tuple[int, np.ndarray]], viewport: Viewport,
-                     max_commands: int = 30) -> SvgDocument:
-    """Convert vector polylines to line-command paths inside a viewport.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The index ranges [start, start + length) of each pair, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
 
-    Takes (index, polyline) pairs, the index being the polyline's place in
-    the record's map_polylines: the path of polyline i is named lane{i}.
-    One path per polyline (MoveTo then LineTos), split to max_commands;
-    degenerate (< 2 point) polylines and paths wholly outside the viewport
-    are dropped.
-    """
-    paths: list[SvgPath] = []
-    for i, poly in polylines:
-        poly = np.asarray(poly, dtype=np.float64)
-        if poly.ndim != 2 or poly.shape[0] < 2:
-            continue
-        if not any(viewport.contains(x, y) for x, y in poly):
-            continue
-        cmds = [SvgCommand.move_to(*poly[0])]
-        cmds += [SvgCommand.line_to(*pt) for pt in poly[1:]]
-        paths.extend(split_path(SvgPath(tuple(cmds), id=f"lane{i}"), max_commands))
-    return SvgDocument(tuple(paths), viewport)
+
+def _lane_chunks(polylines: list[np.ndarray], to_frame, cfg: IngestConfig) -> LaneChunks:
+    """Clamp the map polylines to the viewport and split them by the module
+    docstring's rule. Empty polylines go first (reduceat needs non-empty segments),
+    then those with no vertex in view or under two once clamped and de-duplicated."""
+    half, mc = cfg.view_extent / 2.0, cfg.max_commands
+    lanes = np.array([i for i, p in enumerate(polylines) if len(p)], dtype=np.int64)
+    lengths = np.array([len(polylines[i]) for i in lanes], dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    pts = np.concatenate([to_frame(polylines[i]) for i in lanes] or [np.empty((0, 2))])
+    in_view = np.logical_or.reduceat((np.abs(pts) <= half).all(axis=1), starts)
+    pts = np.clip(pts, -half, half)
+    keep = np.ones(len(pts), dtype=bool)
+    keep[1:] = (np.abs(np.diff(pts, axis=0)) > 1e-12).any(axis=1)
+    keep[starts] = True
+    keep &= np.repeat(in_view, lengths)
+    counts = np.add.reduceat(keep, starts, dtype=np.int64)
+    first = (np.cumsum(counts) - counts)[counts >= 2]
+    lanes, n = lanes[counts >= 2], counts[counts >= 2]
+    n_chunks = (n - 2) // (mc - 1) + 1
+    owner = np.repeat(np.arange(n.size), n_chunks)
+    chunk_start = _ranges(np.zeros_like(n_chunks), n_chunks) * (mc - 1)
+    chunk_len = np.minimum(mc, n[owner] - chunk_start)
+    ids = [f"lane{i}" if m == 1 else f"lane{i}#{k}"
+           for i, m in zip(lanes.tolist(), n_chunks.tolist()) for k in range(m)]
+    return LaneChunks(vertices=pts[keep][_ranges(first[owner] + chunk_start, chunk_len)],
+                      offsets=np.concatenate([[0], np.cumsum(chunk_len)]), ids=ids,
+                      viewport=Viewport((-half, -half), (cfg.view_extent, cfg.view_extent)))
 
 
 def _heading_rotation(disp: np.ndarray) -> np.ndarray:
@@ -295,70 +338,46 @@ def _heading_rotation(disp: np.ndarray) -> np.ndarray:
 
 
 def normalize_sample(record: SceneRecord, cfg: IngestConfig) -> NormalizedSample:
-    """Express a record in the main agent's frame and build its scene SVG."""
+    """Express a record in the main agent's frame and split its lanes into chunks."""
     main = record.main_agent
     t_obs, t_pred = cfg.t_obs, cfg.t_pred
-    obs_frames = np.arange(t_obs)
-    if not np.isin(obs_frames, main.frames).all():
+    wanted = np.arange(t_obs + t_pred)
+    at = np.searchsorted(main.frames, wanted)
+    # -1 after the last frame: no wanted frame matches it
+    found = np.append(main.frames, -1)[at] == wanted
+    if not found[:t_obs].all():
         raise InsufficientHistoryError(
             f"scene {record.scene_id!r}: main agent must be observed on every frame "
             f"0..{t_obs - 1}")
 
-    anchor = main.position_at(t_obs - 1)
-    ref = main.position_at(max(t_obs - 1 - cfg.k_heading, 0))
+    anchor = main.xy[at[t_obs - 1]]
+    ref = main.xy[at[max(t_obs - 1 - cfg.k_heading, 0)]]
     disp = anchor - ref
-    if np.linalg.norm(disp) < cfg.min_heading_disp:
-        rot = np.eye(2)
-    else:
-        rot = _heading_rotation(disp)
+    rot = np.eye(2) if np.linalg.norm(disp) < cfg.min_heading_disp else _heading_rotation(disp)
 
     def to_frame(pts: np.ndarray) -> np.ndarray:
         return (pts - anchor) @ rot.T
 
-    frame_to_city = np.empty((2, 3), dtype=np.float64)
-    frame_to_city[:, :2] = rot.T
-    frame_to_city[:, 2] = anchor
+    frame_to_city = np.column_stack([rot.T, anchor])
 
-    main_hist = to_frame(np.stack([main.position_at(f) for f in obs_frames]))
-
-    target = None
-    pred_frames = np.arange(t_obs, t_obs + t_pred)
-    if np.isin(pred_frames, main.frames).all():
-        target = to_frame(np.stack([main.position_at(f) for f in pred_frames]))
+    main_hist = to_frame(main.xy[at[:t_obs]])
+    target = to_frame(main.xy[at[t_obs:]]) if found[t_obs:].all() else None
 
     others, valids, ids = [], [], []
     for agent in record.agents:
-        if agent.is_main:
-            continue
-        hist = np.zeros((t_obs, 2), dtype=np.float64)
-        valid = np.zeros(t_obs, dtype=bool)
         in_window = (agent.frames >= 0) & (agent.frames < t_obs)
-        if not in_window.any():
+        if agent.is_main or not in_window.any():
             continue
-        frames = agent.frames[in_window]
-        hist[frames] = to_frame(agent.xy[in_window])
-        valid[frames] = True
+        hist, valid = np.zeros((t_obs, 2)), np.zeros(t_obs, dtype=bool)
+        hist[agent.frames[in_window]] = to_frame(agent.xy[in_window])
+        valid[agent.frames[in_window]] = True
         others.append(hist)
         valids.append(valid)
         ids.append(agent.agent_id)
 
-    half = cfg.view_extent / 2.0
-    viewport = Viewport((-half, -half), (cfg.view_extent, cfg.view_extent))
-    clamped = []
-    for i, poly in enumerate(record.map_polylines):
-        pts = to_frame(poly)
-        if not ((np.abs(pts[:, 0]) <= half) & (np.abs(pts[:, 1]) <= half)).any():
-            continue
-        pts = np.clip(pts, -half, half)
-        # boundary clamping creates runs of identical vertices; collapse them
-        keep = np.ones(len(pts), dtype=bool)
-        keep[1:] = (np.abs(np.diff(pts, axis=0)) > 1e-12).any(axis=1)
-        clamped.append((i, pts[keep]))
-    scene_svg = polylines_to_svg(clamped, viewport, cfg.max_commands)
-
     return NormalizedSample(
-        scene_id=record.scene_id, scene_svg=scene_svg, main_history=main_hist,
-        other_histories=others, other_valid=valids, other_ids=ids,
+        scene_id=record.scene_id, scene_svg=_lane_chunks(record.map_polylines, to_frame, cfg),
+        main_history=main_hist, other_histories=others, other_valid=valids, other_ids=ids,
         target=target, frame_to_city=frame_to_city)
 
 
@@ -422,39 +441,37 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
 
     scene_ids, all_path_ids, all_agent_ids = [], [], []
     for i, s in enumerate(samples):
-        paths = list(s.scene_svg.paths)
-        if len(paths) > n_paths:
-            dist = [min(x * x + y * y for x, y in path_points(p)) for p in paths]
-            order = np.argsort(dist, kind="stable")[:n_paths]
-            paths = [paths[j] for j in sorted(order)]
-        pids = []
-        for j, p in enumerate(paths):
-            n_c = min(len(p.commands), n_commands)
-            for k in range(n_c):
-                vec = encode_command(p.commands[k], s.scene_svg.viewport)
-                kinds[i, j, k] = vec.kind_index
-                args[i, j, k] = vec.arg_bins
-            path_mask[i, j] = 1.0
-            command_mask[i, j, :n_c] = 1.0
-            pids.append(p.id)
+        lanes = s.scene_svg
+        starts, lengths = lanes.offsets[:-1], np.diff(lanes.offsets)
+        kept = np.arange(starts.size)
+        if kept.size > n_paths:
+            x, y = lanes.vertices.T
+            dist = np.minimum.reduceat(x * x + y * y, starts)
+            kept = np.sort(np.argsort(dist, kind="stable")[:n_paths])
+        n_c = np.minimum(lengths[kept], n_commands)
+        row = np.repeat(np.arange(kept.size), n_c)
+        cmd = _ranges(np.zeros_like(n_c), n_c)
+        kinds[i, row, cmd] = np.where(cmd == 0, int(CommandKind.MOVE_TO),
+                                       int(CommandKind.LINE_TO))
+        args[i, row, cmd, 4:] = quantize_coords(lanes.vertices[starts[kept][row] + cmd],
+                                                lanes.viewport.origin, lanes.viewport.extent)
+        path_mask[i, :kept.size] = 1.0
+        command_mask[i, row, cmd] = 1.0
+        pids = [lanes.ids[j] for j in kept.tolist()]
 
         main_hist[i] = s.main_history.reshape(-1)
         frame_to_city[i] = s.frame_to_city
         if has_target:
             targets[i] = s.target.reshape(-1)
 
-        order = range(len(s.other_histories))
-        if len(s.other_histories) > n_agents:
-            def last_dist(idx: int) -> float:
-                valid = np.flatnonzero(s.other_valid[idx])
-                pt = s.other_histories[idx][valid[-1]]
-                return float(pt @ pt)
-            order = sorted(sorted(order, key=last_dist)[:n_agents])
-        aids = []
-        for slot, idx in enumerate(order):
-            agent_hist[i, slot] = s.other_histories[idx].reshape(-1)
-            agent_mask[i, slot] = 1.0
-            aids.append(s.other_ids[idx])
+        order = range(len(s.other_ids))
+        if len(order) > n_agents:
+            last = [h[np.flatnonzero(v)[-1]] for h, v in zip(s.other_histories, s.other_valid)]
+            order = sorted(sorted(order, key=lambda j: float(last[j] @ last[j]))[:n_agents])
+        for slot, j in enumerate(order):
+            agent_hist[i, slot] = s.other_histories[j].reshape(-1)
+        agent_mask[i, :len(order)] = 1.0
+        aids = [s.other_ids[j] for j in order]
 
         scene_ids.append(s.scene_id)
         all_path_ids.append(pids)

@@ -15,6 +15,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import IntEnum
 
+import numpy as np
+
 
 class SvgError(Exception):
     """Base class for all SVG handling errors."""
@@ -144,11 +146,6 @@ class Viewport:
     def __post_init__(self):
         if self.extent[0] <= 0 or self.extent[1] <= 0:
             raise ValueError(f"viewport extent must be positive, got {self.extent}")
-
-    def contains(self, x: float, y: float) -> bool:
-        ox, oy = self.origin
-        w, h = self.extent
-        return ox <= x <= ox + w and oy <= y <= oy + h
 
 
 @dataclass(frozen=True)
@@ -379,11 +376,13 @@ def parse_document(xml: str) -> tuple[SvgDocument, int]:
 # Quantization
 # ---------------------------------------------------------------------------
 
-def quantize_coord(value: float, origin: float, extent: float) -> int:
-    """Map a coordinate to a bin in [0, 255] with round-half-up."""
-    rel = (value - origin) / extent * (N_COORD_BINS - 1)
-    b = int(math.floor(rel + 0.5))
-    return min(max(b, 0), N_COORD_BINS - 1)
+def quantize_coords(values, origin, extent) -> np.ndarray:
+    """Clip values to [origin, origin + extent] and map them to int16 bins in
+    [0, 255], rounding half up; (n, 2) points take (x, y) origin and extent."""
+    origin = np.asarray(origin, dtype=np.float64)
+    extent = np.asarray(extent, dtype=np.float64)
+    rel = (np.clip(values, origin, origin + extent) - origin) / extent * (N_COORD_BINS - 1)
+    return np.clip(np.floor(rel + 0.5), 0, N_COORD_BINS - 1).astype(np.int16)
 
 
 def encode_command(cmd: SvgCommand, viewport: Viewport) -> CommandVector:
@@ -391,13 +390,13 @@ def encode_command(cmd: SvgCommand, viewport: Viewport) -> CommandVector:
 
     Coordinates outside the viewport are clipped to its boundary first.
     """
+    slots = cmd.used_slots()
     bins = [SENTINEL_BIN] * N_ARG_SLOTS
-    (ox, oy), (w, h) = viewport.origin, viewport.extent
-    for slot in cmd.used_slots():
-        v = cmd.args[slot]
-        origin, extent = (ox, w) if slot % 2 == 0 else (oy, h)
-        v = min(max(v, origin), origin + extent)
-        bins[slot] = quantize_coord(v, origin, extent)
+    quantized = quantize_coords([cmd.args[s] for s in slots],
+                                [viewport.origin[s % 2] for s in slots],
+                                [viewport.extent[s % 2] for s in slots])
+    for slot, b in zip(slots, quantized.tolist()):
+        bins[slot] = b
     return CommandVector(int(cmd.kind), tuple(bins))
 
 
@@ -437,13 +436,3 @@ def split_path(path: SvgPath, max_commands: int) -> list[SvgPath]:
         out.append(SvgPath(tuple(cmds), id=chunk_id))
     return out
 
-
-def path_points(path: SvgPath) -> list[tuple[float, float]]:
-    """All coordinate pairs used by a path's commands (controls included)."""
-    pts = []
-    for cmd in path.commands:
-        slots = cmd.used_slots()
-        for sx in range(0, 6, 2):
-            if sx in slots:
-                pts.append((cmd.args[sx], cmd.args[sx + 1]))
-    return pts

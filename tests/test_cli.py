@@ -271,6 +271,18 @@ def test_non_finite_map_coordinate_is_a_data_error(tmp_path, monkeypatch, capsys
     assert "no usable records" in capsys.readouterr().err
 
 
+def test_string_is_main_is_a_data_error(tmp_path, monkeypatch, caplog):
+    # before, "false" counted as a second main agent and the record was
+    # skipped with "expected exactly 1 main agent, got 2"
+    obj = generate_records(SynthConfig(seed=0, n_scenes=1))[0].to_json_obj()
+    obj["agents"][1]["is_main"] = "false"
+    data = tmp_path / "main.jsonl"
+    data.write_text(json.dumps(obj) + "\n")
+    assert _run_main(monkeypatch, "train", "--data", str(data),
+                     "--out-dir", str(tmp_path / "run")) == 3
+    assert "'agents[1].is_main'" in caplog.text
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("model", "n_commands", 1), ("ingest", "view_extent", 0), ("ingest", "k_heading", -3),
     ("ingest", "min_heading_disp", -0.5)])

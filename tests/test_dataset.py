@@ -8,8 +8,8 @@ from svgnet.dataset import (AgentTrack, BadTimestampGridError, Batch, DatasetErr
                             IngestConfig, InsufficientHistoryError, MissingMainAgentError,
                             MissingTargetError, SceneRecord, SchemaError, apply_affine_points, concat_batches,
                             import_argoverse_csv, load_dataset, make_batch,
-                            normalize_sample, polylines_to_svg, save_dataset)
-from svgnet.svg import CommandKind, Viewport
+                            normalize_sample, save_dataset)
+from svgnet.svg import CommandKind, SvgCommand, SvgPath, encode_command, split_path
 from svgnet.synth import SynthConfig, generate_records
 
 
@@ -24,6 +24,19 @@ def straight_record(heading=(1.0, 0.0), speed=1.0, n_frames=50, scene_id="s0",
         agents.append(AgentTrack(f"other{k}", frames, xy + (0.0, 3.5 * (k + 1))))
     lane = start + np.arange(-20.0, 80.0)[:, None] * h
     return SceneRecord(scene_id, [lane], agents)
+
+
+def frame_record(polylines) -> SceneRecord:
+    """A record whose city frame is its agent frame: the main agent ends at
+    the origin heading +y, so normalized lane vertices equal the inputs."""
+    frames = np.arange(50)
+    xy = np.stack([np.zeros(50), frames - 19.0], axis=1)
+    return SceneRecord("s", list(polylines), [AgentTrack("main", frames, xy, is_main=True)])
+
+
+def lane_chunks(polylines, max_commands=30):
+    cfg = IngestConfig(max_commands=max_commands)
+    return normalize_sample(frame_record(polylines), cfg).scene_svg
 
 
 class TestRecords:
@@ -113,28 +126,57 @@ class TestJsonl:
         with pytest.raises(SchemaError, match=rf"agents\[{agent}\]\.positions.*integers"):
             list(load_dataset(path))
 
+    @pytest.mark.parametrize("key, value", [
+        ("frame_rate", float("nan")), ("frame_rate", -5), ("frame_rate", True),
+        ("agent_id", None), ("agent_id", [1, 2]), ("is_main", "false")],
+        ids=["rate-nan", "rate-negative", "rate-bool", "id-null", "id-list", "main-string"])
+    def test_malformed_scalar_field_is_a_schema_error(self, tmp_path, key, value):
+        # before, these loaded: a NaN rate saved back as bare NaN, a null id
+        # as "None", and is_main "false" as a second main agent
+        obj = straight_record(extra_agents=1).to_json_obj()
+        if key == "frame_rate":
+            obj[key] = value
+        else:
+            obj["agents"][1][key] = value
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(SchemaError) as info:
+            list(load_dataset(path))
+        assert info.value.field == (key if key == "frame_rate" else f"agents[1].{key}")
+
 
 class TestPolylinesToSvg:
-    VIEW = Viewport((-50.0, -50.0), (100.0, 100.0))
+    """normalize_sample's conversion of map polylines to lane chunks."""
 
     def test_direct_mapping(self):
-        doc = polylines_to_svg([(0, np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))], self.VIEW)
-        assert len(doc.paths) == 1
-        kinds = [c.kind for c in doc.paths[0].commands]
+        lanes = lane_chunks([[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
+        assert lanes.ids == ["lane0"]
+        np.testing.assert_array_equal(lanes.offsets, [0, 3])
+        np.testing.assert_array_equal(lanes.vertices, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        kinds = [c.kind for c in lanes.paths[0].commands]
         assert kinds == [CommandKind.MOVE_TO, CommandKind.LINE_TO, CommandKind.LINE_TO]
 
     def test_empty_input(self):
-        doc = polylines_to_svg([], self.VIEW)
-        assert len(doc.paths) == 0
+        lanes = lane_chunks([])
+        assert lanes.paths == () and lanes.ids == [] and lanes.vertices.shape == (0, 2)
+        np.testing.assert_array_equal(lanes.offsets, [0])
 
     def test_degenerate_skipped(self):
-        doc = polylines_to_svg([(0, np.array([[0.0, 0.0]]))], self.VIEW)
-        assert len(doc.paths) == 0
+        # none; one vertex; one repeated; one left once clamping collapses the repeats
+        for poly in (np.empty((0, 2)), [[0.0, 0.0]], [[3.0, 4.0], [3.0, 4.0]],
+                     [[49.0, 50.0], [49.0, 70.0], [49.0, 80.0]]):
+            assert lane_chunks([poly]).paths == ()
 
     def test_fully_outside_dropped(self):
-        far = np.array([[200.0, 200.0], [210.0, 200.0]])
-        doc = polylines_to_svg([(0, far)], self.VIEW)
-        assert len(doc.paths) == 0
+        assert lane_chunks([[[200.0, 200.0], [210.0, 200.0]]]).paths == ()
+
+    def test_split_chunks_share_their_boundary_vertex(self):
+        # mc = 4: 8 vertices make chunks [0, 4), [3, 7), [6, 8)
+        poly = np.stack([np.arange(8.0), np.zeros(8)], axis=1)
+        lanes = lane_chunks([poly], max_commands=4)
+        assert lanes.ids == ["lane0#0", "lane0#1", "lane0#2"]
+        np.testing.assert_array_equal(lanes.offsets, [0, 4, 8, 10])
+        np.testing.assert_array_equal(lanes.vertices[:, 0], [0, 1, 2, 3, 3, 4, 5, 6, 6, 7])
 
     def test_path_ids_follow_the_record_index(self):
         # an out-of-view polyline first: the lanes keep their record index
@@ -151,15 +193,13 @@ class TestPolylinesToSvg:
         for _ in range(20):
             k = int(rng.integers(1, 6))
             m = int(rng.integers(2, 20))
-            polys = [rng.uniform(-40, 40, (m, 2)) for _ in range(k)]
-            doc = polylines_to_svg(enumerate(polys), self.VIEW, max_commands=30)
-            assert len(doc.paths) == k
-            assert all(len(p.commands) == m for p in doc.paths)
+            lanes = lane_chunks([rng.uniform(-40, 40, (m, 2)) for _ in range(k)])
+            assert len(lanes.paths) == k
+            assert all(len(p.commands) == m for p in lanes.paths)
 
     def test_line_kinds_only(self, rng):
         polys = [rng.uniform(-40, 40, (int(rng.integers(2, 90)), 2)) for _ in range(5)]
-        doc = polylines_to_svg(enumerate(polys), self.VIEW, max_commands=12)
-        for p in doc.paths:
+        for p in lane_chunks(polys, max_commands=12).paths:
             assert all(c.kind in (CommandKind.MOVE_TO, CommandKind.LINE_TO)
                        for c in p.commands)
             assert len(p.commands) <= 12
@@ -289,6 +329,88 @@ class TestMakeBatch:
         merged = concat_batches([batch.take([0]), batch.take([1])])
         assert len(merged) == 2
         np.testing.assert_array_equal(merged.main_history[1], batch.main_history[1])
+
+
+def oracle_paths(record: SceneRecord, sample, cfg: IngestConfig) -> list[SvgPath]:
+    """Scalar reference for the lane chunks: the clamped polylines as SvgPaths,
+    split by split_path."""
+    rot = np.ascontiguousarray(sample.frame_to_city[:, :2].T)
+    anchor, half = sample.frame_to_city[:, 2], cfg.view_extent / 2.0
+    paths = []
+    for i, poly in enumerate(record.map_polylines):
+        pts = (poly - anchor) @ rot.T
+        if not any(abs(x) <= half and abs(y) <= half for x, y in pts):
+            continue
+        pts = np.clip(pts, -half, half)
+        kept = [pts[0]] + [b for a, b in zip(pts[:-1], pts[1:]) if (np.abs(b - a) > 1e-12).any()]
+        if len(kept) < 2:
+            continue
+        cmds = [SvgCommand.move_to(*kept[0])] + [SvgCommand.line_to(*pt) for pt in kept[1:]]
+        paths += split_path(SvgPath(tuple(cmds), id=f"lane{i}"), cfg.max_commands)
+    return paths
+
+
+def oracle_path_arrays(paths: list[SvgPath], viewport, n_paths: int, n_commands: int):
+    """Scalar reference for make_batch's path arrays of one sample."""
+    if len(paths) > n_paths:
+        dist = [min(x * x + y * y for x, y in (c.end_point for c in p.commands)) for p in paths]
+        paths = [paths[j] for j in sorted(np.argsort(dist, kind="stable")[:n_paths])]
+    kinds = np.full((n_paths, n_commands), int(CommandKind.PAD), dtype=np.int16)
+    args = np.full((n_paths, n_commands, 6), -1, dtype=np.int16)
+    path_mask = np.zeros(n_paths, dtype=np.float32)
+    command_mask = np.zeros((n_paths, n_commands), dtype=np.float32)
+    for j, p in enumerate(paths):
+        path_mask[j] = 1.0
+        for k, cmd in enumerate(p.commands[:n_commands]):
+            vec = encode_command(cmd, viewport)
+            kinds[j, k], args[j, k], command_mask[j, k] = vec.kind_index, vec.arg_bins, 1.0
+    return kinds, args, path_mask, command_mask, [p.id for p in paths]
+
+
+def line(n, x=0.0, y0=-10.0):
+    return [[x, y0 + k] for k in range(n)]
+
+
+# the frame coordinates 0.0 and HALF_BIN_ODD sit exactly on a half-bin boundary
+# of the default viewport: bins 127.5 and 126.5 before rounding
+HALF_BIN_ODD = -0.39215686274509665
+
+
+class TestMakeBatchOracle:
+    def assert_matches_oracle(self, record, cfg, n_paths, n_commands):
+        sample = normalize_sample(record, cfg)
+        paths = oracle_paths(record, sample, cfg)
+        assert sample.scene_svg.paths == tuple(paths)
+        batch = make_batch([sample], n_paths, n_commands, 2)
+        want = oracle_path_arrays(paths, sample.scene_svg.viewport, n_paths, n_commands)
+        got = (batch.command_kinds[0], batch.command_args[0], batch.path_mask[0],
+               batch.command_mask[0], batch.path_ids[0])
+        for g, w in zip(got[:4], want[:4]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got[4] == want[4]
+        return paths
+
+    @pytest.mark.parametrize("caps", [(4, 6), (128, 30)], ids=["tiny", "paper"])
+    def test_synth_scenes(self, caps):
+        n_paths, n_commands = caps
+        cfg = IngestConfig(max_commands=n_commands)
+        for record in generate_records(SynthConfig(seed=0, n_scenes=24)):
+            self.assert_matches_oracle(record, cfg, n_paths, n_commands)
+
+    @pytest.mark.parametrize("polys, max_commands, caps", [
+        ([[[40.0, 0.0], [60.0, 0.0], [60.0, 10.0], [45.0, 10.0]], line(3)], 30, (8, 30)),
+        ([[[49.0, 50.0], [49.0, 70.0], [49.0, 80.0]], line(3)], 30, (8, 30)),
+        ([[[200.0, 200.0], [210.0, 200.0]], line(3)], 30, (8, 30)),
+        ([line(6), line(7, x=2.0)], 6, (8, 6)),
+        ([line(20)], 30, (8, 6)),
+        ([line(3, x=-3.0), line(3, x=3.0), line(3, x=-3.0), line(3, x=9.0)], 30, (2, 30)),
+        ([[[0.0, 0.0], [HALF_BIN_ODD, HALF_BIN_ODD]]], 30, (8, 30)),
+    ], ids=["clamped-onto-edge", "degenerate-once-deduplicated", "out-of-view",
+            "mc-and-mc-plus-1", "truncated-to-n-commands", "distance-ties", "half-bin"])
+    def test_edge_cases(self, polys, max_commands, caps):
+        cfg = IngestConfig(max_commands=max_commands)
+        paths = self.assert_matches_oracle(frame_record(polys), cfg, *caps)
+        assert paths, "each case keeps at least one lane"
 
 
 class TestArgoverseImport:

@@ -4,7 +4,7 @@ import pytest
 from svgnet.svg import (ArityError, CommandKind, MalformedNumberError, MissingViewportError,
                         SvgCommand, SvgDocument, SvgPath, UnsupportedCommandError, Viewport,
                         XmlParseError, encode_command, parse_document, parse_path_data,
-                        quantize_coord, serialize_path, split_path)
+                        quantize_coords, serialize_path, split_path)
 
 
 def random_supported_path(rng, max_cmds=12):
@@ -166,16 +166,28 @@ class TestQuantize:
     def test_monotonicity(self):
         rng = np.random.default_rng(11)
         coords = np.sort(rng.uniform(-10, 110, 200))
-        bins = [quantize_coord(min(max(c, 0), 100), 0.0, 100.0) for c in coords]
-        assert all(b1 <= b2 for b1, b2 in zip(bins, bins[1:]))
+        bins = quantize_coords(coords, 0.0, 100.0)
+        assert (np.diff(bins) >= 0).all()
+        assert bins[0] == 0 and bins[-1] == 255   # clipped below and above
 
     def test_dequantize_error_bound(self):
         rng = np.random.default_rng(13)
-        for _ in range(500):
-            c = rng.uniform(0, 100)
-            b = quantize_coord(c, 0.0, 100.0)
-            centre = b / 255 * 100.0
-            assert abs(centre - c) <= 100.0 / 255 / 2 + 1e-9
+        coords = rng.uniform(0, 100, 500)
+        centres = quantize_coords(coords, 0.0, 100.0) / 255 * 100.0
+        assert (np.abs(centres - coords) <= 100.0 / 255 / 2 + 1e-9).all()
+
+    def test_array_form_takes_xy_pairs(self):
+        # (n, 2) points against per-axis origin and extent, as make_batch calls it
+        pts = np.array([[-50.0, 0.0], [0.0, 20.0], [50.0, 40.0], [70.0, -1.0]])
+        bins = quantize_coords(pts, (-50.0, 0.0), (100.0, 40.0))
+        assert bins.dtype == np.int16
+        np.testing.assert_array_equal(bins, [[0, 0], [128, 128], [255, 255], [255, 0]])
+
+    def test_round_half_up_on_an_odd_bin(self):
+        # 126.5 rounds to 127 where round-half-to-even would give 126
+        value = 126.5 / 255 * 100.0
+        assert value / 100.0 * 255 == 126.5
+        assert quantize_coords([value], 0.0, 100.0).tolist() == [127]
 
     def test_decode_inverse(self):
         # each cubic slot lands in the bin whose centre is within half a bin
