@@ -8,6 +8,12 @@ The blob holds every tensor as little-endian 32-bit floats concatenated
 in manifest order; ``offset`` counts float elements from the blob start.
 A checkpoint named ``prefix`` occupies ``prefix.json`` and ``prefix.bin``
 (the suffix is appended, so ``run.v1`` and ``run.v2`` do not collide).
+
+Saving streams each array into the blob file in turn, with no copy of a
+float32 array and no copy of the whole blob. Loading reads the blob once
+and returns views of it, so the manifest's entries must tile the blob
+exactly, in order, lest two views alias; anything else is a
+CheckpointError.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import DatasetError, _atomic_write_bytes
+from .dataset import DatasetError, _atomic_write
 
 FORMAT_VERSION = 1
 
@@ -33,25 +39,35 @@ def _files(prefix: str | Path) -> tuple[Path, Path]:
 
 
 def save_checkpoint(arrays: dict[str, np.ndarray], prefix: str | Path) -> None:
-    """Write name->array mappings in manifest order (dict insertion order)."""
+    """Write name->array mappings in manifest order (dict insertion order).
+
+    The blob is written first, so an array that cannot be converted leaves
+    both files as they were.
+    """
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    entries = []
-    chunks = []
-    offset = 0
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr, dtype="<f4")
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        chunks.append(arr.tobytes())
-        offset += arr.size
-    manifest = {"format_version": FORMAT_VERSION, "params": entries}
     manifest_path, blob_path = _files(prefix)
-    _atomic_write_bytes(manifest_path, json.dumps(manifest, indent=1).encode("utf-8"))
-    _atomic_write_bytes(blob_path, b"".join(chunks))
+    entries = []
+
+    def blob():
+        offset = 0
+        for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr, dtype="<f4")
+            entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
+            offset += arr.size
+            yield arr
+
+    _atomic_write(blob_path, blob())
+    manifest = {"format_version": FORMAT_VERSION, "params": entries}
+    _atomic_write(manifest_path, [json.dumps(manifest, indent=1).encode("utf-8")])
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; the blob must hold exactly the floats the manifest lists."""
+    """Read a checkpoint as views of its blob, which must hold exactly the listed floats."""
     manifest_path, blob_path = _files(prefix)
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
@@ -59,14 +75,24 @@ def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
         if manifest.get("format_version") != FORMAT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint version {manifest.get('format_version')}")
-        entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in manifest["params"]]
+        entries = [(e["name"], e["shape"], e["offset"]) for e in manifest["params"]]
     except (ValueError, AttributeError, KeyError, TypeError) as exc:
         # CheckpointError is not a ValueError, so the version check passes through
         raise CheckpointError(f"{manifest_path.name}: unreadable manifest ({exc})") from exc
-    needed = 4 * max((start + math.prod(shape) for _, shape, start in entries), default=0)
-    if blob_path.stat().st_size != needed:
+    end = 0
+    for name, shape, start in entries:
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(map(_is_count, shape)) and _is_count(start)):
+            raise CheckpointError(f"{manifest_path.name}: entry {name!r} needs a string name "
+                                  f"and a shape and offset of non-negative integers, "
+                                  f"got {shape!r} and {start!r}")
+        if start != end:
+            raise CheckpointError(f"{manifest_path.name}: entry {name!r} starts at {start}, "
+                                  f"where the entry before it ends at {end}")
+        end += math.prod(shape)
+    if blob_path.stat().st_size != 4 * end:
         raise CheckpointError(f"{blob_path.name} holds {blob_path.stat().st_size} bytes, "
-                              f"the manifest needs {needed}")
+                              f"the manifest needs {4 * end}")
     blob = np.fromfile(blob_path, dtype="<f4")
-    return {name: blob[start:start + math.prod(shape)].reshape(shape).copy()
+    return {name: blob[start:start + math.prod(shape)].reshape(shape)
             for name, shape, start in entries}

@@ -30,7 +30,7 @@ import tempfile
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,6 +134,24 @@ def _points(value, width: int) -> np.ndarray:
     return arr
 
 
+def _check_scalars(scene_id, frame_rate, fail: Callable[[str, str], Exception]) -> None:
+    """Raise fail(field, message) unless scene_id is a str and frame_rate finite and positive."""
+    if not isinstance(scene_id, str):
+        raise fail("scene_id", f"expected {str}")
+    # a bool is an int to Python; the upper bound also rejects inf and NaN
+    if (not isinstance(frame_rate, (int, float)) or isinstance(frame_rate, bool)
+            or not 0 < frame_rate <= sys.float_info.max):
+        raise fail("frame_rate", "expected a finite positive number")
+
+
+def _check_agent_scalars(i: int, agent_id, is_main,
+                         fail: Callable[[str, str], Exception]) -> None:
+    """Raise fail(field, message) unless agent_id is a str and is_main a bool."""
+    for key, value, typ in (("agent_id", agent_id, str), ("is_main", is_main, bool)):
+        if not isinstance(value, typ):
+            raise fail(f"agents[{i}].{key}", f"expected {typ.__name__}")
+
+
 def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
     def need(key, typ=None):
         if key not in obj:
@@ -143,11 +161,11 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
             raise SchemaError(line_no, key, f"expected {typ}")
         return v
 
-    scene_id = need("scene_id", str)
-    frame_rate = need("frame_rate", (int, float))
-    # a bool is an int to Python; the upper bound also rejects inf and NaN
-    if isinstance(frame_rate, bool) or not 0 < frame_rate <= sys.float_info.max:
-        raise SchemaError(line_no, "frame_rate", "expected a finite positive number")
+    def fail(fieldname: str, message: str) -> SchemaError:
+        return SchemaError(line_no, fieldname, message)
+
+    scene_id, frame_rate = need("scene_id"), need("frame_rate")
+    _check_scalars(scene_id, frame_rate, fail)
     polys_raw = need("map_polylines", list)
     agents_raw = need("agents", list)
 
@@ -165,9 +183,7 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
         for key in ("agent_id", "is_main", "positions"):
             if key not in a:
                 raise SchemaError(line_no, f"agents[{i}].{key}")
-        for key, typ in (("agent_id", str), ("is_main", bool)):
-            if not isinstance(a[key], typ):
-                raise SchemaError(line_no, f"agents[{i}].{key}", f"expected {typ.__name__}")
+        _check_agent_scalars(i, a["agent_id"], a["is_main"], fail)
         try:
             pos = _points(a["positions"], 3)
             # a whole number up to 2**53 converts to int64 exactly
@@ -210,11 +226,17 @@ def load_dataset(path: str | Path,
                 errors.append(exc)
 
 
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
+def _atomic_write(path: Path, chunks: Iterable) -> None:
+    """Write each buffer of ``chunks`` in turn to a temp file, then rename it to ``path``.
+
+    ``chunks`` may be a generator, so the caller never holds the whole
+    payload; if it raises, neither ``path`` nor the temp file is left.
+    """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -223,15 +245,38 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write(path, [text.encode("utf-8")])
 
 
 def save_dataset(records: Sequence[SceneRecord], path: str | Path) -> int:
+    """Write records as JSONL; one that load_dataset would reject is a DatasetError.
+
+    The error names the scene and the field, and no file is written.
+    """
     path = Path(path)
+    lines = []
+    for r in records:
+        def fail(fieldname: str, message: str) -> DatasetError:
+            return DatasetError(f"scene {r.scene_id!r}: cannot save field {fieldname!r} "
+                                f"({message})")
+        _check_scalars(r.scene_id, r.frame_rate, fail)
+        for i, a in enumerate(r.agents):
+            _check_agent_scalars(i, a.agent_id, a.is_main, fail)
+        obj = r.to_json_obj()
+        try:
+            lines.append(json.dumps(obj, separators=(",", ":"), allow_nan=False))
+        except ValueError:
+            raise fail(_non_finite_field(obj), "non-finite coordinate") from None
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps(r.to_json_obj(), separators=(",", ":")) for r in records]
     _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
     return len(lines)
+
+
+def _non_finite_field(obj: dict) -> str:
+    """The first coordinate list of a record object that holds NaN or inf."""
+    coords = [(f"map_polylines[{i}]", p) for i, p in enumerate(obj["map_polylines"])]
+    coords += [(f"agents[{i}].positions", a["positions"]) for i, a in enumerate(obj["agents"])]
+    return next(name for name, v in coords if not np.isfinite(np.asarray(v, float)).all())
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A define-by-run tape: operations executed while a GradientTape is active
-append a node holding their inputs and a backward closure. Values are
+append a node holding their inputs and a backward closure. A tape runs
+backward once: each node, with the output it keeps alive, is dropped as
+soon as its closure has run, so the gradients take the place of the
+activations they replace and the tape ends empty. Values are
 numpy arrays and every op keeps its inputs' dtype: the model picks the
 dtype (float32 for training, float64 for gradient checking) when it
 creates its parameters and inputs.
@@ -28,7 +31,7 @@ class DisconnectedLossError(ValueError):
 class Tensor:
     """A numpy array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
@@ -82,15 +85,19 @@ class _Node:
 
 
 class GradientTape:
-    """Records one forward pass; backward() walks nodes in reverse order."""
+    """Records one forward pass; backward() consumes it, node by node in reverse order.
+
+    A second backward() on the same tape is a DisconnectedLossError.
+    """
 
     _stack: list["GradientTape"] = []
 
     def __init__(self):
         self._nodes: list[_Node] = []
         self._out_ids: set[int] = set()
-        # keep outputs alive so id()s stay unique for the tape's lifetime
+        # keep outputs alive so id()s stay unique until backward frees them
         self._retained: list[Tensor] = []
+        self._ran = False
 
     def __enter__(self) -> "GradientTape":
         GradientTape._stack.append(self)
@@ -110,14 +117,21 @@ class GradientTape:
         self._retained.append(out)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad."""
+        """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad, emptying the tape."""
+        if self._ran:
+            raise DisconnectedLossError("this tape's backward has already run; record a new tape")
         if loss.data.size != 1:
             raise ShapeMismatchError(f"loss must be scalar, got shape {loss.shape}")
         if id(loss) not in self._out_ids:
             raise DisconnectedLossError("loss was not produced under this tape")
+        self._ran = True
 
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for node in reversed(self._nodes):
+        while self._nodes:
+            # parents precede their consumers, so ids still pending stay unique
+            node = self._nodes.pop()
+            self._retained.pop()
+            self._out_ids.discard(node.out_id)
             g = grads.pop(node.out_id, None)
             if g is None:
                 continue

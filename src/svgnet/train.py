@@ -98,13 +98,17 @@ class AdamW:
             denom = np.sqrt(v / bc2) + cfg.eps
             p.data -= lr * (m / bc1) / denom
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
+    def live_state(self) -> dict[str, np.ndarray]:
+        """The live moment arrays in checkpoint order, then the step count."""
         out = {}
         for name in self.params:
-            out[f"m.{name}"] = self.m[name].copy()
-            out[f"v.{name}"] = self.v[name].copy()
+            out[f"m.{name}"] = self.m[name]
+            out[f"v.{name}"] = self.v[name]
         out["step"] = np.array([self.step_count], dtype=np.float32)
         return out
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {key: arr.copy() for key, arr in self.live_state().items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         for name, p in self.params.items():
@@ -196,13 +200,18 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
             log.append({"epoch": epoch, "step": step, "lr": lr_at(step, cfg, steps_per_epoch),
                         "loss": None, "val_ade": ade, "val_fde": fde})
         if out_dir is not None:
-            save_checkpoint(model.state_arrays(), out_dir / f"model_epoch{epoch:03d}")
+            save_checkpoint(_weights(model), out_dir / f"model_epoch{epoch:03d}")
 
     if out_dir is not None:
-        save_checkpoint(model.state_arrays(), out_dir / "model_final")
-        save_checkpoint(optimizer.state_arrays(), out_dir / "optimizer_final")
+        save_checkpoint(_weights(model), out_dir / "model_final")
+        save_checkpoint(optimizer.live_state(), out_dir / "optimizer_final")
         write_loss_log(log, out_dir / "loss_log.jsonl")
     return log
+
+
+def _weights(model: SvgNet) -> dict[str, np.ndarray]:
+    """The live parameter arrays, in state_arrays() order, for saving without a copy."""
+    return {name: p.data for name, p in model.parameters().items()}
 
 
 def write_loss_log(log: list[dict], path: str | Path) -> None:

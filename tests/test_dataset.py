@@ -144,6 +144,25 @@ class TestJsonl:
             list(load_dataset(path))
         assert info.value.field == (key if key == "frame_rate" else f"agents[1].{key}")
 
+    @pytest.mark.parametrize("field, value", [
+        ("frame_rate", float("nan")), ("scene_id", 5), ("agents[1].agent_id", None),
+        ("agents[1].is_main", np.bool_(False)), ("map_polylines[0]", float("inf"))],
+        ids=["rate-nan", "id-number", "agent-id-null", "main-numpy-bool", "map-inf"])
+    def test_save_rejects_what_load_rejects(self, tmp_path, field, value):
+        # before, the first three were written and then failed to load, the
+        # numpy bool was an untyped TypeError and the inf was written as Infinity
+        bad = straight_record(scene_id="bad", extra_agents=1)
+        if field.startswith("agents"):
+            setattr(bad.agents[1], field.split(".")[1], value)
+        elif field == "map_polylines[0]":
+            bad.map_polylines[0][3, 1] = value
+        else:
+            setattr(bad, field, value)
+        path = tmp_path / "sub" / "data.jsonl"
+        with pytest.raises(DatasetError, match=rf"scene {bad.scene_id!r}: .*'{re.escape(field)}'"):
+            save_dataset([straight_record(), bad], path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPolylinesToSvg:
     """normalize_sample's conversion of map polylines to lane chunks."""

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -119,12 +121,33 @@ class TestBackward:
 
     def test_backward_accumulates(self):
         p = Parameter("p", np.array([3.0]))
+        grads = []
+        for _ in range(2):
+            with GradientTape() as tape:
+                tape.backward(T.tsum(T.mul(p, p)))
+            grads.append(p.grad.copy())
+        np.testing.assert_allclose(grads[1], 2 * grads[0])
+
+    def test_second_backward_on_one_tape_raises(self):
+        p = Parameter("p", np.array([3.0]))
         with GradientTape() as tape:
             loss = T.tsum(T.mul(p, p))
             tape.backward(loss)
-            g1 = p.grad.copy()
-            tape.backward(loss)
-        np.testing.assert_allclose(p.grad, 2 * g1)
+            with pytest.raises(DisconnectedLossError, match="already run"):
+                tape.backward(loss)
+        np.testing.assert_allclose(p.grad, [6.0])
+
+    def test_backward_frees_intermediates(self):
+        p = Parameter("p", np.ones((4, 4)))
+        with GradientTape() as tape:
+            hidden = T.relu(T.matmul(p, p))
+            loss = T.tsum(T.mul(hidden, hidden))
+        ref = weakref.ref(hidden)
+        del hidden
+        assert ref() is not None
+        tape.backward(loss)
+        assert ref() is None
+        assert not tape._nodes and not tape._retained and not tape._out_ids
 
     def test_disconnected_loss(self):
         p = Parameter("p", np.array([1.0]))

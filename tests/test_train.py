@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from model_helpers import random_batch, tiny_config
 from svgnet import tensor as T
 from svgnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from svgnet.dataset import IngestConfig
+from svgnet.dataset import IngestConfig, _atomic_write
 from svgnet.metrics import EmptyInputError
 from svgnet.gradcheck import grad_check
 from svgnet.model import SvgNet
@@ -173,6 +174,48 @@ class TestCheckpoint:
         blob.write_bytes(data + b"\0" * size_change if size_change > 0
                          else data[:size_change])
         with pytest.raises(CheckpointError):
+            load_checkpoint(tmp_path / "c")
+
+    @pytest.mark.parametrize("arr", [
+        np.arange(12, dtype=np.float32).reshape(3, 4),
+        np.linspace(-1, 1, 12).reshape(3, 4),
+        np.arange(12, dtype=np.float32).reshape(3, 4).T,
+        np.arange(12, dtype=">f4").reshape(3, 4)],
+        ids=["float32", "float64", "transposed", "big-endian"])
+    def test_streamed_blob_equals_tobytes(self, tmp_path, arr):
+        head = np.ones(5, np.float32)
+        save_checkpoint({"head": head, "x": arr}, tmp_path / "c")
+        expected = head.tobytes() + np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        assert (tmp_path / "c.bin").read_bytes() == expected
+        np.testing.assert_array_equal(load_checkpoint(tmp_path / "c")["x"], arr.astype("<f4"))
+
+    def test_chunk_that_raises_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield b"first"
+            raise RuntimeError("conversion failed")
+        with pytest.raises(RuntimeError):
+            _atomic_write(tmp_path / "out.bin", chunks())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unconvertible_array_writes_neither_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            save_checkpoint({"a": np.ones(3, np.float32), "b": np.array(["x"])}, tmp_path / "c")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("params", [
+        [{"name": "a", "shape": [-4], "offset": 0}, {"name": "b", "shape": [10], "offset": 0}],
+        [{"name": "a", "shape": [2.5], "offset": 0}, {"name": "b", "shape": [10], "offset": 0}],
+        [{"name": "a", "shape": [6], "offset": "0"}, {"name": "b", "shape": [4], "offset": 6}],
+        [{"name": "a", "shape": [6], "offset": 0}, {"name": "b", "shape": [4], "offset": 4},
+         {"name": "c", "shape": [2], "offset": 8}]],
+        ids=["negative-dim", "fractional-dim", "string-offset", "overlap"])
+    def test_manifest_entries_must_tile_the_blob(self, tmp_path, params):
+        # before, the negative dim and the overlap loaded silently as wrong
+        # arrays, and the other two raised an untyped TypeError
+        save_checkpoint({"a": np.arange(6, dtype=np.float32), "b": np.ones(4, np.float32)},
+                        tmp_path / "c")
+        (tmp_path / "c.json").write_text(json.dumps({"format_version": 1, "params": params}))
+        with pytest.raises(CheckpointError, match="c.json: entry"):
             load_checkpoint(tmp_path / "c")
 
 
