@@ -14,10 +14,19 @@ L = W_p + W_a + 1 positions: W is the most real elements of that kind in
 any sample of the batch, and each sample's elements sit at the front of
 their kind's positions in slot order. The scene encoder runs once on the
 real paths and the history encoder once on the real agents followed by
-the main agents; one gather places their latents. The input mode masks
-the inputs: a kind it leaves out has no real element, so it is not
-encoded and has W = 0. Neither the fusion sequence's work nor its
-outputs depend on the n_paths/n_agents caps.
+the main agents. The input mode masks the inputs: a kind it leaves out
+has no real element, so it is not encoded and has W = 0. Neither the
+fusion sequence's work nor its outputs depend on the n_paths/n_agents
+caps.
+
+Both transformers work on real rows only: the scene encoder's rows are
+the real commands of its paths, one block of N_C positions per path,
+and the fusion decoder's rows are the latents, one block of L positions
+per sample. A place index puts each row at its position of its block,
+with R (the row count) at an empty position; only the attention reads
+it, and it treats an empty position as a hidden key. So the outputs are
+those of dense layers run on every padded slot with the padding hidden
+by the attention key mask.
 """
 
 from __future__ import annotations
@@ -192,14 +201,7 @@ class _Linear:
         self.b = pf.zeros(f"{name}.b", (d_out,)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim == 2:
-            h = T.matmul(x, self.w)
-            return h if self.b is None else T.add(h, self.b)
-        lead = x.shape[:-1]
-        h = T.matmul(T.reshape(x, (-1, x.shape[-1])), self.w)
-        if self.b is not None:
-            h = T.add(h, self.b)
-        return T.reshape(h, lead + (self.w.shape[1],))
+        return T.linear(x, self.w, self.b)
 
 
 class _LayerNorm:
@@ -209,7 +211,7 @@ class _LayerNorm:
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.mul(T.layer_norm(x, axis=-1, eps=self.eps), self.gamma), self.beta)
+        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
 
 
 class _ResidualBlock:
@@ -224,11 +226,16 @@ class _ResidualBlock:
 
 
 class _TransformerLayer:
-    """Pre-norm multi-head self-attention block with an MLP sublayer."""
+    """Pre-norm multi-head self-attention block with an MLP sublayer.
+
+    Takes (R, d_m) rows and an (n, t) place index that puts them into n
+    blocks of t positions, with R at an empty position (see
+    ``T.scaled_dot_product_attention``). Every dense sublayer runs on the
+    R rows only; each row attends over the rows of its own block.
+    """
 
     def __init__(self, pf: _ParamFactory, name: str, d_m: int, n_heads: int):
         self.n_heads = n_heads
-        self.d_head = d_m // n_heads
         self.ln1 = _LayerNorm(pf, f"{name}.ln1", d_m)
         # no q/k biases: a key bias shifts every logit in a row equally,
         # which softmax cancels, leaving a parameter with exactly zero grad
@@ -240,18 +247,10 @@ class _TransformerLayer:
         self.ffn1 = _Linear(pf, f"{name}.ffn.l1", d_m, 2 * d_m)
         self.ffn2 = _Linear(pf, f"{name}.ffn.l2", 2 * d_m, d_m)
 
-    def _heads(self, x: Tensor, n: int, t: int) -> Tensor:
-        return T.swapaxes(T.reshape(x, (n, t, self.n_heads, self.d_head)), 1, 2)
-
-    def __call__(self, x: Tensor, key_mask: np.ndarray, record: list | None = None) -> Tensor:
-        n, t, d_m = x.shape
+    def __call__(self, x: Tensor, place: np.ndarray, record: list | None = None) -> Tensor:
         h = self.ln1(x)
-        q = self._heads(self.wq(h), n, t)
-        k = self._heads(self.wk(h), n, t)
-        v = self._heads(self.wv(h), n, t)
-        mask = key_mask[:, None, None, :]
-        att = T.scaled_dot_product_attention(q, k, v, mask=mask, record=record)
-        att = T.reshape(T.swapaxes(att, 1, 2), (n, t, d_m))
+        att = T.scaled_dot_product_attention(self.wq(h), self.wk(h), self.wv(h), place,
+                                             self.n_heads, record)
         x = T.add(x, self.wo(att))
         h = self.ln2(x)
         return T.add(x, self.ffn2(T.relu(self.ffn1(h))))
@@ -263,10 +262,10 @@ class _TransformerStack:
                        for i in range(n_layers)]
         self.final_ln = _LayerNorm(pf, f"{name}.final_ln", d_m)
 
-    def __call__(self, x: Tensor, key_mask: np.ndarray, record: list | None = None) -> Tensor:
+    def __call__(self, x: Tensor, place: np.ndarray, record: list | None = None) -> Tensor:
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            x = layer(x, key_mask, record=record if i == last else None)
+            x = layer(x, place, record=record if i == last else None)
         return self.final_ln(x)
 
 
@@ -274,7 +273,9 @@ class SceneEncoder:
     """Per-path transformer over embedded command vectors, pooled to d_z.
 
     Maps n paths' command rows, kinds (n, N_C), args (n, N_C, 6) and
-    cmd_mask (n, N_C), to (n, d_z) latents.
+    cmd_mask (n, N_C), to (n, d_z) latents. Only the real commands are
+    embedded and run through the stack, as rows placed at their command
+    slot of their path's block.
     """
 
     def __init__(self, pf: _ParamFactory, cfg: ModelConfig):
@@ -295,14 +296,19 @@ class SceneEncoder:
         return T.add(T.embedding_lookup(self.kind_embed, kinds), arg_vecs)
 
     def __call__(self, kinds: np.ndarray, args: np.ndarray, cmd_mask: np.ndarray) -> Tensor:
-        n_c = kinds.shape[1]
-        x = T.add_const(self.embed_commands(kinds, args), self.pos_enc[None, :n_c, :])
-        x = self.stack(x, cmd_mask)
-        # masked mean over real command positions; a path with no real
-        # command pools to 0
-        x = T.mul_const(x, cmd_mask[:, :, None])
+        real = cmd_mask > 0
+        n_real = int(real.sum())
+        place = np.full(real.shape, n_real)
+        place[real] = np.arange(n_real)
+        x = T.add_const(self.embed_commands(kinds[real], args[real]),
+                        self.pos_enc[np.nonzero(real)[1]])
+        x = self.stack(x, place)
+        # mean over each path's real commands, summed in slot order with
+        # zeros at the empty slots; a path with no real command pools to 0
+        zero = Tensor(np.zeros((1, self.cfg.d_m), x.data.dtype))
+        slots = T.embedding_lookup(T.concat([x, zero], axis=0), place)
         counts = np.maximum(cmd_mask.sum(axis=1), 1.0)
-        pooled = T.mul_const(T.tsum(x, axis=1), (1.0 / counts)[:, None])
+        pooled = T.mul_const(T.tsum(slots, axis=1), (1.0 / counts)[:, None])
         return self.pool(pooled)
 
 
@@ -338,14 +344,16 @@ class Decoder:
         self.head2 = _Linear(pf, "decoder.head.l2", cfg.d_f, cfg.d_f)
         self.head3 = _Linear(pf, "decoder.head.l3", cfg.d_f, cfg.d_out)
 
-    def __call__(self, elems: Tensor, kinds: np.ndarray, fusion_mask: np.ndarray,
+    def __call__(self, elems: Tensor, kinds: np.ndarray, place: np.ndarray,
                  main_history: Tensor, record: list) -> Tensor:
-        """elems (B, L, d_z) with kinds (L,); the main agent is position L - 1."""
+        """elems (R, d_z) rows of kinds (R,), placed into the (B, L) fusion
+        sequences by place (R at an empty position); the last B rows are
+        the main agents, one per sample, at position L - 1."""
         x = self.input(elems)
         x = T.add(x, T.embedding_lookup(self.type_embed, kinds))
-        # the main-agent key is always visible, so no fusion row is fully masked
-        x = self.stack(x, fusion_mask, record=record)
-        r = T.take_index(x, axis=1, index=x.shape[1] - 1)
+        x = self.stack(x, place, record=record)
+        n_rows = x.shape[0]
+        r = T.embedding_lookup(x, np.arange(n_rows - place.shape[0], n_rows))
         for block in self.blocks:
             r = block(r)
         prof = self.prof2(T.relu(self.prof1(main_history)))
@@ -395,7 +403,7 @@ class SvgNet:
                 raise CheckpointError(
                     f"parameter {name!r}: checkpoint shape {arrays[name].shape}, "
                     f"model shape {p.shape}")
-            p.data = arrays[name].astype(p.data.dtype)
+            p.data[...] = arrays[name]
 
     # -- forward ------------------------------------------------------------
 
@@ -430,12 +438,12 @@ class SvgNet:
         histories = np.concatenate([batch.agent_histories.reshape(-1, cfg.d_h)[agents],
                                     batch.main_history])
         latents.append(self.history_encoder(Tensor(histories.astype(dt))))
-        latents.append(Tensor(np.zeros((1, cfg.d_z), dt)))   # the empty places' row
-        elems = T.embedding_lookup(T.concat(latents, axis=0), place)
+        row_kinds = np.repeat(np.arange(N_ELEMENT_TYPES), [paths.size, agents.size, len(batch)])
 
         rec: list = []
         mask = self.fusion_mask(batch)
-        pred = self.decoder(elems, kinds, mask, Tensor(batch.main_history.astype(dt)), rec)
+        pred = self.decoder(T.concat(latents, axis=0), row_kinds, place,
+                            Tensor(batch.main_history.astype(dt)), rec)
         # rec[-1] is the last fusion layer's (B, H, L, L) attention
         record = AttentionRecord(scores=rec[-1][:, :, -1, :].mean(axis=1),
                                  n_paths=int((kinds == 0).sum()),

@@ -47,7 +47,11 @@ class Tensor:
         return self.data.ndim
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        """Zero the gradient in its existing buffer (allocated on first use)."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        else:
+            self.grad[...] = 0
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -342,11 +346,19 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w + b with x of shape (..., d_in)."""
+    """x @ w + b for x of shape (rows, d_in).
+
+    The product is one ``matmul`` node. The bias is added into that
+    node's output buffer in place, which is safe because matmul's
+    backward reads only its inputs, and a second node passes the
+    gradient through and sums it over rows for b; so the tape keeps one
+    buffer for the layer.
+    """
     out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+    if b is None:
+        return out
+    out.data += b.data
+    return _make(out.data, (out, b), lambda g: (g, _unbroadcast(g, b.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,24 +378,39 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def layer_norm(a, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean / unit variance along one axis (no affine)."""
+def layer_norm(a, gamma: Tensor | None = None, beta: Tensor | None = None,
+               axis: int = -1, eps: float = 1e-5) -> Tensor:
+    """Normalize to zero mean / unit variance along one axis, then, when
+    given, scale by gamma and shift by beta (both or neither).
+
+    One node, which keeps the normalized input besides its output.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if (gamma is None) != (beta is None):
+        raise ValueError("layer_norm takes gamma and beta together")
     a = _as_tensor(a)
     mean = a.data.mean(axis=axis, keepdims=True)
     centered = a.data - mean
     var = (centered * centered).mean(axis=axis, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    n = a.shape[axis]
+    affine = () if gamma is None else (gamma, beta)
+    out = xhat
+    if affine:
+        out = xhat * gamma.data
+        out += beta.data
 
     def backward(g):
+        grads = ()
+        if affine:
+            grads = (_unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape))
+            g = g * gamma.data
         gm = g.mean(axis=axis, keepdims=True)
         gx = (g * xhat).mean(axis=axis, keepdims=True)
-        return ((g - gm - xhat * gx) * inv_std,)
+        return ((g - gm - xhat * gx) * inv_std,) + grads
 
-    return _make(xhat, (a,), backward)
+    return _make(out, (a,) + affine, backward)
 
 
 def embedding_lookup(table: Tensor, indices) -> Tensor:
@@ -409,23 +436,70 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     return _make(out, (table,), backward)
 
 
-def scaled_dot_product_attention(q, k, v, mask=None, record: list | None = None) -> Tensor:
-    """softmax(q kT / sqrt(d) + (mask - 1) * MASK_LARGE) v.
+def scaled_dot_product_attention(q, k, v, place, n_heads: int,
+                                 record: list | None = None) -> Tensor:
+    """Multi-head self-attention within blocks of placed rows, as one node.
 
-    mask holds 1 for visible keys and 0 for hidden ones, broadcastable to
-    the logit shape (..., Tq, Tk); a hidden key gets a weight of exactly 0
-    in any row that has a visible key. A row whose keys are all hidden
-    stays finite but mixes hidden values, so the caller must discard its
-    output. When ``record`` is a list, the attention weight array is
-    appended to it.
+    q, k and v hold (R, d_m) rows. place is an (n, t) index: entry
+    [i, j] is the row at position j of block i, or R where that position
+    is empty, and each row sits at exactly one position, in any order.
+    The rows are put into zero-filled (n, H, t, d_m / H) blocks, and
+    each block computes softmax(q kT / sqrt(d_m / H) + (mask - 1) *
+    MASK_LARGE) v, where mask is 0 at its empty keys. An empty key so
+    gets a weight of exactly 0 in any block that holds a row, and a
+    row's output depends only on the rows of its own block. The output
+    is gathered back to (R, d_m) in row order. The node keeps only the
+    attention weights: its backward rebuilds the blocks from q, k and v.
+    When ``record`` is a list, the (n, H, t, t) weights are appended to
+    it.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    d = q.shape[-1]
-    logits = scale(matmul(q, swapaxes(k, -1, -2)), 1.0 / math.sqrt(d))
-    if mask is not None:
-        mask_arr = np.asarray(mask, dtype=logits.data.dtype)
-        logits = add_const(logits, (mask_arr - 1.0) * MASK_LARGE)
-    attn = softmax(logits, axis=-1)
+    n_rows, d_m = q.shape
+    if k.shape != q.shape or v.shape != q.shape:
+        raise ShapeMismatchError(f"q, k and v differ: {q.shape}, {k.shape}, {v.shape}")
+    if d_m % n_heads:
+        raise ShapeMismatchError(f"d_m={d_m} is not divisible by n_heads={n_heads}")
+    place = np.asarray(place)
+    n, t = place.shape
+    flat = place.reshape(-1)
+    real = flat < n_rows
+    at = np.flatnonzero(real)
+    rows = flat[at]
+    order = np.argsort(rows)
+    if not np.array_equal(rows[order], np.arange(n_rows)) or (flat.size and flat.max() > n_rows):
+        raise IndexError("place must hold each of the R rows once and R at empty positions")
+    at = at[order]                            # the position of each row
+    d_h = d_m // n_heads
+    dt = q.data.dtype
+
+    def blocks(x: np.ndarray) -> np.ndarray:
+        out = np.zeros((n * t, d_m), dt)
+        out[at] = x
+        return np.swapaxes(out.reshape(n, t, n_heads, d_h), 1, 2)
+
+    def unblock(x: np.ndarray) -> np.ndarray:
+        return np.swapaxes(x, 1, 2).reshape(n * t, d_m)[at]
+
+    s = 1.0 / math.sqrt(d_h)
+    attn = blocks(q.data) @ np.swapaxes(blocks(k.data), -1, -2)
+    attn *= s
+    attn += (real.reshape(n, 1, 1, t).astype(dt) - 1.0) * MASK_LARGE
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     if record is not None:
-        record.append(attn.data)
-    return matmul(attn, v)
+        record.append(attn)
+    out = unblock(attn @ blocks(v.data))
+
+    def backward(g):
+        gb = blocks(g)
+        gv = np.swapaxes(attn, -1, -2) @ gb
+        gl = gb @ np.swapaxes(blocks(v.data), -1, -2)
+        gl -= (gl * attn).sum(axis=-1, keepdims=True)
+        gl *= attn
+        gl *= s
+        gq = gl @ blocks(k.data)
+        gk = np.swapaxes(gl, -1, -2) @ blocks(q.data)
+        return unblock(gq), unblock(gk), unblock(gv)
+
+    return _make(out, (q, k, v), backward)

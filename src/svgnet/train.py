@@ -70,14 +70,25 @@ def lr_at(step: int, cfg: TrainConfig, steps_per_epoch: int) -> float:
 
 
 class AdamW:
-    """Decoupled weight decay plus bias-corrected adaptive moments."""
+    """Decoupled weight decay plus bias-corrected adaptive moments.
+
+    Each parameter's moments are allocated at the first step, after
+    backward has freed the tape, so they do not add to the peak memory
+    of the first training step.
+    """
 
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
         self.params = params
         self.cfg = cfg
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
         self.step_count = 0
+
+    def _moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        if name not in self.m:
+            self.m[name] = np.zeros_like(self.params[name].data)
+            self.v[name] = np.zeros_like(self.params[name].data)
+        return self.m[name], self.v[name]
 
     def step(self, lr: float) -> None:
         cfg = self.cfg
@@ -87,8 +98,7 @@ class AdamW:
         bc2 = 1.0 - cfg.beta2 ** t
         for name, p in self.params.items():
             g = p.grad
-            m = self.m[name]
-            v = self.v[name]
+            m, v = self._moments(name)
             m *= cfg.beta1
             m += (1.0 - cfg.beta1) * g
             v *= cfg.beta2
@@ -102,8 +112,7 @@ class AdamW:
         """The live moment arrays in checkpoint order, then the step count."""
         out = {}
         for name in self.params:
-            out[f"m.{name}"] = self.m[name]
-            out[f"v.{name}"] = self.v[name]
+            out[f"m.{name}"], out[f"v.{name}"] = self._moments(name)
         out["step"] = np.array([self.step_count], dtype=np.float32)
         return out
 

@@ -1,10 +1,15 @@
-"""Small model configs and random batches shared by the model, train and metrics tests."""
+"""Small model configs, random batches and the padded forward-pass oracle shared by
+the model, train and metrics tests."""
+
+import math
 
 import numpy as np
 
+from svgnet import tensor as T
 from svgnet.dataset import Batch
-from svgnet.model import ModelConfig
+from svgnet.model import ModelConfig, SvgNet
 from svgnet.svg import CommandKind
+from svgnet.tensor import Tensor
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -50,3 +55,95 @@ def random_batch(cfg: ModelConfig, batch_size: int, rng, with_targets: bool = Tr
         main_history=rng.normal(0, 5, (b, 2 * cfg.t_obs)),
         agent_histories=agent_hist, agent_mask=agent_mask, targets=targets, frame_to_city=f2c,
         scene_ids=[f"s{i}" for i in range(b)], path_ids=path_ids, agent_ids=agent_ids)
+
+
+# ---------------------------------------------------------------------------
+# The padded oracle: SvgNet's forward pass as it ran before the transformer
+# layers took real rows only. Every sublayer runs on all n * t slots, the
+# attention is built from matmul and softmax ops with a block key mask, and
+# the fusion decoder reads a zero-filled (B, L, d_z) sequence.
+# ---------------------------------------------------------------------------
+
+def _linear(lin, x):
+    lead = x.shape[:-1]
+    h = T.matmul(T.reshape(x, (-1, x.shape[-1])), lin.w)
+    if lin.b is not None:
+        h = T.add(h, lin.b)
+    return T.reshape(h, lead + (lin.w.shape[1],))
+
+
+def _layer_norm(ln, x):
+    return T.add(T.mul(T.layer_norm(x, eps=ln.eps), ln.gamma), ln.beta)
+
+
+def _padded_layer(layer, x, key_mask, record):
+    n, t, d_m = x.shape
+    n_heads = layer.n_heads
+
+    def heads(y):
+        return T.swapaxes(T.reshape(y, (n, t, n_heads, d_m // n_heads)), 1, 2)
+
+    h = _layer_norm(layer.ln1, x)
+    q, k, v = (heads(_linear(lin, h)) for lin in (layer.wq, layer.wk, layer.wv))
+    logits = T.scale(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / math.sqrt(d_m // n_heads))
+    mask = np.asarray(key_mask[:, None, None, :], dtype=logits.data.dtype)
+    attn = T.softmax(T.add_const(logits, (mask - 1.0) * T.MASK_LARGE), axis=-1)
+    record.append(attn.data)
+    att = T.reshape(T.swapaxes(T.matmul(attn, v), 1, 2), (n, t, d_m))
+    x = T.add(x, _linear(layer.wo, att))
+    h = _layer_norm(layer.ln2, x)
+    return T.add(x, _linear(layer.ffn2, T.relu(_linear(layer.ffn1, h))))
+
+
+def _padded_stack(stack, x, key_mask, record):
+    for layer in stack.layers:
+        x = _padded_layer(layer, x, key_mask, record)
+    return _layer_norm(stack.final_ln, x)
+
+
+def _residual(block, x):
+    return T.add(x, _linear(block.l2, T.relu(_linear(block.l1, x))))
+
+
+def padded_forward(model: SvgNet, batch: Batch, empty_noise=None):
+    """(prediction Tensor, (B, L) main-agent scores) computed on padded slots.
+
+    empty_noise, a (B, L, d_z) array, is added to the fusion sequence's
+    placed latents at its empty positions.
+    """
+    cfg, dt = model.cfg, model.dtype
+    enc, hist, dec = model.scene_encoder, model.history_encoder, model.decoder
+    (paths, agents, _), place, kinds = model._layout(batch)
+    latents = []
+    if paths.size:
+        n_c = batch.command_kinds.shape[2]
+        kinds_c = batch.command_kinds.reshape(-1, n_c)[paths]
+        args = batch.command_args.reshape(-1, n_c, 6)[paths]
+        cmd_mask = batch.command_mask.reshape(-1, n_c)[paths]
+        x = T.add_const(enc.embed_commands(kinds_c, args), enc.pos_enc[None, :n_c, :])
+        x = T.mul_const(_padded_stack(enc.stack, x, cmd_mask, []), cmd_mask[:, :, None])
+        counts = np.maximum(cmd_mask.sum(axis=1), 1.0)
+        latents.append(_linear(enc.pool, T.mul_const(T.tsum(x, axis=1), (1.0 / counts)[:, None])))
+    h = Tensor(np.concatenate([batch.agent_histories.reshape(-1, cfg.d_h)[agents],
+                               batch.main_history]).astype(dt))
+    h = _linear(hist.input, h)
+    for block in hist.blocks:
+        h = _residual(block, h)
+    latents.append(_linear(hist.output, h))
+    latents.append(Tensor(np.zeros((1, cfg.d_z), dt)))
+    elems = T.embedding_lookup(T.concat(latents, axis=0), place)
+    mask = model.fusion_mask(batch)
+    if empty_noise is not None:
+        elems = T.add_const(elems, empty_noise * (1.0 - mask)[:, :, None])
+
+    record = []
+    x = T.add(_linear(dec.input, elems), T.embedding_lookup(dec.type_embed, kinds))
+    x = _padded_stack(dec.stack, x, mask, record)
+    r = T.take_index(x, axis=1, index=x.shape[1] - 1)
+    for block in dec.blocks:
+        r = _residual(block, r)
+    main = Tensor(batch.main_history.astype(dt))
+    prof = _linear(dec.prof2, T.relu(_linear(dec.prof1, main)))
+    h = T.relu(_linear(dec.head1, T.concat([r, prof], axis=1)))
+    pred = _linear(dec.head3, T.relu(_linear(dec.head2, h)))
+    return pred, record[-1][:, :, -1, :].mean(axis=1)

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from model_helpers import random_batch, tiny_config
+from model_helpers import padded_forward, random_batch, tiny_config
 from svgnet import tensor as T
+from svgnet.checkpoint import load_checkpoint, save_checkpoint
 from svgnet.dataset import IngestConfig, make_batch, normalize_sample
 from svgnet.gradcheck import grad_check
-from svgnet.model import (AttentionRecord, ModelConfig, SvgNet, extract_attention,
+from svgnet.model import (INPUT_MODES, AttentionRecord, ModelConfig, SvgNet, extract_attention,
                           sinusoidal_encoding)
 from svgnet.svg import CommandKind
 from svgnet.synth import SynthConfig, generate_records
-from svgnet.tensor import GradientTape, Tensor
+from svgnet.tensor import GradientTape, Parameter, Tensor
 from svgnet.train import mse_loss
 
 
@@ -109,24 +110,29 @@ class TestForward:
         cfg = tiny_config()
         model = SvgNet(cfg, seed=3, dtype=np.float64)
         # a non-zero pool bias makes every encoded path latent non-zero, so
-        # only the fusion key mask keeps the empty places out of the prediction
+        # only the attention's key mask keeps the empty places out of the
+        # prediction
         model.scene_encoder.pool.b.data[:] = rng.normal(0, 1, cfg.d_z)
         batch = random_batch(cfg, 2, rng, n_real_paths=2, n_real_agents=1)
         batch.path_mask[1, 1] = 0.0   # sample 1 keeps one real path: one empty place
         batch.command_mask[1, 1] = 0.0
         decoder = model.decoder
-        placed = []
+        seen = []
 
-        def spy_decoder(elems, kinds, *rest):
-            placed.append(elems.data[:, kinds == 0])
-            return decoder(elems, kinds, *rest)
+        def spy_decoder(elems, kinds, place, *rest):
+            seen.append((elems.data, kinds, place))
+            return decoder(elems, kinds, place, *rest)
 
         model.decoder = spy_decoder
         base = model.predict(batch)
-        latents = placed[0]   # the placed path latents
-        empty = np.array([[False, False], [False, True]])
-        assert latents.shape == (2, 2, cfg.d_z)
-        assert (latents[~empty] != 0).all() and (latents[empty] == 0).all()
+        # the decoder gets a row for each real path, agent and main agent
+        # only, and the empty place points past the rows
+        rows, kinds, place = seen[0]
+        assert list(kinds) == [0, 0, 0, 1, 1, 2, 2]
+        assert (rows[kinds == 0] != 0).all()
+        empty = np.array([[False, False, False, False], [False, True, False, False]])
+        assert np.array_equal(place == len(rows), empty)
+        model.decoder = decoder
         mutated = batch.take(np.arange(2))
         # rewrite only masked slots: padded paths, padded agents, padded commands
         am = mutated.agent_mask.astype(bool)
@@ -138,17 +144,10 @@ class TestForward:
         mutated.agent_histories[~am] = rng.normal(0, 9, mutated.agent_histories.shape)[~am]
         assert not (mutated.command_kinds == batch.command_kinds).all()
         assert (model.predict(mutated) == base).all()
-        # any value at an empty place of the placed path latents leaves the
-        # prediction unchanged
-        noise = rng.normal(0, 9, latents.shape) * empty[:, :, None]
-
-        def noisy_decoder(elems, kinds, *rest):
-            at_paths = np.zeros(elems.shape)
-            at_paths[:, kinds == 0] = noise
-            return decoder(T.add_const(elems, at_paths), kinds, *rest)
-
-        model.decoder = noisy_decoder
-        assert (model.predict(mutated) == base).all()
+        # the padded oracle, given any value at the empty place of its
+        # zero-filled fusion sequence, predicts the same bits
+        noise = rng.normal(0, 9, (2, 4, cfg.d_z))
+        assert (padded_forward(model, mutated, empty_noise=noise)[0].data == base).all()
 
     def test_batch_consistency(self, rng):
         cfg = tiny_config()
@@ -197,23 +196,31 @@ class TestPacking:
         batch = random_batch(cfg, 3, rng)
         assert batch.path_mask.sum() < batch.path_mask.size   # some padding to skip
         seen = {}
-        stack, history = model.scene_encoder.stack, model.history_encoder
+        stacks = {"scene": model.scene_encoder.stack, "fusion": model.decoder.stack}
+        history = model.history_encoder
 
-        def spy_stack(x, key_mask, record=None):
-            seen["paths"] = x.shape[0]
-            return stack(x, key_mask, record)
+        def spy(name):
+            def spy_stack(x, place, record=None):
+                seen[name] = (x.shape[0], place.shape)
+                return stacks[name](x, place, record)
+            return spy_stack
 
         def spy_history(h):
             seen.setdefault("histories", []).append(h.shape[0])
             return history(h)
 
-        model.scene_encoder.stack, model.history_encoder = spy_stack, spy_history
+        model.scene_encoder.stack, model.decoder.stack = spy("scene"), spy("fusion")
+        model.history_encoder = spy_history
         model.predict(batch)
-        # one history-encoder pass: the real agents, then every sample's main agent
-        assert seen == {"paths": batch.path_mask.sum(),
-                        "histories": [batch.agent_mask.sum() + len(batch)]}
+        n_paths, n_agents = batch.path_mask.sum(), batch.agent_mask.sum()
         w_p = batch.path_mask.sum(axis=1).max()
         w_a = batch.agent_mask.sum(axis=1).max()
+        # the scene stack sees each real command once, in one block per real
+        # path; one history-encoder pass: the real agents, then every
+        # sample's main agent; the fusion stack sees one row per element
+        assert seen == {"scene": (batch.command_mask.sum(), (n_paths, cfg.n_commands)),
+                        "histories": [n_agents + len(batch)],
+                        "fusion": (n_paths + n_agents + len(batch), (3, w_p + w_a + 1))}
         assert model.fusion_mask(batch).shape == (3, w_p + w_a + 1)
 
     @pytest.mark.parametrize("mode", ["hist", "hist+scene"])
@@ -313,6 +320,50 @@ class TestAttention:
         assert (pred.data == model.predict(batch)).all()
 
 
+class TestPaddedOracle:
+    """The real-row transformer layers compute the padded layers' bits.
+
+    Gradients agree to rounding, per parameter relative to its largest
+    entry: BLAS rounds a product's rows differently with the number of
+    rows, which is R here and n * t in the oracle.
+    """
+
+    GRAD_TOL = {np.float32: 1e-5, np.float64: 1e-14}
+
+    @staticmethod
+    def step(model, batch, forward):
+        model.zero_grad()
+        with GradientTape() as tape:
+            pred, scores = forward(batch)
+            tape.backward(mse_loss(pred, batch.targets))
+        return pred.data, scores, {n: p.grad.copy() for n, p in model.parameters().items()}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", INPUT_MODES)
+    def test_matches_the_padded_oracle(self, rng, mode, dtype):
+        cfg = tiny_config(input_mode=mode, n_layers=2, n_heads=2, n_paths=5, n_agents=3)
+        model = SvgNet(cfg, seed=0, dtype=dtype)
+        uneven = random_batch(cfg, 5, rng)
+        batches = [random_batch(cfg, 1, rng),
+                   permute_batch(uneven, rng.permutation(cfg.n_paths),
+                                 rng.permutation(cfg.n_agents))]
+
+        def real_rows(batch):
+            pred, rec = model.forward(batch)
+            return pred, rec.scores
+
+        for batch in batches:
+            pred, scores, grads = self.step(model, batch, real_rows)
+            o_pred, o_scores, o_grads = self.step(
+                model, batch, lambda b: padded_forward(model, b))
+            assert np.array_equal(pred, o_pred)
+            assert np.array_equal(scores, o_scores)
+            for name, g in grads.items():
+                scale = max(float(np.abs(o_grads[name]).max()), np.finfo(dtype).tiny)
+                err = float(np.abs(g - o_grads[name]).max()) / scale
+                assert err <= self.GRAD_TOL[dtype], f"{name}: {err}"
+
+
 class TestGradients:
     def test_full_model_grad_check_tiny(self, rng):
         cfg = tiny_config()
@@ -328,20 +379,20 @@ class TestGradients:
         assert err < 1e-4
 
     def test_transformer_layer_grad(self, rng):
-        cfg = tiny_config()
+        cfg = tiny_config(n_heads=2)
         model = SvgNet(cfg, seed=6, dtype=np.float64)
         layer = model.decoder.stack.layers[0]
-        x = rng.normal(0, 1, (2, 3, cfg.d_m))
-        mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-        mix = rng.normal(size=(2, 3, cfg.d_m))
+        x = Parameter("x", rng.normal(0, 1, (5, cfg.d_m)))
+        # five rows out of order in two blocks of 3, one position empty
+        place = np.array([[3, 0, 5], [4, 1, 2]])
+        mix = rng.normal(size=(5, cfg.d_m))
         layer_params = [p for name, p in model.parameters().items()
                         if name.startswith("decoder.layer0")]
 
         def f():
-            out = layer(Tensor(x), mask)
-            return T.tsum(T.mul(out, Tensor(mix)))
+            return T.tsum(T.mul(layer(x, place), Tensor(mix)))
 
-        err = grad_check(f, layer_params, max_coords_per_param=8,
+        err = grad_check(f, layer_params + [x], max_coords_per_param=8,
                          rng=np.random.default_rng(1))
         assert err < 1e-4
 
@@ -374,6 +425,20 @@ class TestConfigAndState:
         assert not np.allclose(a.predict(batch), b.predict(batch))
         b.load_state(a.state_arrays())
         assert (a.predict(batch) == b.predict(batch)).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_state_copies_into_the_parameter_buffers(self, tmp_path, dtype):
+        cfg = tiny_config()
+        save_checkpoint(SvgNet(cfg, seed=8).state_arrays(), tmp_path / "m")
+        state = load_checkpoint(tmp_path / "m")   # float32 views of one blob
+        model = SvgNet(cfg, seed=9, dtype=dtype)
+        buffers = {name: p.data for name, p in model.parameters().items()}
+        model.load_state(state)
+        for name, p in model.parameters().items():
+            assert p.data is buffers[name]
+            assert p.data.dtype == dtype
+            assert not np.shares_memory(p.data, state[name])
+            assert np.array_equal(p.data, state[name].astype(dtype))
 
     @pytest.mark.parametrize("first, second", [(np.float32, np.float64),
                                                (np.float64, np.float32)])

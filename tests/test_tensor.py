@@ -55,49 +55,77 @@ class TestForwardOps:
             assert np.isfinite(out.data).all()
 
 
+def attend(q, k, v, place, n_heads=1, record=None):
+    return T.scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), np.asarray(place),
+                                          n_heads, record)
+
+
 class TestAttention:
     def test_single_unmasked_key_returns_value(self):
         rng = np.random.default_rng(4)
-        q = Tensor(rng.normal(size=(1, 1, 2, 4)))
-        k = Tensor(rng.normal(size=(1, 1, 3, 4)))
-        v = Tensor(rng.normal(size=(1, 1, 3, 4)))
-        mask = np.array([0.0, 1.0, 0.0])[None, None, None, :]
-        out = T.scaled_dot_product_attention(q, k, v, mask=mask)
-        np.testing.assert_allclose(out.data[0, 0, 0], v.data[0, 0, 1], atol=1e-12)
-        np.testing.assert_allclose(out.data[0, 0, 1], v.data[0, 0, 1], atol=1e-12)
+        q, k, v = (rng.normal(size=(1, 4)) for _ in range(3))
+        record = []
+        # one row at position 1 of a block of 3: its only visible key is itself
+        out = attend(q, k, v, [[1, 0, 1]], n_heads=2, record=record).data
+        assert record[0].shape == (1, 2, 3, 3)
+        assert (record[0][0, :, 1, [0, 2]] == 0).all()
+        assert (out == v).all()
 
     def test_all_ones_mask_matches_no_mask(self):
+        # with no empty position, it is plain dense attention within each block
         rng = np.random.default_rng(5)
-        q = Tensor(rng.normal(size=(2, 1, 3, 4)))
-        k = Tensor(rng.normal(size=(2, 1, 3, 4)))
-        v = Tensor(rng.normal(size=(2, 1, 3, 4)))
-        ones = np.ones((2, 1, 1, 3))
-        a = T.scaled_dot_product_attention(q, k, v, mask=ones).data
-        b = T.scaled_dot_product_attention(q, k, v).data
-        assert (a == b).all()
+        n, t, n_heads, d_h = 2, 3, 2, 4
+        q, k, v = (rng.normal(size=(n * t, n_heads * d_h)) for _ in range(3))
+        place = np.arange(n * t).reshape(n, t)
+        out = attend(q, k, v, place, n_heads).data
+
+        def heads(x):
+            return x.reshape(n, t, n_heads, d_h).swapaxes(1, 2)
+
+        logits = heads(q) @ heads(k).swapaxes(-1, -2) / np.sqrt(d_h)
+        w = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        w /= w.sum(axis=-1, keepdims=True)
+        dense = (w @ heads(v)).swapaxes(1, 2).reshape(n * t, n_heads * d_h)
+        np.testing.assert_allclose(out, dense, rtol=1e-12, atol=1e-14)
+        # rows may come in any order: permuting them permutes the output rows
+        perm = rng.permutation(n * t)
+        where = np.argsort(perm)   # the new index of each old row
+        out_p = attend(q[perm], k[perm], v[perm], where[place], n_heads).data
+        assert (out_p == out[perm]).all()
 
     def test_all_masked_row_is_finite(self):
         rng = np.random.default_rng(6)
-        q = Tensor(rng.normal(size=(1, 1, 2, 4)))
-        k = Tensor(rng.normal(size=(1, 1, 2, 4)))
-        v = Tensor(rng.normal(size=(1, 1, 2, 4)))
-        mask = np.array([[0.0, 0.0], [1.0, 0.0]])[None, None]  # row 0 sees no key
-        out = T.scaled_dot_product_attention(q, k, v, mask=mask).data
-        assert np.isfinite(out).all()
-        assert (out[0, 0, 1] == v.data[0, 0, 0]).all()
+        q, k, v = (rng.normal(size=(2, 4)) for _ in range(3))
+        record = []
+        # block 1 is empty; blocks 0 and 2 each hold one row
+        out = attend(q, k, v, [[0, 2], [2, 2], [2, 1]], record=record).data
+        assert np.isfinite(out).all() and np.isfinite(record[0]).all()
+        assert (out == v).all()
+        # no row at all
+        none = np.zeros((0, 4))
+        out = attend(none, none, none, np.zeros((2, 3), dtype=int), n_heads=2).data
+        assert out.shape == (0, 4)
 
     def test_masked_values_cannot_leak(self):
+        # a row sees only the rows of its own block: mutating the rows of
+        # another block leaves its output bit-identical
         rng = np.random.default_rng(7)
-        q = Tensor(rng.normal(size=(1, 1, 2, 4)))
-        k = rng.normal(size=(1, 1, 3, 4))
-        v = rng.normal(size=(1, 1, 3, 4))
-        mask = np.array([1.0, 1.0, 0.0])[None, None, None, :]
-        base = T.scaled_dot_product_attention(q, Tensor(k), Tensor(v), mask=mask).data
-        k2, v2 = k.copy(), v.copy()
-        k2[..., 2, :] = 999.0
-        v2[..., 2, :] = -999.0
-        mut = T.scaled_dot_product_attention(q, Tensor(k2), Tensor(v2), mask=mask).data
-        assert (base == mut).all()
+        q, k, v = (rng.normal(size=(5, 4)) for _ in range(3))
+        place = np.array([[4, 1, 5], [0, 3, 2]])   # R = 5: one empty position
+        base = attend(q, k, v, place, n_heads=2).data
+        hidden = [0, 3, 2]
+        q2, k2, v2 = q.copy(), k.copy(), v.copy()
+        q2[hidden], k2[hidden], v2[hidden] = 555.0, 999.0, -999.0
+        mut = attend(q2, k2, v2, place, n_heads=2).data
+        assert (mut[[4, 1]] == base[[4, 1]]).all()
+        assert not (mut[hidden] == base[hidden]).any()
+
+    @pytest.mark.parametrize("place", [[[0, 2, 2]], [[0, 0, 1]], [[0, 1, 3]], [[-1, 0, 1]]],
+                             ids=["row-missing", "row-twice", "past-empty", "negative"])
+    def test_place_must_hold_each_row_once(self, place):
+        x = np.ones((2, 4))
+        with pytest.raises(IndexError):
+            attend(x, x, x, place)
 
 
 class TestBackward:
@@ -128,6 +156,14 @@ class TestBackward:
             grads.append(p.grad.copy())
         np.testing.assert_allclose(grads[1], 2 * grads[0])
 
+    def test_zero_grad_keeps_the_buffer(self):
+        p = Parameter("p", np.array([3.0, 1.0]))
+        with GradientTape() as tape:
+            tape.backward(T.tsum(T.mul(p, p)))
+        grad = p.grad
+        p.zero_grad()
+        assert p.grad is grad and not grad.any()
+
     def test_second_backward_on_one_tape_raises(self):
         p = Parameter("p", np.array([3.0]))
         with GradientTape() as tape:
@@ -148,6 +184,20 @@ class TestBackward:
         tape.backward(loss)
         assert ref() is None
         assert not tape._nodes and not tape._retained and not tape._out_ids
+
+    def test_linear_adds_the_bias_into_the_matmul_buffer(self):
+        rng = np.random.default_rng(14)
+        w = Parameter("w", rng.normal(size=(3, 2)))
+        b = Parameter("b", rng.normal(size=(2,)))
+        x = rng.normal(size=(4, 3))
+        with GradientTape() as tape:
+            out = T.linear(Tensor(x), w, b)
+            assert (out.data == x @ w.data + b.data).all()
+            assert len(tape._retained) == 2
+            assert all(t.data is out.data for t in tape._retained)
+            tape.backward(T.tsum(out))
+        np.testing.assert_allclose(b.grad, [4.0, 4.0])
+        np.testing.assert_allclose(w.grad, np.repeat(x.sum(axis=0)[:, None], 2, axis=1))
 
     def test_disconnected_loss(self):
         p = Parameter("p", np.array([1.0]))
@@ -219,13 +269,32 @@ class TestGradCheck:
 
     def test_attention_grad(self):
         rng = np.random.default_rng(11)
-        q = Parameter("q", rng.normal(0, 0.5, (1, 2, 3, 4)))
-        k = Parameter("k", rng.normal(0, 0.5, (1, 2, 3, 4)))
-        v = Parameter("v", rng.normal(0, 0.5, (1, 2, 3, 4)))
-        mask = np.array([1.0, 1.0, 0.0])[None, None, None, :]
-        err = grad_check(
-            lambda: T.tsum(T.scaled_dot_product_attention(q, k, v, mask=mask)), [q, k, v])
+        q, k, v = (Parameter(name, rng.normal(0, 0.5, (5, 4))) for name in "qkv")
+        mix = np.asarray(rng.normal(size=(5, 4)))
+        # rows out of order, empty positions and an all-empty block
+        place = np.array([[3, 5, 0], [5, 5, 5], [4, 1, 2]])
+        err = grad_check(lambda: T.tsum(T.mul(T.scaled_dot_product_attention(q, k, v, place, 2),
+                                              Tensor(mix))), [q, k, v])
         assert err < 1e-6
+        # R = 0: backward runs and leaves empty gradients
+        empty = [Parameter(name, np.zeros((0, 4))) for name in "qkv"]
+        with GradientTape() as tape:
+            out = T.scaled_dot_product_attention(*empty, np.zeros((2, 3), dtype=int), 2)
+            tape.backward(T.tsum(out))
+        assert all(p.grad.shape == (0, 4) for p in empty)
+
+    def test_affine_layer_norm_grad(self):
+        rng = np.random.default_rng(13)
+        x = Parameter("x", rng.normal(0, 2.0, (3, 6)))
+        gamma = Parameter("gamma", rng.normal(1.0, 0.5, (6,)))
+        beta = Parameter("beta", rng.normal(0, 0.5, (6,)))
+        mix = np.asarray(rng.normal(size=(3, 6)))
+        err = grad_check(lambda: T.tsum(T.mul(T.layer_norm(x, gamma, beta), Tensor(mix))),
+                         [x, gamma, beta])
+        assert err < 1e-6
+        plain = T.layer_norm(Tensor(x.data)).data
+        assert (T.layer_norm(Tensor(x.data), gamma, beta).data
+                == plain * gamma.data + beta.data).all()
 
 
 class TestDeterminismAndDtype:

@@ -112,6 +112,14 @@ class TestAdamW:
         np.testing.assert_array_equal(opt2.v["p"], opt.v["p"])
 
 
+    def test_state_before_the_first_step_is_zero(self):
+        p = Parameter("p", np.ones((3, 2), dtype=np.float32))
+        state = AdamW({"p": p}, TrainConfig()).live_state()
+        assert list(state) == ["m.p", "v.p", "step"]
+        assert not state["m.p"].any() and not state["v.p"].any() and state["step"][0] == 0
+        assert state["m.p"].dtype == np.float32
+
+
 class TestClipGradNorm:
     def params(self):
         a, b = Parameter("a", np.zeros((2,))), Parameter("b", np.zeros((1, 2)))
