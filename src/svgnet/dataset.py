@@ -293,8 +293,8 @@ class IngestConfig:
     max_commands: int = 30       # split limit for converted lane paths
 
     def validate(self) -> None:
-        if not self.view_extent > 0:
-            raise ValueError("ingest view_extent must be positive")
+        if not 0 < self.view_extent < np.inf:
+            raise ValueError("ingest view_extent must be positive and finite")
         if self.k_heading < 1:
             raise ValueError("ingest k_heading must be >= 1 (an observed frame before the last)")
         if not self.min_heading_disp >= 0:

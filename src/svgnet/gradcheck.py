@@ -26,7 +26,7 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor], eps: float = 1
     """
     params = list(params)
     for p in params:
-        p.grad = np.zeros_like(p.data)
+        p.zero_grad()
     with GradientTape() as tape:
         loss = f()
         tape.backward(loss)

@@ -113,19 +113,19 @@ def evaluate(predict_fn: Callable[[Batch], np.ndarray], records: Sequence, *,
     """Aggregate ADE / FDE / miss rate in de-normalized city-frame meters.
 
     ``records`` are SceneRecords, encoded at ``caps`` (n_paths, n_commands, n_agents)
-    and predicted EVAL_BATCH_SIZE at a time. A record without a prediction target
-    raises MissingTargetError; no records raise EmptyInputError.
+    and predicted EVAL_BATCH_SIZE at a time; only one chunk is encoded at once. A
+    record without a prediction target raises MissingTargetError when its chunk is
+    encoded; no records raise EmptyInputError.
     """
-    encoded = []
-    for rec in records:
-        sample = normalize_sample(rec, ingest)
-        if sample.target is None:
-            raise MissingTargetError(f"scene {rec.scene_id!r} has no prediction target")
-        encoded.append(make_batch([sample], *caps))
-
     ades, fdes, rows = [], [], []
-    for lo in range(0, len(encoded), EVAL_BATCH_SIZE):
-        batch = concat_batches(encoded[lo:lo + EVAL_BATCH_SIZE])
+    for lo in range(0, len(records), EVAL_BATCH_SIZE):
+        encoded = []
+        for rec in records[lo:lo + EVAL_BATCH_SIZE]:
+            sample = normalize_sample(rec, ingest)
+            if sample.target is None:
+                raise MissingTargetError(f"scene {rec.scene_id!r} has no prediction target")
+            encoded.append(make_batch([sample], *caps))
+        batch = concat_batches(encoded)
         preds = predict_fn(batch)
         for i in range(len(batch)):
             pred_city = apply_affine_points(batch.frame_to_city[i],

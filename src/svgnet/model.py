@@ -363,7 +363,12 @@ class Decoder:
 
 
 class SvgNet:
-    """Full model: scene encoder, shared history encoder, fusion decoder."""
+    """Full model: scene encoder, shared history encoder, fusion decoder.
+
+    A built model holds its weights only. Its gradient buffers appear at
+    the first zero_grad(), as one block, and the AdamW moments at the
+    optimizer's first step, so predicting allocates neither.
+    """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
         """dtype (float32, or float64 for gradient checks) is used for the
@@ -385,8 +390,7 @@ class SvgNet:
         return self.params
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+        T.zero_grads(self.params.values())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}

@@ -7,13 +7,16 @@ soon as its closure has run, so the gradients take the place of the
 activations they replace and the tape ends empty. Values are
 numpy arrays and every op keeps its inputs' dtype: the model picks the
 dtype (float32 for training, float64 for gradient checking) when it
-creates its parameters and inputs.
+creates its parameters and inputs. A gradient buffer is allocated on
+first use, so a tensor that never takes part in a backward, like every
+parameter of a model that only predicts, holds its values alone;
+zero_grads() allocates a model's buffers as one block.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,12 +34,28 @@ class DisconnectedLossError(ValueError):
 class Tensor:
     """A numpy array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The accumulated gradient, allocated on first use.
+
+        On a tensor that requires grad it reads as zeros of the data's shape
+        and dtype until a backward adds to it; on one that does not, it
+        reads None and allocates nothing.
+        """
+        if self._grad is None and self.requires_grad:
+            self.zero_grad()
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -48,15 +67,15 @@ class Tensor:
 
     def zero_grad(self) -> None:
         """Zero the gradient in its existing buffer (allocated on first use)."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
         else:
-            self.grad[...] = 0
+            self._grad[...] = 0
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g.astype(self.data.dtype, copy=False)
+        if self._grad is None:
+            self.zero_grad()
+        self._grad += g.astype(self.data.dtype, copy=False)
 
     def item(self) -> float:
         return float(self.data)
@@ -66,17 +85,44 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor with a gradient accumulator."""
+    """A named leaf tensor that requires grad.
+
+    Its gradient buffer is allocated by the first zero_grad(), backward or
+    read of ``grad``, not when the parameter is built.
+    """
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.zero_grad()
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
+
+
+def zero_grads(tensors: Iterable[Tensor]) -> None:
+    """zero_grad() each tensor, allocating the missing buffers together.
+
+    The tensors without a gradient buffer get views of one zeroed block per
+    dtype, so a model's first zero_grad is one allocation rather than one
+    per parameter. At paper size glibc maps such a block on its own,
+    outside the heap that the tape's activations grow and free; buffers
+    allocated one per parameter land in that heap and were measured to
+    keep it from shrinking back after backward.
+    """
+    missing: dict[np.dtype, list[Tensor]] = {}
+    for t in tensors:
+        if t._grad is None:
+            missing.setdefault(t.data.dtype, []).append(t)
+        else:
+            t._grad[...] = 0
+    for dtype, group in missing.items():
+        block = np.zeros(sum(t.data.size for t in group), dtype=dtype)
+        lo = 0
+        for t in group:
+            t._grad = block[lo:lo + t.data.size].reshape(t.shape)
+            lo += t.data.size
 
 
 class _Node:

@@ -38,12 +38,19 @@ class TrainConfig:
     grad_clip_norm: float | None = None
 
     def validate(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        """Reject settings that would train silently wrong; NaN fails every check."""
+        for name in ("lr", "lr_decay_epochs", "eps"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must lie in (0, 1]")
-        if self.lr_decay_epochs <= 0:
-            raise ValueError("lr_decay_epochs must be positive")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if self.grad_clip_norm is not None and not 0.0 < self.grad_clip_norm < math.inf:
+            raise ValueError("grad_clip_norm must be None or positive and finite")
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
 

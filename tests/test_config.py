@@ -18,6 +18,35 @@ def test_value_of_the_wrong_type_is_a_config_error(tmp_path, section, key, value
         load_run_config(path)
 
 
+@pytest.mark.parametrize("section, key, literal", [
+    ("train", "grad_clip_norm", "-1.0"), ("train", "grad_clip_norm", "0"),
+    ("train", "grad_clip_norm", "NaN"), ("train", "grad_clip_norm", "1e309"),
+    ("train", "weight_decay", "-5"), ("train", "weight_decay", "NaN"),
+    ("train", "weight_decay", "Infinity"),
+    ("train", "beta1", "1.5"), ("train", "beta1", "1.0"), ("train", "beta1", "-0.1"),
+    ("train", "beta1", "NaN"), ("train", "beta2", "1"), ("train", "beta2", "-1"),
+    ("train", "eps", "-1"), ("train", "eps", "0"), ("train", "eps", "NaN"),
+    ("train", "eps", "1e309"), ("train", "lr", "1e309"), ("train", "lr", "NaN"),
+    ("train", "lr_decay_epochs", "1e309"), ("train", "lr_decay_epochs", "NaN"),
+    ("ingest", "view_extent", "1e309"), ("ingest", "view_extent", "NaN"),
+    ("ingest", "view_extent", "-Infinity")])
+def test_out_of_range_setting_is_a_config_error_naming_the_field(tmp_path, section, key,
+                                                                  literal):
+    # written as raw JSON text: 1e309 is how a file spells a number that loads as inf
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"{section}": {{"{key}": {literal}}}}}')
+    with pytest.raises(ConfigError, match=rf"\b{key} must"):
+        load_run_config(path)
+
+
+def test_boundary_optimizer_settings_load(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"train": {"beta1": 0.0, "beta2": 0, "weight_decay": 0,
+                                          "grad_clip_norm": 1e-3, "eps": 1e-300}}))
+    cfg = load_run_config(path)
+    assert (cfg.train.beta1, cfg.train.beta2, cfg.train.weight_decay) == (0.0, 0, 0)
+
+
 def test_float_fields_take_ints_and_optional_fields_take_none(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"train": {"lr": 1, "grad_clip_norm": None},

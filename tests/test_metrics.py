@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from svgnet.dataset import DatasetError, IngestConfig, InsufficientHistoryError, \
-    normalize_sample
+from svgnet import metrics
+from svgnet.dataset import AgentTrack, DatasetError, IngestConfig, InsufficientHistoryError, \
+    MissingTargetError, apply_affine_points, concat_batches, make_batch, normalize_sample
 from svgnet.metrics import (EmptyInputError, MetricsReport, ade, constant_velocity_baseline,
                             constant_velocity_predictor, evaluate, fde, miss_rate,
                             model_predictor, write_per_sample_csv)
@@ -157,6 +159,54 @@ class TestEvaluate:
             s = normalize_sample(rec, ingest)
             manual.append(ade(constant_velocity_baseline(s.main_history), s.target))
         assert report.ade == pytest.approx(float(np.mean(manual)), abs=1e-6)
+
+    def test_encodes_one_chunk_at_a_time_and_matches_a_hand_chunked_reference(
+            self, monkeypatch):
+        monkeypatch.setattr(metrics, "EVAL_BATCH_SIZE", 4)
+        cfg = tiny_config()
+        model = SvgNet(cfg, seed=0)
+        recs = self.records(10)
+        ingest = IngestConfig(max_commands=cfg.n_commands)
+        caps = (cfg.n_paths, cfg.n_commands, cfg.n_agents)
+        n_encoded, chunks = [], []
+        monkeypatch.setattr(metrics, "make_batch",
+                            lambda *a: n_encoded.append(1) or make_batch(*a))
+
+        def predict(batch):
+            chunks.append((len(n_encoded), batch.scene_ids))
+            return model.predict(batch)
+
+        report = evaluate(predict, recs, ingest=ingest, caps=caps, per_sample=True)
+        ids = [r.scene_id for r in recs]
+        assert chunks == [(4, ids[0:4]), (8, ids[4:8]), (10, ids[8:10])]
+
+        rows = []
+        for lo in (0, 4, 8):
+            batch = concat_batches([make_batch([normalize_sample(r, ingest)], *caps)
+                                    for r in recs[lo:lo + 4]])
+            preds = model.predict(batch)
+            for i in range(len(batch)):
+                to_city = batch.frame_to_city[i]
+                pred = apply_affine_points(to_city, preds[i].reshape(-1, 2).astype(np.float64))
+                gt = apply_affine_points(to_city, batch.targets[i].reshape(-1, 2))
+                f = fde(pred, gt)
+                rows.append({"scene_id": batch.scene_ids[i], "ade": ade(pred, gt), "fde": f,
+                             "miss": bool(f > metrics.MISS_THRESHOLD)})
+        fdes = [r["fde"] for r in rows]
+        assert report == MetricsReport(ade=float(np.mean([r["ade"] for r in rows])),
+                                       fde=float(np.mean(fdes)), miss_rate=miss_rate(fdes),
+                                       n_samples=10, per_sample=rows)
+
+    def test_missing_target_in_the_last_chunk_names_its_scene(self, monkeypatch):
+        monkeypatch.setattr(metrics, "EVAL_BATCH_SIZE", 4)
+        recs = self.records(10)
+        last = recs[-1]
+        cut = [AgentTrack(a.agent_id, a.frames[:20], a.xy[:20], is_main=True) if a.is_main
+               else a for a in last.agents]
+        recs[-1] = dataclasses.replace(last, scene_id="no target", agents=cut)
+        with pytest.raises(MissingTargetError, match="'no target'"):
+            evaluate(constant_velocity_predictor(), recs, ingest=IngestConfig(),
+                     caps=(16, 30, 4))
 
     def test_model_predictor_and_per_sample(self, tmp_path):
         model = SvgNet(tiny_config(), seed=0)

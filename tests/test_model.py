@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -409,6 +411,20 @@ class TestGradients:
 
 
 class TestConfigAndState:
+    def test_predict_allocates_no_gradient_memory(self, rng):
+        cfg = tiny_config(d_m=32, d_f=64)
+        model = SvgNet(cfg, seed=0)
+        model.predict(random_batch(cfg, 2, rng))
+        weight_bytes = sum(p.data.nbytes for p in model.parameters().values())
+        tracemalloc.start()
+        try:
+            model.zero_grad()
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the first zero_grad allocates the gradient block, and little else
+        assert weight_bytes <= grown < 1.1 * weight_bytes
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(d_m=10, n_heads=3).validate()

@@ -244,6 +244,21 @@ class TestTrainingLoop:
             outs.append((tmp_path / name / "model_final.bin").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reading_every_gradient_before_training_changes_nothing(self, dtype):
+        batches = self.make_batches(6)
+        tc = TrainConfig(epochs=2, batch_size=3, seed=7)
+        runs = []
+        for read_first in (False, True):
+            model = SvgNet(tiny_config(), seed=7, dtype=dtype)
+            if read_first:
+                assert not any(p.grad.any() for p in model.parameters().values())
+            log = train(model, batches, tc)
+            runs.append((log, model.state_arrays()))
+        (log_a, w_a), (log_b, w_b) = runs
+        assert log_a == log_b and len(log_a) == 4
+        assert all(np.array_equal(w_a[n], w_b[n]) for n in w_a)
+
     def test_no_samples_is_an_error_before_any_write(self, tmp_path):
         with pytest.raises(EmptyInputError):
             train(SvgNet(tiny_config()), [], TrainConfig(), out_dir=tmp_path / "run")
