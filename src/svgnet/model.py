@@ -366,7 +366,7 @@ class SvgNet:
     """Full model: scene encoder, shared history encoder, fusion decoder.
 
     A built model holds its weights only. Its gradient buffers appear at
-    the first zero_grad(), as one block, and the AdamW moments at the
+    the first zero_grad() or backward, and the AdamW moments at the
     optimizer's first step, so predicting allocates neither.
     """
 
@@ -390,7 +390,8 @@ class SvgNet:
         return self.params
 
     def zero_grad(self) -> None:
-        T.zero_grads(self.params.values())
+        for p in self.params.values():
+            p.zero_grad()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}

@@ -9,14 +9,13 @@ numpy arrays and every op keeps its inputs' dtype: the model picks the
 dtype (float32 for training, float64 for gradient checking) when it
 creates its parameters and inputs. A gradient buffer is allocated on
 first use, so a tensor that never takes part in a backward, like every
-parameter of a model that only predicts, holds its values alone;
-zero_grads() allocates a model's buffers as one block.
+parameter of a model that only predicts, holds its values alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,30 +98,6 @@ class Parameter(Tensor):
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    """zero_grad() each tensor, allocating the missing buffers together.
-
-    The tensors without a gradient buffer get views of one zeroed block per
-    dtype, so a model's first zero_grad is one allocation rather than one
-    per parameter. At paper size glibc maps such a block on its own,
-    outside the heap that the tape's activations grow and free; buffers
-    allocated one per parameter land in that heap and were measured to
-    keep it from shrinking back after backward.
-    """
-    missing: dict[np.dtype, list[Tensor]] = {}
-    for t in tensors:
-        if t._grad is None:
-            missing.setdefault(t.data.dtype, []).append(t)
-        else:
-            t._grad[...] = 0
-    for dtype, group in missing.items():
-        block = np.zeros(sum(t.data.size for t in group), dtype=dtype)
-        lo = 0
-        for t in group:
-            t._grad = block[lo:lo + t.data.size].reshape(t.shape)
-            lo += t.data.size
 
 
 class _Node:

@@ -422,7 +422,7 @@ class TestConfigAndState:
             grown, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the first zero_grad allocates the gradient block, and little else
+        # the first zero_grad allocates the gradient buffers, and little else
         assert weight_bytes <= grown < 1.1 * weight_bytes
 
     def test_config_validation(self):

@@ -174,23 +174,6 @@ class TestBackward:
         assert p.grad is grad
         np.testing.assert_array_equal(grad, [6.0, 2.0])
 
-    def test_zero_grads_allocates_the_missing_buffers_as_one_block_per_dtype(self):
-        kept = Parameter("kept", np.ones(3))
-        grad = kept.grad
-        grad += 5.0
-        a, b, c = (Parameter("a", np.ones((2, 2))), Parameter("b", np.ones(3, np.float32)),
-                   Parameter("c", np.ones(4)))
-        T.zero_grads([a, kept, b, c])
-        assert kept.grad is grad and not grad.any()
-        assert a.grad.base is c.grad.base and a.grad.base.shape == (8,)
-        assert b.grad.base.dtype == np.float32 and b.grad.base.shape == (3,)
-        for p in (a, b, c):
-            assert p.grad.shape == p.shape and p.grad.dtype == p.data.dtype
-            assert not p.grad.any()
-        with GradientTape() as tape:
-            tape.backward(T.tsum(T.mul(a, a)))
-        np.testing.assert_array_equal(a.grad.base, [2.0] * 4 + [0.0] * 4)
-
     def test_untracked_tensor_grad_stays_none_and_allocates_nothing(self):
         x = Tensor(np.ones((64, 64)))
         p = Parameter("p", np.ones(64))

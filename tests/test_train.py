@@ -1,6 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +19,9 @@ from svgnet.gradcheck import grad_check
 from svgnet.model import SvgNet
 from svgnet.synth import SynthConfig, generate_records
 from svgnet.tensor import GradientTape, Parameter, ShapeMismatchError
+from svgnet import train as train_module
 from svgnet.train import (AdamW, NonFiniteLossError, TrainConfig, clip_grad_norm,
-                          encode_samples, lr_at, mse_loss, train)
+                          encode_samples, lr_at, mse_loss, release_free_heap, train)
 
 
 class TestMseLoss:
@@ -259,6 +265,21 @@ class TestTrainingLoop:
         assert log_a == log_b and len(log_a) == 4
         assert all(np.array_equal(w_a[n], w_b[n]) for n in w_a)
 
+    def test_frees_the_optimizer_then_releases_the_heap_once(self, monkeypatch):
+        optimizers, released = [], []
+
+        class RecordedAdamW(AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(weakref.ref(self))
+
+        monkeypatch.setattr(train_module, "AdamW", RecordedAdamW)
+        monkeypatch.setattr(train_module, "release_free_heap",
+                            lambda: released.append(optimizers[0]() is None))
+        train(SvgNet(tiny_config(), seed=0), self.make_batches(4),
+              TrainConfig(epochs=2, batch_size=2, seed=0))
+        assert len(optimizers) == 1 and released == [True]
+
     def test_no_samples_is_an_error_before_any_write(self, tmp_path):
         with pytest.raises(EmptyInputError):
             train(SvgNet(tiny_config()), [], TrainConfig(), out_dir=tmp_path / "run")
@@ -308,3 +329,33 @@ class TestTrainingLoop:
         assert not np.isfinite(params[name].grad).all()
         assert all((p.data == before[n]).all() for n, p in params.items())
         assert list((tmp_path / "run").iterdir()) == []
+
+
+_PINNED_HEAP = """
+import os
+import numpy as np
+from svgnet.train import release_free_heap
+
+def rss():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+# 100 KB blocks stay below glibc's mmap threshold; every other one is
+# kept, so the freed ones lie between live blocks and cannot reach the top
+blocks = [np.ones(100_000, dtype=np.uint8) for _ in range(600)]
+pins = blocks[::2]
+del blocks
+before = rss()
+release_free_heap()
+assert all(p.sum() == 100_000 for p in pins)
+print(before - rss())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or train_module._MALLOC_TRIM is None,
+                    reason="needs glibc's malloc_trim and /proc")
+def test_release_free_heap_returns_pages_that_live_chunks_pin():
+    src = str(Path(train_module.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _PINNED_HEAP], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert int(out.stdout) > 15 * 2**20
