@@ -8,8 +8,8 @@ stored as arrays of chunk vertices, each chunk one line-command SVG path
 (a MoveTo, then LineTos). With mc = max_commands, a polyline of n vertices
 splits into chunks k = 0, 1, ... covering vertices [k*(mc-1), k*(mc-1)+mc)
 cut at n, so a chunk starts on the last vertex of the one before.
-make_batch quantizes the vertex arrays directly; SvgPath objects are only
-built on demand, for visualization.
+make_batch quantizes the vertex arrays directly, and visualize writes each
+chunk's path data from them.
 
 JSONL record schema (one object per line):
     {"scene_id": str, "frame_rate": number,
@@ -35,8 +35,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 # encode_command and split_path are unused here; the benchmark's tracer patches these names
-from .svg import (CommandKind, SvgCommand, SvgPath, Viewport, encode_command,  # noqa: F401
-                  quantize_coords, split_path)
+from .svg import (N_ARG_SLOTS, SENTINEL_BIN, CommandKind, SvgCommand, SvgPath,  # noqa: F401
+                  Viewport, encode_command, quantize_coords, split_path)
 
 
 class DatasetError(Exception):
@@ -297,8 +297,8 @@ class IngestConfig:
             raise ValueError("ingest view_extent must be positive and finite")
         if self.k_heading < 1:
             raise ValueError("ingest k_heading must be >= 1 (an observed frame before the last)")
-        if not self.min_heading_disp >= 0:
-            raise ValueError("ingest min_heading_disp must be >= 0")
+        if not 0 <= self.min_heading_disp < np.inf:
+            raise ValueError("ingest min_heading_disp must be finite and >= 0")
         if self.max_commands < 2:
             raise ValueError("ingest max_commands must be >= 2")
 
@@ -307,7 +307,8 @@ class IngestConfig:
 class LaneChunks:
     """A scene's lanes as chunk vertices in the agent frame: chunk k is
     vertices[offsets[k]:offsets[k + 1]], a MoveTo then LineTos. ``paths``
-    builds them as SvgPath objects on first use, for visualization."""
+    builds them as SvgPath objects on first use, the one-command-at-a-time
+    form that svg.encode_command and svg.split_path take."""
 
     vertices: np.ndarray    # (n_vertices, 2) float64, inside the viewport
     offsets: np.ndarray     # (n_chunks + 1,) int64
@@ -474,7 +475,7 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
     b = len(samples)
     t_obs = samples[0].main_history.shape[0]
     kinds = np.full((b, n_paths, n_commands), int(CommandKind.PAD), dtype=np.int16)
-    args = np.full((b, n_paths, n_commands, 6), -1, dtype=np.int16)
+    args = np.full((b, n_paths, n_commands, N_ARG_SLOTS), SENTINEL_BIN, dtype=np.int16)
     path_mask = np.zeros((b, n_paths), dtype=np.float32)
     command_mask = np.zeros((b, n_paths, n_commands), dtype=np.float32)
     main_hist = np.zeros((b, 2 * t_obs), dtype=np.float64)

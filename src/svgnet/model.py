@@ -37,14 +37,14 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import CheckpointError
+from .svg import N_ARG_SLOTS, N_COORD_BINS, CommandKind
 from .tensor import Parameter, Tensor
 
 INPUT_MODES = ("hist", "hist+scene", "hist+scene+agents")
 
-N_COMMAND_KINDS = 6
-N_ARG_SLOTS = 6
-N_ARG_ROWS = 257  # 256 coordinate bins + 1 sentinel row for unused slots
-SENTINEL_ROW = 256
+N_COMMAND_KINDS = len(CommandKind)
+N_ARG_ROWS = N_COORD_BINS + 1  # the coordinate bins + 1 sentinel row for unused slots
+SENTINEL_ROW = N_COORD_BINS
 N_ELEMENT_TYPES = 3  # scene path / other agent / main agent
 
 

@@ -1,45 +1,22 @@
-"""SVG path objects: parsing, serialization, quantization, and splitting.
+"""SVG path commands and their fixed-width encoding: kinds, quantization, splitting.
 
-Scenes are represented as a flat collection of path objects. Only the
-command subset {MoveTo, LineTo, CubicTo, ClosePath} is modelled; quadratic
-Beziers are degree-elevated to cubics on input, and everything else
-(arcs, shorthand commands) is rejected. Two extra control kinds, Pad and
-Eos, exist only for the fixed-width numeric encoding used by the model.
+A scene's map is a set of paths over the command subset {MoveTo, LineTo,
+CubicTo, ClosePath}. Each command has six argument slots (c1x, c1y, c2x,
+c2y, x, y); a used slot is quantized to one of N_COORD_BINS bins of the
+viewport and an unused one holds SENTINEL_BIN. Two extra control kinds, Pad
+and Eos, exist only for the fixed-width numeric encoding used by the model.
+dataset.make_batch encodes vertex arrays directly with quantize_coords;
+SvgCommand, SvgPath, encode_command and split_path are the same encoding one
+command at a time.
 """
 
 from __future__ import annotations
 
 import math
-import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
-
-
-class SvgError(Exception):
-    """Base class for all SVG handling errors."""
-
-
-class UnsupportedCommandError(SvgError):
-    pass
-
-
-class MalformedNumberError(SvgError):
-    pass
-
-
-class ArityError(SvgError):
-    pass
-
-
-class XmlParseError(SvgError):
-    pass
-
-
-class MissingViewportError(SvgError):
-    pass
 
 
 class CommandKind(IntEnum):
@@ -149,17 +126,6 @@ class Viewport:
 
 
 @dataclass(frozen=True)
-class SvgDocument:
-    """A scene: an order-insensitive set of paths plus its viewport."""
-
-    paths: tuple[SvgPath, ...]
-    viewport: Viewport
-
-    def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
-
-
-@dataclass(frozen=True)
 class CommandVector:
     """Fixed-width numeric form of one command: kind index + quantized args.
 
@@ -168,208 +134,6 @@ class CommandVector:
 
     kind_index: int
     arg_bins: tuple[int, int, int, int, int, int]
-
-
-# ---------------------------------------------------------------------------
-# Path-data grammar
-# ---------------------------------------------------------------------------
-
-_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
-_SEPARATORS = " \t\r\n,"
-_SUPPORTED_LETTERS = "MmLlCcQqZz"
-# arity of each supported command letter (upper/lower share arity)
-_ARITY = {"M": 2, "L": 2, "C": 6, "Q": 4, "Z": 0}
-
-
-def _tokenize(d: str) -> list:
-    """Split path data into command letters and floats.
-
-    Raises UnsupportedCommandError for letters outside the supported set
-    and MalformedNumberError for anything that is neither a separator,
-    a command letter, nor a valid number.
-    """
-    tokens = []
-    i, n = 0, len(d)
-    while i < n:
-        ch = d[i]
-        if ch in _SEPARATORS:
-            i += 1
-            continue
-        if ch.isalpha():
-            if ch not in _SUPPORTED_LETTERS:
-                raise UnsupportedCommandError(f"unsupported path command {ch!r}")
-            tokens.append(ch)
-            i += 1
-            continue
-        m = _NUMBER_RE.match(d, i)
-        if m is None:
-            raise MalformedNumberError(f"cannot read a number at position {i}: {d[i:i + 12]!r}")
-        tokens.append(float(m.group()))
-        i = m.end()
-    return tokens
-
-
-def _elevate_quadratic(p0, q, p2) -> SvgCommand:
-    # exact degree elevation: c1 = p0 + 2/3 (q - p0), c2 = p2 + 2/3 (q - p2)
-    c1x = p0[0] + 2.0 / 3.0 * (q[0] - p0[0])
-    c1y = p0[1] + 2.0 / 3.0 * (q[1] - p0[1])
-    c2x = p2[0] + 2.0 / 3.0 * (q[0] - p2[0])
-    c2y = p2[1] + 2.0 / 3.0 * (q[1] - p2[1])
-    return SvgCommand.cubic_to(c1x, c1y, c2x, c2y, p2[0], p2[1])
-
-
-def parse_path_data(d: str, path_id: str | None = None) -> SvgPath:
-    """Parse an SVG path-data string into an absolute-coordinate SvgPath.
-
-    Supports M/m, L/l, C/c, Q/q, Z/z with the standard implicit-repetition
-    rules (extra coordinate pairs after a moveto are linetos). Relative
-    commands are resolved to absolute coordinates and quadratic Beziers
-    are degree-elevated to cubics.
-
-    Raises:
-        UnsupportedCommandError: any other command letter.
-        MalformedNumberError: unreadable numeric input.
-        ArityError: argument count is not a multiple of the command arity.
-    """
-    tokens = _tokenize(d)
-    commands: list[SvgCommand] = []
-    cur = (0.0, 0.0)
-    subpath_start = (0.0, 0.0)
-    i = 0
-    letter: str | None = None
-    while i < len(tokens):
-        tok = tokens[i]
-        if isinstance(tok, str):
-            letter = tok
-            i += 1
-            # implicit lineto after the first moveto pair
-            if letter == "M":
-                letter_after = "L"
-            elif letter == "m":
-                letter_after = "l"
-            else:
-                letter_after = letter
-            first_group = True
-        elif letter is None:
-            raise ArityError("path data must start with a command letter")
-        else:
-            first_group = False
-
-        if letter is None:
-            continue
-        active = letter if first_group else letter_after
-        upper = active.upper()
-        relative = active.islower()
-        arity = _ARITY[upper]
-
-        if upper == "Z":
-            commands.append(SvgCommand.close_path())
-            cur = subpath_start
-            letter = None
-            continue
-
-        args = []
-        for _ in range(arity):
-            if i >= len(tokens) or isinstance(tokens[i], str):
-                raise ArityError(
-                    f"command {active!r} expects {arity} arguments, got {len(args)}")
-            args.append(tokens[i])
-            i += 1
-
-        if relative:
-            args = [a + cur[k % 2] for k, a in enumerate(args)]
-
-        if upper == "M":
-            cur = (args[0], args[1])
-            subpath_start = cur
-            commands.append(SvgCommand.move_to(*cur))
-        elif upper == "L":
-            cur = (args[0], args[1])
-            commands.append(SvgCommand.line_to(*cur))
-        elif upper == "C":
-            commands.append(SvgCommand.cubic_to(*args))
-            cur = (args[4], args[5])
-        elif upper == "Q":
-            commands.append(_elevate_quadratic(cur, (args[0], args[1]), (args[2], args[3])))
-            cur = (args[2], args[3])
-
-    return SvgPath(tuple(commands), id=path_id)
-
-
-def _fmt(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(float(v))
-
-
-def serialize_path(path: SvgPath) -> str:
-    """Serialize to the canonical absolute, uppercase, space-separated form.
-
-    Round-trips exactly: parse_path_data(serialize_path(p)) == p.
-    """
-    parts: list[str] = []
-    for cmd in path.commands:
-        if cmd.kind == CommandKind.MOVE_TO:
-            parts += ["M", _fmt(cmd.args[4]), _fmt(cmd.args[5])]
-        elif cmd.kind == CommandKind.LINE_TO:
-            parts += ["L", _fmt(cmd.args[4]), _fmt(cmd.args[5])]
-        elif cmd.kind == CommandKind.CUBIC_TO:
-            parts += ["C"] + [_fmt(a) for a in cmd.args]
-        elif cmd.kind == CommandKind.CLOSE_PATH:
-            parts += ["Z"]
-        else:
-            raise ValueError(f"cannot serialize control command {cmd.kind.name}")
-    return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Documents
-# ---------------------------------------------------------------------------
-
-def _local_tag(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
-def parse_document(xml: str) -> tuple[SvgDocument, int]:
-    """Parse an SVG document; only path elements are interpreted.
-
-    Returns the document plus the number of ignored (non-path) elements.
-    The viewport comes from the viewBox attribute if present, otherwise
-    from width/height with origin (0, 0).
-    """
-    try:
-        root = ET.fromstring(xml)
-    except ET.ParseError as exc:
-        raise XmlParseError(str(exc)) from exc
-    if _local_tag(root.tag) != "svg":
-        raise XmlParseError(f"root element is {_local_tag(root.tag)!r}, expected 'svg'")
-
-    viewbox = root.get("viewBox")
-    if viewbox is not None:
-        try:
-            x0, y0, w, h = (float(v) for v in viewbox.replace(",", " ").split())
-        except ValueError as exc:
-            raise XmlParseError(f"bad viewBox {viewbox!r}") from exc
-        viewport = Viewport((x0, y0), (w, h))
-    else:
-        width, height = root.get("width"), root.get("height")
-        if width is None or height is None:
-            raise MissingViewportError("document has neither viewBox nor width/height")
-        try:
-            viewport = Viewport((0.0, 0.0), (float(width.rstrip("px")), float(height.rstrip("px"))))
-        except ValueError as exc:
-            raise XmlParseError(f"bad width/height {width!r}/{height!r}") from exc
-
-    paths: list[SvgPath] = []
-    ignored = 0
-    for elem in root.iter():
-        if elem is root:
-            continue
-        if _local_tag(elem.tag) == "path" and elem.get("d") is not None:
-            paths.append(parse_path_data(elem.get("d"), path_id=elem.get("id")))
-        else:
-            ignored += 1
-    return SvgDocument(tuple(paths), viewport), ignored
 
 
 # ---------------------------------------------------------------------------

@@ -45,13 +45,18 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_scenes <= 0 or self.n_frames <= 0:
             raise ValueError("n_scenes and n_frames must be positive")
-        if not (0 < self.speed_min <= self.speed_max):
-            raise ValueError("need 0 < speed_min <= speed_max")
+        if not 0 < self.speed_min <= self.speed_max < np.inf:
+            raise ValueError("synth speed_min must be > 0 and speed_max must be finite and "
+                             ">= speed_min")
+        if not 0 <= self.speed_noise < np.inf:
+            raise ValueError("synth speed_noise must be finite and >= 0")
+        if not 0 < self.frame_rate < np.inf:
+            raise ValueError("synth frame_rate must be positive and finite")
         if not (1 <= self.agents_min <= self.agents_max):
             raise ValueError("need 1 <= agents_min <= agents_max")
         if not (1 <= self.lanes_min <= self.lanes_max):
             raise ValueError("need 1 <= lanes_min <= lanes_max")
-        if abs(sum(self.geometry_mix) - 1.0) > 1e-9 or min(self.geometry_mix) < 0:
+        if not abs(sum(self.geometry_mix) - 1.0) <= 1e-9 or min(self.geometry_mix) < 0:
             raise ValueError("geometry_mix must be a probability triple")
         if not 0.0 <= self.lead_probability <= 1.0:
             raise ValueError("lead_probability must lie in [0, 1]")

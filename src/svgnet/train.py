@@ -124,9 +124,6 @@ class AdamW:
         out["step"] = np.array([self.step_count], dtype=np.float32)
         return out
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {key: arr.copy() for key, arr in self.live_state().items()}
-
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         for name, p in self.params.items():
             self.m[name] = arrays[f"m.{name}"].astype(p.data.dtype)

@@ -15,7 +15,6 @@ from xml.sax.saxutils import quoteattr
 import numpy as np
 
 from .dataset import NormalizedSample
-from .svg import serialize_path
 
 COLORS = {
     "path": "#888888",
@@ -29,6 +28,7 @@ OPACITY_FLOOR = 0.15
 
 
 def _poly_d(points: np.ndarray) -> str:
+    """Absolute "M x y L x y ..." path data; repr keeps every float exact on read-back."""
     parts = [f"M {float(points[0][0])!r} {float(points[0][1])!r}"]
     for x, y in points[1:]:
         parts.append(f"L {float(x)!r} {float(y)!r}")
@@ -50,7 +50,8 @@ def _opacity(score: float, max_score: float) -> float:
 def render_attention_svg(sample: NormalizedSample, entries: list[tuple[str, str, float]],
                          prediction: np.ndarray | None = None) -> str:
     """Build the SVG text for one sample from its extract_attention entries."""
-    (ox, oy), (w, h) = sample.scene_svg.viewport.origin, sample.scene_svg.viewport.extent
+    lanes = sample.scene_svg
+    (ox, oy), (w, h) = lanes.viewport.origin, lanes.viewport.extent
     path_scores = {key: score for kind, key, score in entries if kind == "path"}
     agent_scores = {key: score for kind, key, score in entries if kind == "agent"}
     total = sum(score for _, _, score in entries)
@@ -61,9 +62,9 @@ def render_attention_svg(sample: NormalizedSample, entries: list[tuple[str, str,
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{ox} {oy} {w} {h}" '
         f'data-attention-sum="{total!r}">',
     ]
-    for path in sample.scene_svg.paths:
-        score = path_scores.get(path.id, 0.0)
-        lines.append(_path(id=path.id, d=serialize_path(path), fill="none",
+    for path_id, start, stop in zip(lanes.ids, lanes.offsets[:-1], lanes.offsets[1:]):
+        score = path_scores.get(path_id, 0.0)
+        lines.append(_path(id=path_id, d=_poly_d(lanes.vertices[start:stop]), fill="none",
                            stroke=COLORS["path"], stroke_width="0.6",
                            opacity=f"{_opacity(score, max_score):.4f}", data_score=repr(score)))
 

@@ -1,12 +1,14 @@
 """Small model configs, random batches and the padded forward-pass oracle shared by
-the model, train and metrics tests."""
+the model, train and metrics tests; a scene record in the agent frame and a reader
+for the SVG that visualize writes."""
 
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 
 from svgnet import tensor as T
-from svgnet.dataset import Batch
+from svgnet.dataset import AgentTrack, Batch, SceneRecord
 from svgnet.model import ModelConfig, SvgNet
 from svgnet.svg import CommandKind
 from svgnet.tensor import Tensor
@@ -147,3 +149,32 @@ def padded_forward(model: SvgNet, batch: Batch, empty_noise=None):
     h = T.relu(_linear(dec.head1, T.concat([r, prof], axis=1)))
     pred = _linear(dec.head3, T.relu(_linear(dec.head2, h)))
     return pred, record[-1][:, :, -1, :].mean(axis=1)
+
+
+def frame_record(polylines) -> SceneRecord:
+    """A record whose city frame is its agent frame: the main agent ends at
+    the origin heading +y, so normalized lane vertices equal the inputs."""
+    frames = np.arange(50)
+    xy = np.stack([np.zeros(50), frames - 19.0], axis=1)
+    return SceneRecord("s", list(polylines), [AgentTrack("main", frames, xy, is_main=True)])
+
+
+SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def read_svg_paths(text: str) -> list[tuple[str | None, np.ndarray]]:
+    """Each path's id and (n, 2) float vertices, in document order, from an SVG in the
+    canonical form: one <svg> root whose paths' data is "M x y" then "L x y" only,
+    absolute and space-separated. Raises ValueError on any other path data."""
+    root = ET.fromstring(text)
+    if root.tag != f"{SVG_NS}svg":
+        raise ValueError(f"root element is {root.tag!r}, expected an SVG root")
+    out = []
+    for elem in root.iter(f"{SVG_NS}path"):
+        tokens = elem.get("d", "").split()
+        letters = tokens[0::3]
+        if len(tokens) % 3 or letters[:1] != ["M"] or set(letters[1:]) - {"L"}:
+            raise ValueError(f"path data is not in canonical M/L form: {elem.get('d')!r}")
+        xy = [[float(x), float(y)] for x, y in zip(tokens[1::3], tokens[2::3])]
+        out.append((elem.get("id"), np.array(xy, dtype=np.float64)))
+    return out

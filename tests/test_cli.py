@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from model_helpers import read_svg_paths
 from svgnet.cli import cli, main
-from svgnet.svg import parse_document
 from svgnet.synth import SynthConfig, generate_records
 
 TINY_RUN_CONFIG = {
@@ -128,8 +128,7 @@ class TestTrainEvalPredict:
                             catch_exceptions=False)
         assert res.exit_code == 0, res.output
         text = out.read_text()
-        doc, ignored = parse_document(text)
-        assert len(doc.paths) >= 3  # map paths + main history + gt + prediction
+        assert len(read_svg_paths(text)) >= 3  # map paths + main history + gt + prediction
         import re
         scores = [float(s) for s in re.findall(r'data-score="([^"]+)"', text)]
         assert abs(sum(scores) - 1.0) < 1e-5
@@ -155,8 +154,7 @@ class TestTrainEvalPredict:
                                   "--data", str(data), "--scene-id", obj["scene_id"],
                                   "--out", str(out)], catch_exceptions=False)
         assert res.exit_code == 0, res.output
-        doc, _ = parse_document(out.read_text())
-        assert f"agent-{odd_id}" in {p.id for p in doc.paths}
+        assert f"agent-{odd_id}" in {path_id for path_id, _ in read_svg_paths(out.read_text())}
 
     def test_hist_only_visualization_floor_opacity(self, trained, workspace, runner,
                                                    tmp_path):

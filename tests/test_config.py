@@ -29,7 +29,10 @@ def test_value_of_the_wrong_type_is_a_config_error(tmp_path, section, key, value
     ("train", "eps", "1e309"), ("train", "lr", "1e309"), ("train", "lr", "NaN"),
     ("train", "lr_decay_epochs", "1e309"), ("train", "lr_decay_epochs", "NaN"),
     ("ingest", "view_extent", "1e309"), ("ingest", "view_extent", "NaN"),
-    ("ingest", "view_extent", "-Infinity")])
+    ("ingest", "view_extent", "-Infinity"), ("ingest", "min_heading_disp", "1e309"),
+    ("synth", "speed_noise", "NaN"), ("synth", "speed_noise", "-1"),
+    ("synth", "frame_rate", "-1"), ("synth", "frame_rate", "1e309"),
+    ("synth", "speed_max", "1e309"), ("synth", "geometry_mix", "[NaN, 0.5, 0.5]")])
 def test_out_of_range_setting_is_a_config_error_naming_the_field(tmp_path, section, key,
                                                                   literal):
     # written as raw JSON text: 1e309 is how a file spells a number that loads as inf

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from model_helpers import frame_record
 from svgnet.dataset import (AgentTrack, BadTimestampGridError, Batch, DatasetError,
                             IngestConfig, InsufficientHistoryError, MissingMainAgentError,
                             MissingTargetError, SceneRecord, SchemaError, apply_affine_points, concat_batches,
@@ -24,14 +25,6 @@ def straight_record(heading=(1.0, 0.0), speed=1.0, n_frames=50, scene_id="s0",
         agents.append(AgentTrack(f"other{k}", frames, xy + (0.0, 3.5 * (k + 1))))
     lane = start + np.arange(-20.0, 80.0)[:, None] * h
     return SceneRecord(scene_id, [lane], agents)
-
-
-def frame_record(polylines) -> SceneRecord:
-    """A record whose city frame is its agent frame: the main agent ends at
-    the origin heading +y, so normalized lane vertices equal the inputs."""
-    frames = np.arange(50)
-    xy = np.stack([np.zeros(50), frames - 19.0], axis=1)
-    return SceneRecord("s", list(polylines), [AgentTrack("main", frames, xy, is_main=True)])
 
 
 def lane_chunks(polylines, max_commands=30):

@@ -1,144 +1,28 @@
 import numpy as np
 import pytest
 
-from svgnet.svg import (ArityError, CommandKind, MalformedNumberError, MissingViewportError,
-                        SvgCommand, SvgDocument, SvgPath, UnsupportedCommandError, Viewport,
-                        XmlParseError, encode_command, parse_document, parse_path_data,
-                        quantize_coords, serialize_path, split_path)
-
-
-def random_supported_path(rng, max_cmds=12):
-    cmds = [SvgCommand.move_to(*rng.uniform(-100, 100, 2))]
-    for _ in range(rng.integers(1, max_cmds)):
-        choice = rng.integers(0, 3)
-        if choice == 0:
-            cmds.append(SvgCommand.line_to(*rng.uniform(-100, 100, 2)))
-        elif choice == 1:
-            cmds.append(SvgCommand.cubic_to(*rng.uniform(-100, 100, 6)))
-        else:
-            cmds.append(SvgCommand.close_path())
-    return SvgPath(tuple(cmds))
-
-
-class TestParse:
-    def test_simple_polyline(self):
-        p = parse_path_data("M 0 0 L 10 0 L 10 10")
-        assert [c.kind for c in p.commands] == [CommandKind.MOVE_TO, CommandKind.LINE_TO,
-                                                CommandKind.LINE_TO]
-        assert p.commands[2].end_point == (10.0, 10.0)
-
-    def test_relative_commands(self):
-        p = parse_path_data("m 1 1 l 2 0 l 0 3")
-        assert p.commands[1].end_point == (3.0, 1.0)
-        assert p.commands[2].end_point == (3.0, 4.0)
-
-    def test_relative_cubic(self):
-        p = parse_path_data("M 10 10 c 1 2 3 4 5 6")
-        assert p.commands[1].args == (11.0, 12.0, 13.0, 14.0, 15.0, 16.0)
-
-    def test_implicit_lineto_after_moveto(self):
-        p = parse_path_data("M 0 0 1 2 3 4")
-        kinds = [c.kind for c in p.commands]
-        assert kinds == [CommandKind.MOVE_TO, CommandKind.LINE_TO, CommandKind.LINE_TO]
-
-    def test_implicit_repetition(self):
-        p = parse_path_data("L 0 0 1 1 2 2".replace("L", "M 5 5 L", 1))
-        assert len(p.commands) == 4
-
-    def test_quadratic_elevation_exact(self):
-        # independent oracle: sample both curves at 11 parameters
-        p0, q, p2 = (0.0, 0.0), (1.0, 1.0), (2.0, 0.0)
-        path = parse_path_data("M 0 0 Q 1 1 2 0")
-        c = path.commands[1]
-        assert c.kind == CommandKind.CUBIC_TO
-        np.testing.assert_allclose(c.args[:4], (2 / 3, 2 / 3, 4 / 3, 2 / 3), atol=1e-12)
-        for t in np.linspace(0, 1, 11):
-            quad = ((1 - t) ** 2 * np.array(p0) + 2 * t * (1 - t) * np.array(q)
-                    + t ** 2 * np.array(p2))
-            cub = ((1 - t) ** 3 * np.array(p0)
-                   + 3 * t * (1 - t) ** 2 * np.array(c.args[0:2])
-                   + 3 * t ** 2 * (1 - t) * np.array(c.args[2:4])
-                   + t ** 3 * np.array(c.args[4:6]))
-            np.testing.assert_allclose(cub, quad, atol=1e-9)
-
-    def test_close_path_resets_current_point(self):
-        p = parse_path_data("M 1 1 L 2 2 Z l 1 0")
-        # after Z the current point is the subpath start (1, 1)
-        assert p.commands[-1].end_point == (2.0, 1.0)
-
-    def test_arity_error(self):
-        with pytest.raises(ArityError):
-            parse_path_data("L 5")
-        with pytest.raises(ArityError):
-            parse_path_data("M 0 0 C 1 2 3")
-
-    def test_unsupported_commands(self):
-        for d in ("M 0 0 A 1 1 0 0 0 2 2", "M 0 0 H 5", "M 0 0 V 5", "M 0 0 S 1 1 2 2",
-                  "M 0 0 T 1 1"):
-            with pytest.raises(UnsupportedCommandError):
-                parse_path_data(d)
-
-    def test_malformed_number(self):
-        with pytest.raises(MalformedNumberError):
-            parse_path_data("M 0 0 L 1 +")
-
-    def test_number_without_leading_command(self):
-        with pytest.raises(ArityError):
-            parse_path_data("1 2 3 4")
+from model_helpers import frame_record, read_svg_paths
+from svgnet.dataset import IngestConfig, normalize_sample
+from svgnet.svg import (CommandKind, SvgCommand, SvgPath, Viewport, encode_command,
+                        quantize_coords, split_path)
+from svgnet.viz import _poly_d, render_attention_svg
 
 
 class TestSerialize:
     def test_canonical_form(self):
-        p = SvgPath((SvgCommand.move_to(0, 0), SvgCommand.line_to(1, 2)))
-        assert serialize_path(p) == "M 0 0 L 1 2"
+        assert _poly_d(np.array([[0.0, 0.0], [1.0, 2.5]])) == "M 0.0 0.0 L 1.0 2.5"
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
-            p = random_supported_path(rng)
-            back = parse_path_data(serialize_path(p))
-            assert len(back.commands) == len(p.commands)
-            for a, b in zip(p.commands, back.commands):
-                assert a.kind == b.kind
-                assert a.args == b.args
+            pts = rng.uniform(-100, 100, (int(rng.integers(1, 12)), 2))
+            svg = f'<svg xmlns="http://www.w3.org/2000/svg"><path d="{_poly_d(pts)}"/></svg>'
+            [(_, back)] = read_svg_paths(svg)
+            assert np.array_equal(back, pts)
 
     def test_pad_rejected_by_path(self):
         with pytest.raises(ValueError):
             SvgPath((SvgCommand(CommandKind.PAD),))
-
-    def test_eos_not_serializable(self):
-        p = SvgPath((SvgCommand.move_to(0, 0), SvgCommand(CommandKind.EOS)))
-        with pytest.raises(ValueError):
-            serialize_path(p)
-
-
-class TestDocument:
-    def test_two_paths(self):
-        doc, ignored = parse_document(
-            '<svg viewBox="0 0 10 10"><path d="M 0 0 L 1 1"/><path d="M 2 2 L 3 3"/></svg>')
-        assert len(doc.paths) == 2
-        assert ignored == 0
-        assert doc.viewport == Viewport((0, 0), (10, 10))
-
-    def test_non_path_ignored_with_warning(self):
-        doc, ignored = parse_document(
-            '<svg width="10" height="10"><circle cx="1" cy="1" r="1"/></svg>')
-        assert len(doc.paths) == 0
-        assert ignored == 1
-
-    def test_truncated_xml(self):
-        with pytest.raises(XmlParseError):
-            parse_document('<svg viewBox="0 0 1 1"><path d="M 0 0')
-
-    def test_missing_viewport(self):
-        with pytest.raises(MissingViewportError):
-            parse_document("<svg><path d='M 0 0 L 1 1'/></svg>")
-
-    def test_namespaced_svg(self):
-        doc, _ = parse_document(
-            '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-5 -5 10 10">'
-            '<path d="M 0 0 L 1 1"/></svg>')
-        assert len(doc.paths) == 1
 
 
 class TestQuantize:
@@ -208,7 +92,7 @@ class TestSplit:
         return n
 
     def test_short_path_unchanged(self):
-        p = parse_path_data("M 0 0 L 1 1 L 2 2 L 3 3 L 4 4")
+        p = SvgPath([SvgCommand.move_to(0, 0)] + [SvgCommand.line_to(i, i) for i in range(1, 5)])
         assert split_path(p, 10) == [p]
 
     def test_long_polyline_split(self):
@@ -234,18 +118,22 @@ class TestSplit:
 
     def test_max_commands_validation(self):
         with pytest.raises(ValueError):
-            split_path(parse_path_data("M 0 0 L 1 1"), 1)
+            split_path(SvgPath((SvgCommand.move_to(0, 0), SvgCommand.line_to(1, 1))), 1)
 
 
 def test_document_xml_round_trip():
+    # visualize's SVG reads back to each lane chunk's vertices and id, in order, for lanes
+    # that run out of the viewport (clamped onto its edge) and are split into chunks
     rng = np.random.default_rng(17)
-    paths = tuple(random_supported_path(rng) for _ in range(4))
-    doc = SvgDocument(paths, Viewport((-50.0, -50.0), (100.0, 100.0)))
-    xml = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="-50 -50 100 100">']
-    xml += [f'<path d="{serialize_path(p)}"/>' for p in paths]
-    back, ignored = parse_document("".join(xml) + "</svg>")
-    assert ignored == 0
-    assert len(back.paths) == 4
-    for a, b in zip(doc.paths, back.paths):
-        for ca, cb in zip(a.commands, b.commands):
-            assert ca.kind == cb.kind and ca.args == cb.args
+    across = np.stack([np.linspace(-81.3, 77.9, 40), rng.uniform(-70.0, 70.0, 40)], axis=1)
+    inside = rng.uniform(-49.0, 49.0, (5, 2))
+    sample = normalize_sample(frame_record([across, inside]), IngestConfig(max_commands=6))
+    lanes = sample.scene_svg
+    assert any("#" in path_id for path_id in lanes.ids)
+    assert (np.abs(lanes.vertices) == 50.0).any() and (np.abs(lanes.vertices) % 1 > 0).any()
+
+    read = [(path_id, pts) for path_id, pts in read_svg_paths(render_attention_svg(sample, []))
+            if path_id.startswith("lane")]
+    assert [path_id for path_id, _ in read] == lanes.ids
+    for (_, pts), start, stop in zip(read, lanes.offsets[:-1], lanes.offsets[1:]):
+        assert np.array_equal(pts, lanes.vertices[start:stop])

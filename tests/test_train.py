@@ -110,7 +110,7 @@ class TestAdamW:
         opt = AdamW({"p": p}, TrainConfig())
         p.grad = rng.normal(size=(3, 2)).astype(np.float32)
         opt.step(lr=1e-3)
-        save_checkpoint(opt.state_arrays(), tmp_path / "opt")
+        save_checkpoint(opt.live_state(), tmp_path / "opt")
         opt2 = AdamW({"p": p}, TrainConfig())
         opt2.load_state(load_checkpoint(tmp_path / "opt"))
         assert opt2.step_count == 1
