@@ -12,8 +12,8 @@ A checkpoint named ``prefix`` occupies ``prefix.json`` and ``prefix.bin``
 Saving streams each array into the blob file in turn, with no copy of a
 float32 array and no copy of the whole blob. Loading reads the blob once
 and returns views of it, so the manifest's entries must tile the blob
-exactly, in order, lest two views alias; anything else is a
-CheckpointError.
+exactly, in order, lest two views alias, and must name distinct arrays;
+anything else is a CheckpointError.
 """
 
 from __future__ import annotations
@@ -80,12 +80,16 @@ def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
         # CheckpointError is not a ValueError, so the version check passes through
         raise CheckpointError(f"{manifest_path.name}: unreadable manifest ({exc})") from exc
     end = 0
+    names = set()
     for name, shape, start in entries:
         if not (isinstance(name, str) and isinstance(shape, list)
                 and all(map(_is_count, shape)) and _is_count(start)):
             raise CheckpointError(f"{manifest_path.name}: entry {name!r} needs a string name "
                                   f"and a shape and offset of non-negative integers, "
                                   f"got {shape!r} and {start!r}")
+        if name in names:
+            raise CheckpointError(f"{manifest_path.name}: entry {name!r} is listed twice")
+        names.add(name)
         if start != end:
             raise CheckpointError(f"{manifest_path.name}: entry {name!r} starts at {start}, "
                                   f"where the entry before it ends at {end}")

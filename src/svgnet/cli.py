@@ -56,16 +56,17 @@ def _common_overrides(seed, input_mode) -> dict:
 
 
 def _load_config_near_checkpoint(checkpoint: str, config: str | None,
-                                 overrides: dict) -> RunConfig:
+                                 input_mode: str | None) -> RunConfig:
     if config is None:
         sibling = Path(checkpoint).parent / "config.json"
         if sibling.exists():
             config = str(sibling)
-    return load_run_config(config, overrides)
+    return load_run_config(config, _common_overrides(None, input_mode))
 
 
 def _load_model(checkpoint: str, cfg: RunConfig, dtype) -> SvgNet:
-    model = SvgNet(cfg.model, seed=cfg.train.seed, dtype=dtype)
+    """The model of cfg with every parameter loaded from the checkpoint."""
+    model = SvgNet(cfg.model, dtype=dtype)
     model.load_state(load_checkpoint(checkpoint))
     return model
 
@@ -161,12 +162,10 @@ def train_cmd(config_path, data, out_dir, input_mode, dtype, seed) -> None:
               help="Evaluate the constant-velocity baseline instead of the model.")
 @input_mode_option
 @f64_option
-@seed_option
 def eval_cmd(checkpoint, data, config_path, out, per_sample_csv, baseline, input_mode,
-             dtype, seed) -> None:
+             dtype) -> None:
     """Report ADE / FDE / miss rate on a dataset with targets."""
-    cfg = _load_config_near_checkpoint(checkpoint, config_path,
-                                       _common_overrides(seed, input_mode))
+    cfg = _load_config_near_checkpoint(checkpoint, config_path, input_mode)
     records = _read_records(data)
     caps = (cfg.model.n_paths, cfg.model.n_commands, cfg.model.n_agents)
     if baseline:
@@ -192,11 +191,9 @@ def eval_cmd(checkpoint, data, config_path, out, per_sample_csv, baseline, input
               default=None)
 @input_mode_option
 @f64_option
-@seed_option
-def predict_cmd(checkpoint, data, out, config_path, input_mode, dtype, seed) -> None:
+def predict_cmd(checkpoint, data, out, config_path, input_mode, dtype) -> None:
     """Write city-frame predicted trajectories as JSONL, one line per scene."""
-    cfg = _load_config_near_checkpoint(checkpoint, config_path,
-                                       _common_overrides(seed, input_mode))
+    cfg = _load_config_near_checkpoint(checkpoint, config_path, input_mode)
     model = _load_model(checkpoint, cfg, dtype)
     records = _read_records(data)
     lines = []
@@ -220,12 +217,9 @@ def predict_cmd(checkpoint, data, out, config_path, input_mode, dtype, seed) -> 
               default=None)
 @input_mode_option
 @f64_option
-@seed_option
-def visualize_cmd(checkpoint, data, scene_id, out, config_path, input_mode, dtype,
-                  seed) -> None:
+def visualize_cmd(checkpoint, data, scene_id, out, config_path, input_mode, dtype) -> None:
     """Render one scene with the decoder's attention as opacity."""
-    cfg = _load_config_near_checkpoint(checkpoint, config_path,
-                                       _common_overrides(seed, input_mode))
+    cfg = _load_config_near_checkpoint(checkpoint, config_path, input_mode)
     model = _load_model(checkpoint, cfg, dtype)
     record = None
     for rec in _read_records(data):

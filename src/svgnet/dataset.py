@@ -454,15 +454,6 @@ class Batch:
     def __len__(self) -> int:
         return self.command_kinds.shape[0]
 
-    def take(self, indices) -> "Batch":
-        idx = np.asarray(indices)
-
-        def pick(value):
-            if value is None:
-                return None
-            return [value[i] for i in idx] if isinstance(value, list) else value[idx]
-        return Batch(**{f.name: pick(getattr(self, f.name)) for f in fields(self)})
-
 
 def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: int,
                n_agents: int) -> Batch:

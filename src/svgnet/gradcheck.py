@@ -25,12 +25,9 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor], eps: float = 1
     Returns the max relative error, |a - b| / max(|a|, |b|, 1e-8).
     """
     params = list(params)
-    for p in params:
-        p.zero_grad()
     with GradientTape() as tape:
-        loss = f()
-        tape.backward(loss)
-    analytic = [p.grad.copy() for p in params]
+        grads = tape.backward(f())
+    analytic = [grads.get(p, np.zeros_like(p.data)) for p in params]
 
     if rng is None:
         rng = np.random.default_rng(0)

@@ -238,7 +238,7 @@ class _TransformerLayer:
         self.n_heads = n_heads
         self.ln1 = _LayerNorm(pf, f"{name}.ln1", d_m)
         # no q/k biases: a key bias shifts every logit in a row equally,
-        # which softmax cancels, leaving a parameter with exactly zero grad
+        # which softmax cancels, leaving a parameter with exactly zero gradient
         self.wq = _Linear(pf, f"{name}.attn.wq", d_m, d_m, bias=False)
         self.wk = _Linear(pf, f"{name}.attn.wk", d_m, d_m, bias=False)
         self.wv = _Linear(pf, f"{name}.attn.wv", d_m, d_m)
@@ -365,9 +365,9 @@ class Decoder:
 class SvgNet:
     """Full model: scene encoder, shared history encoder, fusion decoder.
 
-    A built model holds its weights only. Its gradient buffers appear at
-    the first zero_grad() or backward, and the AdamW moments at the
-    optimizer's first step, so predicting allocates neither.
+    A built model holds its weights only: a tape's backward returns the
+    gradients, and the AdamW moments appear at the optimizer's first
+    step, so predicting allocates neither.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -388,10 +388,6 @@ class SvgNet:
 
     def parameters(self) -> dict[str, Parameter]:
         return self.params
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}

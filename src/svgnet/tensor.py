@@ -4,12 +4,11 @@ A define-by-run tape: operations executed while a GradientTape is active
 append a node holding their inputs and a backward closure. A tape runs
 backward once: each node, with the output it keeps alive, is dropped as
 soon as its closure has run, so the gradients take the place of the
-activations they replace and the tape ends empty. Values are
-numpy arrays and every op keeps its inputs' dtype: the model picks the
-dtype (float32 for training, float64 for gradient checking) when it
-creates its parameters and inputs. A gradient buffer is allocated on
-first use, so a tensor that never takes part in a backward, like every
-parameter of a model that only predicts, holds its values alone.
+activations they replace and the tape ends empty. backward returns the
+gradients as a mapping from leaf tensor to array; tensors themselves
+hold only their values. Values are numpy arrays and every op keeps its
+inputs' dtype: the model picks the dtype (float32 for training, float64
+for gradient checking) when it creates its parameters and inputs.
 """
 
 from __future__ import annotations
@@ -33,28 +32,11 @@ class DisconnectedLossError(ValueError):
 class Tensor:
     """A numpy array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "_grad", "__weakref__")
+    __slots__ = ("data", "requires_grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
-        self._grad: np.ndarray | None = None
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        """The accumulated gradient, allocated on first use.
-
-        On a tensor that requires grad it reads as zeros of the data's shape
-        and dtype until a backward adds to it; on one that does not, it
-        reads None and allocates nothing.
-        """
-        if self._grad is None and self.requires_grad:
-            self.zero_grad()
-        return self._grad
-
-    @grad.setter
-    def grad(self, value: np.ndarray | None) -> None:
-        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -64,18 +46,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def zero_grad(self) -> None:
-        """Zero the gradient in its existing buffer (allocated on first use)."""
-        if self._grad is None:
-            self._grad = np.zeros_like(self.data)
-        else:
-            self._grad[...] = 0
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self._grad is None:
-            self.zero_grad()
-        self._grad += g.astype(self.data.dtype, copy=False)
-
     def item(self) -> float:
         return float(self.data)
 
@@ -84,11 +54,7 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named leaf tensor that requires grad.
-
-    Its gradient buffer is allocated by the first zero_grad(), backward or
-    read of ``grad``, not when the parameter is built.
-    """
+    """A named leaf tensor with requires_grad set."""
 
     __slots__ = ("name",)
 
@@ -141,8 +107,12 @@ class GradientTape:
         self._out_ids.add(id(out))
         self._retained.append(out)
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad, emptying the tape."""
+    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+        """d(loss)/d(leaf) for every leaf with requires_grad set that the loss
+        reaches, in the leaf's dtype; emptying the tape.
+
+        Two leaves' gradients may be one array, so treat them as read-only.
+        """
         if self._ran:
             raise DisconnectedLossError("this tape's backward has already run; record a new tape")
         if loss.data.size != 1:
@@ -152,6 +122,7 @@ class GradientTape:
         self._ran = True
 
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        leaf_grads: dict[Tensor, np.ndarray] = {}
         while self._nodes:
             # parents precede their consumers, so ids still pending stay unique
             node = self._nodes.pop()
@@ -162,19 +133,14 @@ class GradientTape:
                 continue
             parent_grads = node.backward(g)
             for p, pg in zip(node.parents, parent_grads):
-                if pg is None or not _tracked(p, self):
+                if pg is None or not p.requires_grad:
                     continue
                 if id(p) in self._out_ids:
-                    if id(p) in grads:
-                        grads[id(p)] = grads[id(p)] + pg
-                    else:
-                        grads[id(p)] = pg
+                    grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
                 else:
-                    p.accumulate_grad(pg)
-
-
-def _tracked(t: Tensor, tape: GradientTape) -> bool:
-    return t.requires_grad or id(t) in tape._out_ids
+                    pg = pg.astype(p.data.dtype, copy=False)
+                    leaf_grads[p] = leaf_grads[p] + pg if p in leaf_grads else pg
+        return leaf_grads
 
 
 def _as_tensor(x) -> Tensor:
@@ -184,7 +150,7 @@ def _as_tensor(x) -> Tensor:
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable) -> Tensor:
     tape = GradientTape.current()
     out = Tensor(data)
-    if tape is not None and any(_tracked(p, tape) for p in parents):
+    if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
         tape.record(out, parents, backward)
     return out
@@ -446,13 +412,13 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     def backward(g):
         flat_idx = idx.reshape(-1)
         flat_g = g.reshape(-1, table.shape[1])
-        grad = np.zeros_like(table.data)
+        g_table = np.zeros_like(table.data)
         # sorted segment-sum: much faster than np.add.at for large gathers
         order = np.argsort(flat_idx, kind="stable")
         sorted_idx = flat_idx[order]
         uniq, starts = np.unique(sorted_idx, return_index=True)
-        grad[uniq] = np.add.reduceat(flat_g[order], starts, axis=0)
-        return (grad,)
+        g_table[uniq] = np.add.reduceat(flat_g[order], starts, axis=0)
+        return (g_table,)
 
     return _make(out, (table,), backward)
 

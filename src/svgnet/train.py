@@ -80,9 +80,11 @@ def lr_at(step: int, cfg: TrainConfig, steps_per_epoch: int) -> float:
 class AdamW:
     """Decoupled weight decay plus bias-corrected adaptive moments.
 
-    Each parameter's moments are allocated at the first step, after
-    backward has freed the tape, so they do not add to the peak memory
-    of the first training step.
+    step() takes the mapping a tape's backward returns, and reads it
+    only: a parameter it lacks has a zero gradient. Each parameter's
+    moments are allocated at the first step, after backward has freed
+    the tape, so they do not add to the peak memory of the first
+    training step.
     """
 
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
@@ -98,14 +100,14 @@ class AdamW:
             self.v[name] = np.zeros_like(self.params[name].data)
         return self.m[name], self.v[name]
 
-    def step(self, lr: float) -> None:
+    def step(self, grads: dict[Tensor, np.ndarray], lr: float) -> None:
         cfg = self.cfg
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - cfg.beta1 ** t
         bc2 = 1.0 - cfg.beta2 ** t
         for name, p in self.params.items():
-            g = p.grad
+            g = grads.get(p, 0.0)
             m, v = self._moments(name)
             m *= cfg.beta1
             m += (1.0 - cfg.beta1) * g
@@ -131,15 +133,22 @@ class AdamW:
         self.step_count = int(arrays["step"][0])
 
 
-def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
+def clip_grad_norm(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
+                   max_norm: float) -> float:
+    """Scale ``grads`` to a global norm of at most max_norm; returns the norm before.
+
+    The norm is summed in parameter order. Entries are replaced rather
+    than scaled in place, as two of them may be one array.
+    """
     total = 0.0
     for p in params.values():
-        total += float((p.grad.astype(np.float64) ** 2).sum())
+        if p in grads:
+            total += float((grads[p].astype(np.float64) ** 2).sum())
     norm = math.sqrt(total)
     if norm > max_norm and norm > 0:
         scl = max_norm / norm
-        for p in params.values():
-            p.grad *= scl
+        for p, g in grads.items():
+            grads[p] = g * scl
     return norm
 
 
@@ -161,11 +170,13 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
     """Run the full training loop on ``encode_samples`` output; returns the per-step loss log.
 
     An empty ``encoded`` raises EmptyInputError before anything is written.
+    Each step's gradients are the mapping its tape's backward returns;
+    they are clipped, applied and dropped within the step.
     A NaN or inf step loss, or a NaN or inf in any parameter's gradient
     (a finite loss can still overflow in backward), raises
-    NonFiniteLossError naming the step, and the first such parameter,
-    before that step's clipping and update and before any further file is
-    written.
+    NonFiniteLossError naming the step, and the first such parameter in
+    parameter order, before that step's clipping and update and before
+    any further file is written.
     Before returning, it frees the optimizer and hands the heap pages that
     the tapes and the optimizer freed back to the OS (release_free_heap).
     Deterministic for a fixed config seed (single-threaded). Checkpoints,
@@ -193,20 +204,20 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
         for lo in range(0, n, cfg.batch_size):
             batch = concat_batches([encoded[i] for i in order[lo:lo + cfg.batch_size]])
             lr = lr_at(step, cfg, steps_per_epoch)
-            model.zero_grad()
             with GradientTape() as tape:
                 pred, _ = model.forward(batch)
                 loss = mse_loss(pred, batch.targets)
                 if not np.isfinite(loss.data).all():
                     raise NonFiniteLossError(f"step {step} (epoch {epoch}): loss is {loss.item()}")
-                tape.backward(loss)
+                grads = tape.backward(loss)
             for name, p in model.parameters().items():
-                if not np.isfinite(p.grad).all():
+                if p in grads and not np.isfinite(grads[p]).all():
                     raise NonFiniteLossError(
                         f"step {step} (epoch {epoch}): gradient of {name!r} is not finite")
             if cfg.grad_clip_norm is not None:
-                clip_grad_norm(model.parameters(), cfg.grad_clip_norm)
-            optimizer.step(lr)
+                clip_grad_norm(model.parameters(), grads, cfg.grad_clip_norm)
+            optimizer.step(grads, lr)
+            del grads   # free them before the next forward
             log.append({"epoch": epoch, "step": step, "lr": lr,
                         "loss": loss.item(), "val_ade": None, "val_fde": None})
             step += 1

@@ -1,9 +1,10 @@
-"""Small model configs, random batches and the padded forward-pass oracle shared by
-the model, train and metrics tests; a scene record in the agent frame and a reader
-for the SVG that visualize writes."""
+"""Small model configs, random batches, batch slicing and the padded forward-pass
+oracle shared by the model, train, dataset and metrics tests; a scene record in the
+agent frame and a reader for the SVG that visualize writes."""
 
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import numpy as np
 
@@ -19,6 +20,17 @@ def tiny_config(**overrides) -> ModelConfig:
                 t_obs=20, t_pred=30, n_paths=4, n_commands=6, n_agents=2)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def take_batch(batch: Batch, indices) -> Batch:
+    """The samples of ``batch`` at ``indices``, in that order, as a new Batch."""
+    idx = np.asarray(indices)
+
+    def pick(value):
+        if value is None:
+            return None
+        return [value[i] for i in idx] if isinstance(value, list) else value[idx]
+    return Batch(**{f.name: pick(getattr(batch, f.name)) for f in fields(batch)})
 
 
 def random_batch(cfg: ModelConfig, batch_size: int, rng, with_targets: bool = True,

@@ -209,8 +209,8 @@ def _run_main(monkeypatch, *argv) -> int:
     return main()
 
 
-@pytest.mark.parametrize("damage", ["truncated_blob", "broken_manifest", "d_m_mismatch",
-                                    "extra_parameters"])
+@pytest.mark.parametrize("damage", ["truncated_blob", "broken_manifest", "duplicate_name",
+                                    "d_m_mismatch", "extra_parameters"])
 def test_bad_checkpoint_is_a_data_error(workspace, runner, monkeypatch, capsys, damage):
     out_dir = workspace["dir"] / "run"
     res = runner.invoke(cli, ["train", "--config", str(workspace["cfg"]),
@@ -223,6 +223,10 @@ def test_bad_checkpoint_is_a_data_error(workspace, runner, monkeypatch, capsys, 
         blob.write_bytes(blob.read_bytes()[:-4])
     elif damage == "broken_manifest":
         (out_dir / "model_final.json").write_text('{"format_version": 1, "params": [')
+    elif damage == "duplicate_name":
+        manifest = json.loads((out_dir / "model_final.json").read_text())
+        manifest["params"][1]["name"] = manifest["params"][0]["name"]
+        (out_dir / "model_final.json").write_text(json.dumps(manifest))
     else:
         change = {"d_m": 32} if damage == "d_m_mismatch" else {"n_decoder_blocks": 2}
         other = dict(TINY_RUN_CONFIG, model={**TINY_RUN_CONFIG["model"], **change})
@@ -230,7 +234,16 @@ def test_bad_checkpoint_is_a_data_error(workspace, runner, monkeypatch, capsys, 
         (workspace["dir"] / "other.json").write_text(json.dumps(other))
     assert _run_main(monkeypatch, "eval", "--checkpoint", str(out_dir / "model_final"),
                      "--data", str(workspace["data"]), *config) == 3
-    assert capsys.readouterr().err.startswith("data error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert ("is listed twice" in err) == (damage == "duplicate_name")
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "visualize"])
+def test_commands_that_load_a_checkpoint_take_no_seed(monkeypatch, capsys, command):
+    # every parameter comes from the checkpoint, so a seed would change nothing
+    assert _run_main(monkeypatch, command, "--seed", "0") == 2
+    assert "No such option '--seed'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("period", [0, -1])

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from model_helpers import frame_record
+from model_helpers import frame_record, take_batch
 from svgnet.dataset import (AgentTrack, BadTimestampGridError, Batch, DatasetError,
                             IngestConfig, InsufficientHistoryError, MissingMainAgentError,
                             MissingTargetError, SceneRecord, SchemaError, apply_affine_points, concat_batches,
@@ -336,9 +336,9 @@ class TestMakeBatch:
         samples = [normalize_sample(straight_record(scene_id=f"s{i}"), self.CFG)
                    for i in range(4)]
         batch = make_batch(samples, 16, 30, 4)
-        taken = batch.take([2, 0])
+        taken = take_batch(batch, [2, 0])
         assert taken.scene_ids == ["s2", "s0"]
-        merged = concat_batches([batch.take([0]), batch.take([1])])
+        merged = concat_batches([take_batch(batch, [0]), take_batch(batch, [1])])
         assert len(merged) == 2
         np.testing.assert_array_equal(merged.main_history[1], batch.main_history[1])
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from model_helpers import random_batch, tiny_config
+from model_helpers import random_batch, take_batch, tiny_config
 from svgnet import tensor as T
 from svgnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from svgnet.dataset import IngestConfig, _atomic_write
@@ -82,7 +82,7 @@ class TestAdamW:
         p = Parameter("p", np.array([1.0, -2.0]))
         opt = AdamW({"p": p}, TrainConfig(weight_decay=0.0))
         before = p.data.copy()
-        opt.step(lr=0.1)
+        opt.step({}, lr=0.1)
         np.testing.assert_array_equal(p.data, before)
 
     def test_single_step_direction_and_size(self):
@@ -90,8 +90,8 @@ class TestAdamW:
         opt = AdamW({"p": p}, TrainConfig(weight_decay=0.0))
         with GradientTape() as tape:
             loss = T.tsum(T.mul(p, p))
-            tape.backward(loss)
-        opt.step(lr=0.1)
+            grads = tape.backward(loss)
+        opt.step(grads, lr=0.1)
         delta = p.data[0] - 1.0
         assert delta < 0
         assert abs(delta) <= 0.1 * (1.0 + 1e-6)
@@ -101,15 +101,14 @@ class TestAdamW:
     def test_decoupled_weight_decay(self):
         p = Parameter("p", np.array([4.0]))
         opt = AdamW({"p": p}, TrainConfig(weight_decay=0.5))
-        opt.step(lr=0.1)  # zero gradient: only decay applies
+        opt.step({}, lr=0.1)  # zero gradient: only decay applies
         np.testing.assert_allclose(p.data, [4.0 * (1 - 0.1 * 0.5)])
 
     def test_state_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         p = Parameter("p", rng.normal(size=(3, 2)).astype(np.float32))
         opt = AdamW({"p": p}, TrainConfig())
-        p.grad = rng.normal(size=(3, 2)).astype(np.float32)
-        opt.step(lr=1e-3)
+        opt.step({p: rng.normal(size=(3, 2)).astype(np.float32)}, lr=1e-3)
         save_checkpoint(opt.live_state(), tmp_path / "opt")
         opt2 = AdamW({"p": p}, TrainConfig())
         opt2.load_state(load_checkpoint(tmp_path / "opt"))
@@ -117,6 +116,14 @@ class TestAdamW:
         np.testing.assert_array_equal(opt2.m["p"], opt.m["p"])
         np.testing.assert_array_equal(opt2.v["p"], opt.v["p"])
 
+
+    def test_step_reads_the_gradients_only(self):
+        p = Parameter("p", np.array([1.0, -2.0]))
+        g = np.array([0.5, 0.25])
+        grads = {p: g}
+        AdamW({"p": p}, TrainConfig()).step(grads, lr=0.1)
+        assert list(grads) == [p] and grads[p] is g
+        np.testing.assert_array_equal(g, [0.5, 0.25])
 
     def test_state_before_the_first_step_is_zero(self):
         p = Parameter("p", np.ones((3, 2), dtype=np.float32))
@@ -129,24 +136,48 @@ class TestAdamW:
 class TestClipGradNorm:
     def params(self):
         a, b = Parameter("a", np.zeros((2,))), Parameter("b", np.zeros((1, 2)))
-        a.grad[:] = [3.0, 0.0]
-        b.grad[:] = [[0.0, 4.0]]   # global norm 5
-        return {"a": a, "b": b}
+        grads = {a: np.array([3.0, 0.0]), b: np.array([[0.0, 4.0]])}   # global norm 5
+        return {"a": a, "b": b}, grads
 
     def test_scales_to_max_norm_and_returns_the_pre_clip_norm(self):
-        params = self.params()
-        assert clip_grad_norm(params, 2.0) == 5.0
-        assert params["a"].grad.tolist() == pytest.approx([1.2, 0.0])
-        assert params["b"].grad.tolist() == [pytest.approx([0.0, 1.6])]
-        norm = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params.values()))
+        params, grads = self.params()
+        assert clip_grad_norm(params, grads, 2.0) == 5.0
+        assert grads[params["a"]].tolist() == pytest.approx([1.2, 0.0])
+        assert grads[params["b"]].tolist() == [pytest.approx([0.0, 1.6])]
+        norm = math.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
         assert norm == pytest.approx(2.0)
 
     @pytest.mark.parametrize("max_norm", [5.0, 10.0])
     def test_norm_within_the_bound_leaves_gradients_untouched(self, max_norm):
-        params = self.params()
-        assert clip_grad_norm(params, max_norm) == 5.0
-        assert params["a"].grad.tolist() == [3.0, 0.0]
-        assert params["b"].grad.tolist() == [[0.0, 4.0]]
+        params, grads = self.params()
+        assert clip_grad_norm(params, grads, max_norm) == 5.0
+        assert grads[params["a"]].tolist() == [3.0, 0.0]
+        assert grads[params["b"]].tolist() == [[0.0, 4.0]]
+
+    def test_a_parameter_without_a_gradient_adds_nothing(self):
+        params, grads = self.params()
+        params["c"] = Parameter("c", np.ones(3))
+        assert clip_grad_norm(params, grads, 2.0) == 5.0
+        assert set(grads) == {params["a"], params["b"]}
+
+    def test_the_norm_is_summed_in_parameter_order(self):
+        big, one, two = (Parameter(n, np.zeros(1)) for n in ("big", "one", "two"))
+        # mapping order (as backward returns it) is reverse topological
+        grads = {one: np.array([1.0]), two: np.array([1.0]), big: np.array([1e8])}
+        # in parameter order each 1.0 rounds away: 1e16 + 1 + 1 == 1e16 in float64,
+        # where 1 + 1 + 1e16 would give 1e16 + 2 and a norm one ulp above 1e8
+        norm = clip_grad_norm({"big": big, "one": one, "two": two}, grads, 1e9)
+        assert norm == 1e8
+
+    def test_a_gradient_shared_by_two_leaves_is_scaled_once_for_each(self):
+        a, b = Parameter("a", np.zeros(2)), Parameter("b", np.zeros(2))
+        with GradientTape() as tape:
+            # add hands its one incoming gradient, 3 * [1, 1], to both leaves
+            grads = tape.backward(T.tsum(T.mul_const(T.add(a, b), 3.0)))
+        assert grads[a] is grads[b]
+        assert clip_grad_norm({"a": a, "b": b}, grads, 3.0) == pytest.approx(6.0)
+        np.testing.assert_allclose(grads[a], [1.5, 1.5])
+        np.testing.assert_allclose(grads[b], [1.5, 1.5])
 
 
 class TestCheckpoint:
@@ -232,6 +263,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="c.json: entry"):
             load_checkpoint(tmp_path / "c")
 
+    def test_a_name_listed_twice_is_rejected(self, tmp_path):
+        # before, {"a": [3.0]} loaded and the first entry's floats were dropped
+        save_checkpoint({"a": np.ones(1, np.float32), "b": np.full(1, 3.0, np.float32)},
+                        tmp_path / "c")
+        manifest = json.loads((tmp_path / "c.json").read_text())
+        manifest["params"][1]["name"] = "a"
+        (tmp_path / "c.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="c.json: entry 'a' is listed twice"):
+            load_checkpoint(tmp_path / "c")
+
 
 class TestTrainingLoop:
     def make_batches(self, n=8):
@@ -249,21 +290,6 @@ class TestTrainingLoop:
             train(model, batches, tc, out_dir=tmp_path / name)
             outs.append((tmp_path / name / "model_final.bin").read_bytes())
         assert outs[0] == outs[1]
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_reading_every_gradient_before_training_changes_nothing(self, dtype):
-        batches = self.make_batches(6)
-        tc = TrainConfig(epochs=2, batch_size=3, seed=7)
-        runs = []
-        for read_first in (False, True):
-            model = SvgNet(tiny_config(), seed=7, dtype=dtype)
-            if read_first:
-                assert not any(p.grad.any() for p in model.parameters().values())
-            log = train(model, batches, tc)
-            runs.append((log, model.state_arrays()))
-        (log_a, w_a), (log_b, w_b) = runs
-        assert log_a == log_b and len(log_a) == 4
-        assert all(np.array_equal(w_a[n], w_b[n]) for n in w_a)
 
     def test_frees_the_optimizer_then_releases_the_heap_once(self, monkeypatch):
         optimizers, released = [], []
@@ -284,6 +310,21 @@ class TestTrainingLoop:
         with pytest.raises(EmptyInputError):
             train(SvgNet(tiny_config()), [], TrainConfig(), out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
+
+    def test_hist_step_only_decays_the_scene_encoder(self):
+        cfg = tiny_config(input_mode="hist")
+        batches = self.make_batches(4)
+        model = SvgNet(cfg, seed=3)
+        scene = {n: p for n, p in model.parameters().items() if n.startswith("scene_encoder.")}
+        with GradientTape() as tape:
+            grads = tape.backward(mse_loss(model.forward(batches[0])[0], batches[0].targets))
+        assert scene and not set(scene.values()) & set(grads)
+        tc = TrainConfig(epochs=1, batch_size=4, lr=1e-3, weight_decay=0.25, seed=0)
+        before = model.state_arrays()
+        train(model, batches, tc)
+        for n, p in scene.items():
+            assert np.array_equal(p.data, before[n] * (1.0 - tc.lr * tc.weight_decay)), n
+        assert any(not np.array_equal(before[n], p.data) for n, p in scene.items())
 
     def test_loss_decreases_on_fixed_batch(self):
         batches = self.make_batches(4)
@@ -308,7 +349,13 @@ class TestTrainingLoop:
         assert len(val_entries) == 2
         assert val_entries[0]["val_fde"] == 2.5
 
-    def test_non_finite_gradient_stops_training_before_the_update(self, tmp_path):
+    def test_non_finite_gradient_stops_training_before_the_update(self, tmp_path, monkeypatch):
+        backward, returned = GradientTape.backward, []
+
+        def recorded_backward(tape, loss):
+            returned.append(backward(tape, loss))
+            return returned[-1]
+        monkeypatch.setattr(GradientTape, "backward", recorded_backward)
         cfg = tiny_config()
         model = SvgNet(cfg, seed=0)
         batch = random_batch(cfg, 2, np.random.default_rng(1))
@@ -321,12 +368,13 @@ class TestTrainingLoop:
         before = model.state_arrays()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteLossError, match=r"^step 0 \(epoch 0\): gradient of ") as err:
-                train(model, [batch.take([0]), batch.take([1])],
+                train(model, [take_batch(batch, [0]), take_batch(batch, [1])],
                       TrainConfig(epochs=1, batch_size=2), out_dir=tmp_path / "run")
         name = re.search(r"gradient of '(.+)' is not finite", str(err.value)).group(1)
         names = list(params)
-        assert all(np.isfinite(params[n].grad).all() for n in names[:names.index(name)])
-        assert not np.isfinite(params[name].grad).all()
+        (grads,) = returned
+        assert all(np.isfinite(grads[params[n]]).all() for n in names[:names.index(name)])
+        assert not np.isfinite(grads[params[name]]).all()
         assert all((p.data == before[n]).all() for n, p in params.items())
         assert list((tmp_path / "run").iterdir()) == []
 
