@@ -102,7 +102,7 @@ def cli() -> None:
               default=None)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--n-scenes", type=int, default=None)
-@click.option("--first-index", type=int, default=0)
+@click.option("--first-index", type=click.IntRange(min=0), default=0)
 @seed_option
 def synth_gen(config_path, out, n_scenes, first_index, seed) -> None:
     """Generate a synthetic JSONL dataset plus its manifest."""

@@ -100,6 +100,9 @@ def load_run_config(path: str | Path | None = None,
         unknown = set(raw) - set(_SECTIONS)
         if unknown:
             raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
+        for name, value in raw.items():
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {name!r} must be a JSON object")
         sections = {k: dict(v) for k, v in raw.items()}
 
     for key, value in (overrides or {}).items():

@@ -16,8 +16,13 @@ JSONL record schema (one object per line):
      "map_polylines": [[[x, y], ...], ...],
      "agents": [{"agent_id": str, "is_main": bool,
                  "positions": [[frame, x, y], ...]}, ...]}
-Every coordinate must be a finite number, frame_rate a positive one, agent_id
-a string and is_main a boolean; a record with anything else is a SchemaError.
+Every coordinate is a finite number and every point list (a polyline, an
+agent's positions) is non-empty. frame_rate is a finite positive number,
+agent_id a string and is_main a boolean. Frame numbers are integers within
+2**53 of 0 and strictly increasing per agent, and exactly one agent is the
+main one. A line that breaks any of this is a SchemaError. _record_from_obj
+states these rules once: load_dataset reads each line through it, and
+save_dataset applies the loader's check to every record before it writes.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import tempfile
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +52,7 @@ class SchemaError(DatasetError):
     def __init__(self, line_no: int, fieldname: str, message: str = ""):
         self.line_no = line_no
         self.field = fieldname
+        self.message = message
         super().__init__(f"line {line_no}: bad or missing field {fieldname!r}"
                          + (f" ({message})" if message else ""))
 
@@ -128,31 +134,18 @@ def _points(value, width: int) -> np.ndarray:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"not numeric: {exc}") from exc
     if arr.ndim != 2 or arr.shape[1] != width:
-        raise ValueError(f"expected a list of {width}-number points, got shape {arr.shape}")
+        raise ValueError(f"expected a non-empty list of {width}-number points, "
+                         f"got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("non-finite coordinate")
     return arr
 
 
-def _check_scalars(scene_id, frame_rate, fail: Callable[[str, str], Exception]) -> None:
-    """Raise fail(field, message) unless scene_id is a str and frame_rate finite and positive."""
-    if not isinstance(scene_id, str):
-        raise fail("scene_id", f"expected {str}")
-    # a bool is an int to Python; the upper bound also rejects inf and NaN
-    if (not isinstance(frame_rate, (int, float)) or isinstance(frame_rate, bool)
-            or not 0 < frame_rate <= sys.float_info.max):
-        raise fail("frame_rate", "expected a finite positive number")
+def _record_from_obj(obj, line_no: int) -> SceneRecord:
+    """The record a JSON value describes, or a SchemaError naming the first bad field."""
+    if not isinstance(obj, dict):
+        raise SchemaError(line_no, "<record>", "expected a JSON object")
 
-
-def _check_agent_scalars(i: int, agent_id, is_main,
-                         fail: Callable[[str, str], Exception]) -> None:
-    """Raise fail(field, message) unless agent_id is a str and is_main a bool."""
-    for key, value, typ in (("agent_id", agent_id, str), ("is_main", is_main, bool)):
-        if not isinstance(value, typ):
-            raise fail(f"agents[{i}].{key}", f"expected {typ.__name__}")
-
-
-def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
     def need(key, typ=None):
         if key not in obj:
             raise SchemaError(line_no, key)
@@ -161,11 +154,11 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
             raise SchemaError(line_no, key, f"expected {typ}")
         return v
 
-    def fail(fieldname: str, message: str) -> SchemaError:
-        return SchemaError(line_no, fieldname, message)
-
-    scene_id, frame_rate = need("scene_id"), need("frame_rate")
-    _check_scalars(scene_id, frame_rate, fail)
+    scene_id, frame_rate = need("scene_id", str), need("frame_rate")
+    # a bool is an int to Python; the upper bound also rejects inf and NaN
+    if (not isinstance(frame_rate, (int, float)) or isinstance(frame_rate, bool)
+            or not 0 < frame_rate <= sys.float_info.max):
+        raise SchemaError(line_no, "frame_rate", "expected a finite positive number")
     polys_raw = need("map_polylines", list)
     agents_raw = need("agents", list)
 
@@ -183,12 +176,14 @@ def _record_from_obj(obj: dict, line_no: int) -> SceneRecord:
         for key in ("agent_id", "is_main", "positions"):
             if key not in a:
                 raise SchemaError(line_no, f"agents[{i}].{key}")
-        _check_agent_scalars(i, a["agent_id"], a["is_main"], fail)
+        for key, typ in (("agent_id", str), ("is_main", bool)):
+            if not isinstance(a[key], typ):
+                raise SchemaError(line_no, f"agents[{i}].{key}", f"expected {typ.__name__}")
         try:
             pos = _points(a["positions"], 3)
             # a whole number up to 2**53 converts to int64 exactly
             if not ((pos[:, 0] == np.floor(pos[:, 0])) & (np.abs(pos[:, 0]) <= 2 ** 53)).all():
-                raise ValueError("frame numbers must be integers")
+                raise ValueError("frame numbers must be integers within 2**53 of 0")
         except ValueError as exc:
             raise SchemaError(line_no, f"agents[{i}].positions", str(exc)) from exc
         try:
@@ -251,32 +246,22 @@ def _atomic_write_text(path: Path, text: str) -> None:
 def save_dataset(records: Sequence[SceneRecord], path: str | Path) -> int:
     """Write records as JSONL; one that load_dataset would reject is a DatasetError.
 
-    The error names the scene and the field, and no file is written.
+    Each record's JSON object goes through the loader's check first. The
+    error names the scene and the field, and no file is written.
     """
     path = Path(path)
     lines = []
-    for r in records:
-        def fail(fieldname: str, message: str) -> DatasetError:
-            return DatasetError(f"scene {r.scene_id!r}: cannot save field {fieldname!r} "
-                                f"({message})")
-        _check_scalars(r.scene_id, r.frame_rate, fail)
-        for i, a in enumerate(r.agents):
-            _check_agent_scalars(i, a.agent_id, a.is_main, fail)
+    for line_no, r in enumerate(records, start=1):
         obj = r.to_json_obj()
         try:
-            lines.append(json.dumps(obj, separators=(",", ":"), allow_nan=False))
-        except ValueError:
-            raise fail(_non_finite_field(obj), "non-finite coordinate") from None
+            _record_from_obj(obj, line_no)
+        except SchemaError as exc:
+            raise DatasetError(f"scene {r.scene_id!r}: cannot save field {exc.field!r} "
+                               f"({exc.message})") from None
+        lines.append(json.dumps(obj, separators=(",", ":"), allow_nan=False))
     path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
     return len(lines)
-
-
-def _non_finite_field(obj: dict) -> str:
-    """The first coordinate list of a record object that holds NaN or inf."""
-    coords = [(f"map_polylines[{i}]", p) for i, p in enumerate(obj["map_polylines"])]
-    coords += [(f"agents[{i}].positions", a["positions"]) for i, a in enumerate(obj["agents"])]
-    return next(name for name, v in coords if not np.isfinite(np.asarray(v, float)).all())
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,8 @@ class SynthConfig:
     n_frames: int = 50          # t_obs + t_pred
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError("synth seed must be >= 0")
         if self.n_scenes <= 0 or self.n_frames <= 0:
             raise ValueError("n_scenes and n_frames must be positive")
         if not 0 < self.speed_min <= self.speed_max < np.inf:

@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError("grad_clip_norm must be None or positive and finite")
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:

@@ -246,6 +246,34 @@ def test_commands_that_load_a_checkpoint_take_no_seed(monkeypatch, capsys, comma
     assert "No such option '--seed'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["synth-gen", "--seed", "-1"],
+                                  ["synth-gen", "--first-index", "-1"],
+                                  ["train", "--seed", "-1"]],
+                         ids=["synth-seed", "first-index", "train-seed"])
+def test_negative_seed_or_first_index_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    # before, numpy rejected the seed with exit 4, train only after reading the data;
+    # the data file is not JSON, so reading it would exit 3
+    data = tmp_path / "unread.jsonl"
+    data.write_text("not json\n")
+    if argv[0] == "synth-gen":
+        argv = [*argv, "--out", str(tmp_path / "out.jsonl")]
+    else:
+        argv = [*argv, "--data", str(data), "--out-dir", str(tmp_path / "run")]
+    assert _run_main(monkeypatch, *argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["unread.jsonl"]
+
+
+def test_json_line_that_is_not_an_object_is_skipped(workspace, monkeypatch, capsys):
+    # before, a line 5 or null ended eval with a TypeError (exit 4)
+    data = workspace["dir"] / "mixed.jsonl"
+    data.write_text(workspace["data"].read_text() + "5\nnull\n")
+    assert _run_main(monkeypatch, "eval", "--checkpoint", str(workspace["dir"] / "none"),
+                     "--data", str(data), "--config", str(workspace["cfg"]),
+                     "--baseline") == 0
+    assert json.loads(capsys.readouterr().out)["n_samples"] == 8
+
+
 @pytest.mark.parametrize("period", [0, -1])
 def test_nonpositive_lr_decay_epochs_is_a_config_error(workspace, monkeypatch, capsys, period):
     cfg = dict(TINY_RUN_CONFIG, train={**TINY_RUN_CONFIG["train"], "lr_decay_epochs": period})

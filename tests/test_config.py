@@ -32,13 +32,25 @@ def test_value_of_the_wrong_type_is_a_config_error(tmp_path, section, key, value
     ("ingest", "view_extent", "-Infinity"), ("ingest", "min_heading_disp", "1e309"),
     ("synth", "speed_noise", "NaN"), ("synth", "speed_noise", "-1"),
     ("synth", "frame_rate", "-1"), ("synth", "frame_rate", "1e309"),
-    ("synth", "speed_max", "1e309"), ("synth", "geometry_mix", "[NaN, 0.5, 0.5]")])
+    ("synth", "speed_max", "1e309"), ("synth", "geometry_mix", "[NaN, 0.5, 0.5]"),
+    ("train", "seed", "-1"), ("synth", "seed", "-1")])
 def test_out_of_range_setting_is_a_config_error_naming_the_field(tmp_path, section, key,
                                                                   literal):
     # written as raw JSON text: 1e309 is how a file spells a number that loads as inf
     path = tmp_path / "config.json"
     path.write_text(f'{{"{section}": {{"{key}": {literal}}}}}')
     with pytest.raises(ConfigError, match=rf"\b{key} must"):
+        load_run_config(path)
+
+
+@pytest.mark.parametrize("text", ['{"model": 5}', '{"train": [["seed", 3]]}',
+                                  '{"synth": null}', '{"ingest": "t_obs"}'],
+                         ids=["number", "pair-list", "null", "string"])
+def test_section_that_is_not_an_object_is_a_config_error(tmp_path, text):
+    # before, a list of pairs loaded as a section and any other value ended in exit 4
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=r"config section '\w+' must be a JSON object"):
         load_run_config(path)
 
 

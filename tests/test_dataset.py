@@ -58,15 +58,16 @@ class TestJsonl:
         assert len(back[2].agents) == 3
 
     def test_bad_line_collected_not_fatal(self, tmp_path):
+        # before, JSON that is not an object (5, null) raised a TypeError past the collector
         good = json.dumps(straight_record().to_json_obj())
         bad = json.dumps({"scene_id": "broken", "frame_rate": 10, "map_polylines": []})
         path = tmp_path / "mixed.jsonl"
-        path.write_text(good + "\n" + bad + "\n" + good + "\n")
+        path.write_text("\n".join([good, bad, "5", "null", good]) + "\n")
         errors: list[SchemaError] = []
         records = list(load_dataset(path, errors=errors))
         assert len(records) == 2
-        assert len(errors) == 1
-        assert errors[0].line_no == 2 and errors[0].field == "agents"
+        assert [(e.line_no, e.field) for e in errors] == [(2, "agents"), (3, "<record>"),
+                                                          (4, "<record>")]
 
     def test_bad_line_raises_without_collector(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -139,22 +140,44 @@ class TestJsonl:
 
     @pytest.mark.parametrize("field, value", [
         ("frame_rate", float("nan")), ("scene_id", 5), ("agents[1].agent_id", None),
-        ("agents[1].is_main", np.bool_(False)), ("map_polylines[0]", float("inf"))],
-        ids=["rate-nan", "id-number", "agent-id-null", "main-numpy-bool", "map-inf"])
+        ("agents[1].is_main", np.bool_(False)), ("map_polylines[0]", float("inf")),
+        ("map_polylines[0]", np.empty((0, 2))), ("map_polylines[0]", np.zeros((3, 3))),
+        ("agents[1].positions", ([], np.empty((0, 2)))),
+        ("agents[1].positions", ([0, 2 ** 62], np.zeros((2, 2))))],
+        ids=["rate-nan", "id-number", "agent-id-null", "main-numpy-bool", "map-inf",
+             "map-empty", "map-three-columns", "agent-no-positions", "frame-2**62"])
     def test_save_rejects_what_load_rejects(self, tmp_path, field, value):
         # before, the first three were written and then failed to load, the
-        # numpy bool was an untyped TypeError and the inf was written as Infinity
+        # numpy bool was an untyped TypeError and the inf was written as
+        # Infinity; the last four were written and then failed to load
         bad = straight_record(scene_id="bad", extra_agents=1)
-        if field.startswith("agents"):
+        if field == "agents[1].positions":
+            bad.agents[1] = AgentTrack("other0", *value)
+        elif field.startswith("agents"):
             setattr(bad.agents[1], field.split(".")[1], value)
-        elif field == "map_polylines[0]":
+        elif field == "map_polylines[0]" and np.ndim(value) == 0:
             bad.map_polylines[0][3, 1] = value
+        elif field == "map_polylines[0]":
+            bad.map_polylines[0] = value
         else:
             setattr(bad, field, value)
         path = tmp_path / "sub" / "data.jsonl"
-        with pytest.raises(DatasetError, match=rf"scene {bad.scene_id!r}: .*'{re.escape(field)}'"):
+        with pytest.raises(DatasetError, match=rf"scene {bad.scene_id!r}: cannot save field "
+                                               rf"'{re.escape(field)}' \(.+\)$"):
             save_dataset([straight_record(), bad], path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        records = generate_records(SynthConfig(seed=0, n_scenes=20))
+        records[0].scene_id = 'quote " backslash \\ tab \t'
+        records[1].scene_id = "näive 場景 🚗"
+        for a in records[1].agents:
+            a.agent_id += ' "β"'
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        save_dataset(records, first)
+        save_dataset(list(load_dataset(first)), second)
+        assert second.read_bytes() == first.read_bytes()
+        assert [r.scene_id for r in load_dataset(second)] == [r.scene_id for r in records]
 
 
 class TestPolylinesToSvg:
