@@ -20,28 +20,30 @@ Every coordinate is a finite number and every point list (a polyline, an
 agent's positions) is non-empty. frame_rate is a finite positive number,
 agent_id a string and is_main a boolean. Frame numbers are integers within
 2**53 of 0 and strictly increasing per agent, and exactly one agent is the
-main one. A line that breaks any of this is a SchemaError. _record_from_obj
-states these rules once: load_dataset reads each line through it, and
-save_dataset applies the loader's check to every record before it writes.
+main one. A line that is not UTF-8 JSON or breaks any of this is a
+SchemaError. _record_from_obj states these rules once: load_dataset reads
+each line through it, and save_dataset applies the loader's check to every
+record before it writes.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import sys
 import tempfile
 from dataclasses import InitVar, dataclass, field, fields
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# encode_command and split_path are unused here; the benchmark's tracer patches these names
-from .svg import (N_ARG_SLOTS, SENTINEL_BIN, CommandKind, SvgCommand, SvgPath,  # noqa: F401
-                  Viewport, encode_command, quantize_coords, split_path)
+# encode_command and split_path are not called here: they are the tests' per-path
+# references, and the benchmark's tracer patches these two names
+from .svg import (N_ARG_SLOTS, SENTINEL_BIN, CommandKind, Viewport,  # noqa: F401
+                  encode_command, quantize_coords, split_path)
 
 
 class DatasetError(Exception):
@@ -104,6 +106,7 @@ class SceneRecord:
 
     def __post_init__(self):
         self.map_polylines = [np.asarray(p, dtype=np.float64) for p in self.map_polylines]
+        self.frame_rate = float(self.frame_rate)
         mains = [a for a in self.agents if a.is_main]
         if len(mains) != 1:
             raise ValueError(f"scene {self.scene_id!r}: expected exactly 1 main agent, "
@@ -192,7 +195,7 @@ def _record_from_obj(obj, line_no: int) -> SceneRecord:
         except ValueError as exc:
             raise SchemaError(line_no, f"agents[{i}]", str(exc)) from exc
     try:
-        return SceneRecord(scene_id, polylines, agents, float(frame_rate))
+        return SceneRecord(scene_id, polylines, agents, frame_rate)
     except ValueError as exc:
         raise SchemaError(line_no, "agents", str(exc)) from exc
 
@@ -201,18 +204,20 @@ def load_dataset(path: str | Path,
                  errors: list[SchemaError] | None = None) -> Iterator[SceneRecord]:
     """Stream records from a JSONL file in file order.
 
-    With ``errors`` given, malformed lines are collected there and the
+    A line that is not UTF-8 or not JSON is a bad line like any other. With
+    ``errors`` given, malformed lines are collected there and the
     remaining lines are still delivered; otherwise the first bad line
     raises.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
             try:
                 try:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
                     obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                     raise SchemaError(line_no, "<json>", str(exc)) from exc
                 yield _record_from_obj(obj, line_no)
             except SchemaError as exc:
@@ -291,23 +296,18 @@ class IngestConfig:
 @dataclass(eq=False)
 class LaneChunks:
     """A scene's lanes as chunk vertices in the agent frame: chunk k is
-    vertices[offsets[k]:offsets[k + 1]], a MoveTo then LineTos. ``paths``
-    builds them as SvgPath objects on first use, the one-command-at-a-time
-    form that svg.encode_command and svg.split_path take."""
+    vertices[offsets[k]:offsets[k + 1]], a MoveTo then LineTos, named ids[k]."""
 
     vertices: np.ndarray    # (n_vertices, 2) float64, inside the viewport
     offsets: np.ndarray     # (n_chunks + 1,) int64
     ids: list[str]          # lane{i}, or lane{i}#{k} for each chunk of a split lane
     viewport: Viewport
 
-    @cached_property
-    def paths(self) -> tuple[SvgPath, ...]:
-        out = []
-        for path_id, start, stop in zip(self.ids, self.offsets[:-1], self.offsets[1:]):
-            first, *rest = self.vertices[start:stop].tolist()
-            cmds = [SvgCommand.move_to(*first)] + [SvgCommand.line_to(*pt) for pt in rest]
-            out.append(SvgPath(tuple(cmds), id=path_id))
-        return tuple(out)
+    @property
+    def paths(self) -> list[np.ndarray]:
+        """Each chunk's (n, 2) vertices, as views of ``vertices``."""
+        bounds = self.offsets.tolist()
+        return [self.vertices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass
@@ -525,28 +525,34 @@ def concat_batches(batches: Sequence[Batch]) -> Batch:
 _CSV_COLUMNS = ("TIMESTAMP", "TRACK_ID", "OBJECT_TYPE", "X", "Y", "CITY_NAME")
 
 
+def _read_utf8(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path.name}: not UTF-8 text ({exc})") from exc
+
+
 def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
                     map_box: float) -> SceneRecord:
     rows = []
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise SchemaError(0, ",".join(missing), f"missing CSV columns in {csv_path.name}")
+    reader = csv.DictReader(io.StringIO(_read_utf8(csv_path)))
+    missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise SchemaError(0, ",".join(missing), f"missing CSV columns in {csv_path.name}")
 
-        def number(row: dict, column: str) -> float:
-            try:
-                value = float(row[column])
-            except (TypeError, ValueError):
-                value = float("nan")
-            if not np.isfinite(value):
-                raise SchemaError(reader.line_num, column,
-                                  f"{row[column]!r} in {csv_path.name} is not a finite number")
-            return value
+    def number(row: dict, column: str) -> float:
+        try:
+            value = float(row[column])
+        except (TypeError, ValueError):
+            value = float("nan")
+        if not np.isfinite(value):
+            raise SchemaError(reader.line_num, column,
+                              f"{row[column]!r} in {csv_path.name} is not a finite number")
+        return value
 
-        for row in reader:
-            rows.append((number(row, "TIMESTAMP"), row["TRACK_ID"], row["OBJECT_TYPE"],
-                         number(row, "X"), number(row, "Y"), row["CITY_NAME"]))
+    for row in reader:
+        rows.append((number(row, "TIMESTAMP"), row["TRACK_ID"], row["OBJECT_TYPE"],
+                     number(row, "X"), number(row, "Y"), row["CITY_NAME"]))
     if not rows:
         raise MissingMainAgentError(f"{csv_path.name}: empty sequence")
 
@@ -600,7 +606,7 @@ def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
 def _load_city_maps(path: Path) -> dict[str, list[np.ndarray]]:
     """City name -> centerline polylines, each an (n, 2) array of finite floats."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(_read_utf8(path))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path.name}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):

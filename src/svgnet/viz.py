@@ -62,9 +62,9 @@ def render_attention_svg(sample: NormalizedSample, entries: list[tuple[str, str,
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{ox} {oy} {w} {h}" '
         f'data-attention-sum="{total!r}">',
     ]
-    for path_id, start, stop in zip(lanes.ids, lanes.offsets[:-1], lanes.offsets[1:]):
+    for path_id, pts in zip(lanes.ids, lanes.paths):
         score = path_scores.get(path_id, 0.0)
-        lines.append(_path(id=path_id, d=_poly_d(lanes.vertices[start:stop]), fill="none",
+        lines.append(_path(id=path_id, d=_poly_d(pts), fill="none",
                            stroke=COLORS["path"], stroke_width="0.6",
                            opacity=f"{_opacity(score, max_score):.4f}", data_score=repr(score)))
 

@@ -351,20 +351,63 @@ def test_config_value_of_the_wrong_type_is_a_config_error(workspace, monkeypatch
     assert not out_dir.exists()
 
 
+ARGOVERSE_ROWS = [f"{1000 + 0.1 * i:.1f},aa,AGENT,{10 + i},5.0,PIT" for i in range(50)]
+ARGOVERSE_LANE = [[0.0, 0.0], [50.0, 0.0]]
+
+
+def _argoverse_files(tmp_path, rows=ARGOVERSE_ROWS, polylines=(ARGOVERSE_LANE,)):
+    """A one-sequence CSV and its map JSON for import-argoverse."""
+    csv_path = tmp_path / "seq.csv"
+    csv_path.write_text("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME\n" + "\n".join(rows) + "\n")
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"PIT": list(polylines)}))
+    return csv_path, map_path
+
+
 @pytest.mark.parametrize("bad", ["csv_x", "map_polyline"])
 def test_bad_argoverse_input_is_a_data_error(tmp_path, monkeypatch, capsys, bad):
-    rows = [f"{1000 + 0.1 * i:.1f},aa,AGENT,{10 + i},5.0,PIT" for i in range(50)]
-    polylines = [[[0.0, 0.0], [50.0, 0.0]]]
+    rows, polylines = list(ARGOVERSE_ROWS), [ARGOVERSE_LANE]
     if bad == "csv_x":
         rows[3] = "1000.3,aa,AGENT,ten,5.0,PIT"
     else:
         polylines.append([[0.0, 1.0, 2.0]])
-    csv_path = tmp_path / "seq.csv"
-    csv_path.write_text("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME\n" + "\n".join(rows) + "\n")
-    map_path = tmp_path / "map.json"
-    map_path.write_text(json.dumps({"PIT": polylines}))
+    csv_path, map_path = _argoverse_files(tmp_path, rows, polylines)
     assert _run_main(monkeypatch, "import-argoverse", "--csv", str(csv_path),
                      "--map-json", str(map_path), "--out", str(tmp_path / "o.jsonl")) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
     assert ("'X'" in err and "seq.csv" in err) if bad == "csv_x" else "map.json" in err
+
+
+# "Köln" in Latin-1: the 0xf6 byte is not UTF-8
+NOT_UTF8 = "Köln".encode("latin-1")
+
+
+@pytest.mark.parametrize("reader", ["jsonl", "config", "csv", "map_json"])
+def test_undecodable_input_gets_its_exit_code(workspace, monkeypatch, capsys, reader):
+    # before, each of these readers ended with a UnicodeDecodeError (exit 4)
+    tmp_path = workspace["dir"]
+    if reader == "jsonl":
+        # the bad line is skipped and the other eight are scored
+        data = tmp_path / "mixed.jsonl"
+        data.write_bytes(workspace["data"].read_bytes() + b'{"scene_id": "' + NOT_UTF8 + b'"}\n')
+        assert _run_main(monkeypatch, "eval", "--checkpoint", str(tmp_path / "none"),
+                         "--data", str(data), "--config", str(workspace["cfg"]),
+                         "--baseline") == 0
+        assert json.loads(capsys.readouterr().out)["n_samples"] == 8
+    elif reader == "config":
+        cfg_path = tmp_path / "latin1.json"
+        cfg_path.write_bytes(b'{"synth": {"seed": 1}, "' + NOT_UTF8 + b'": {}}')
+        assert _run_main(monkeypatch, "train", "--config", str(cfg_path),
+                         "--data", str(workspace["data"]),
+                         "--out-dir", str(tmp_path / "run")) == 2
+        assert capsys.readouterr().err.startswith(f"config error: config {cfg_path} is not")
+        assert not (tmp_path / "run").exists()
+    else:
+        csv_path, map_path = _argoverse_files(tmp_path)
+        bad_path = csv_path if reader == "csv" else map_path
+        bad_path.write_bytes(bad_path.read_bytes().replace(b"PIT", NOT_UTF8))
+        assert _run_main(monkeypatch, "import-argoverse", "--csv", str(csv_path),
+                         "--map-json", str(map_path), "--out", str(tmp_path / "o.jsonl")) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {bad_path.name}: not UTF-8")
+        assert not (tmp_path / "o.jsonl").exists()

@@ -10,7 +10,7 @@ from svgnet.dataset import (AgentTrack, BadTimestampGridError, Batch, DatasetErr
                             MissingTargetError, SceneRecord, SchemaError, apply_affine_points, concat_batches,
                             import_argoverse_csv, load_dataset, make_batch,
                             normalize_sample, save_dataset)
-from svgnet.svg import CommandKind, SvgCommand, SvgPath, encode_command, split_path
+from svgnet.svg import CommandKind, encode_command, split_path
 from svgnet.synth import SynthConfig, generate_records
 
 
@@ -62,12 +62,15 @@ class TestJsonl:
         good = json.dumps(straight_record().to_json_obj())
         bad = json.dumps({"scene_id": "broken", "frame_rate": 10, "map_polylines": []})
         path = tmp_path / "mixed.jsonl"
-        path.write_text("\n".join([good, bad, "5", "null", good]) + "\n")
+        # line 5 is Latin-1, not UTF-8: before, it ended the read with a UnicodeDecodeError
+        latin1 = json.dumps({"scene_id": "café"}, ensure_ascii=False).encode("latin-1")
+        path.write_bytes(b"\n".join([good.encode(), bad.encode(), b"5", b"null", latin1,
+                                      good.encode()]) + b"\n")
         errors: list[SchemaError] = []
         records = list(load_dataset(path, errors=errors))
         assert len(records) == 2
         assert [(e.line_no, e.field) for e in errors] == [(2, "agents"), (3, "<record>"),
-                                                          (4, "<record>")]
+                                                          (4, "<record>"), (5, "<json>")]
 
     def test_bad_line_raises_without_collector(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -168,16 +171,18 @@ class TestJsonl:
         assert list(tmp_path.iterdir()) == []
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
-        records = generate_records(SynthConfig(seed=0, n_scenes=20))
-        records[0].scene_id = 'quote " backslash \\ tab \t'
-        records[1].scene_id = "näive 場景 🚗"
-        for a in records[1].agents:
-            a.agent_id += ' "β"'
-        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
-        save_dataset(records, first)
-        save_dataset(list(load_dataset(first)), second)
-        assert second.read_bytes() == first.read_bytes()
-        assert [r.scene_id for r in load_dataset(second)] == [r.scene_id for r in records]
+        # before, an integer frame_rate was saved as 10 and saved again as 10.0
+        for frame_rate in (10, 10.0):
+            records = generate_records(SynthConfig(seed=0, n_scenes=20, frame_rate=frame_rate))
+            records[0].scene_id = 'quote " backslash \\ tab \t'
+            records[1].scene_id = "näive 場景 🚗"
+            for a in records[1].agents:
+                a.agent_id += ' "β"'
+            first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+            save_dataset(records, first)
+            save_dataset(list(load_dataset(first)), second)
+            assert second.read_bytes() == first.read_bytes()
+            assert [r.scene_id for r in load_dataset(second)] == [r.scene_id for r in records]
 
 
 class TestPolylinesToSvg:
@@ -188,22 +193,30 @@ class TestPolylinesToSvg:
         assert lanes.ids == ["lane0"]
         np.testing.assert_array_equal(lanes.offsets, [0, 3])
         np.testing.assert_array_equal(lanes.vertices, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        kinds = [c.kind for c in lanes.paths[0].commands]
-        assert kinds == [CommandKind.MOVE_TO, CommandKind.LINE_TO, CommandKind.LINE_TO]
+        [path] = lanes.paths
+        np.testing.assert_array_equal(path, lanes.vertices)
 
     def test_empty_input(self):
         lanes = lane_chunks([])
-        assert lanes.paths == () and lanes.ids == [] and lanes.vertices.shape == (0, 2)
+        assert lanes.paths == [] and lanes.ids == [] and lanes.vertices.shape == (0, 2)
         np.testing.assert_array_equal(lanes.offsets, [0])
+
+    def test_paths_are_views_of_the_chunk_vertices(self, rng):
+        polys = [rng.uniform(-40, 40, (int(rng.integers(2, 30)), 2)) for _ in range(4)]
+        lanes = lane_chunks(polys, max_commands=6)
+        assert len(lanes.paths) == len(lanes.ids) > 4
+        for path, start, stop in zip(lanes.paths, lanes.offsets[:-1], lanes.offsets[1:]):
+            assert np.shares_memory(path, lanes.vertices)
+            np.testing.assert_array_equal(path, lanes.vertices[start:stop])
 
     def test_degenerate_skipped(self):
         # none; one vertex; one repeated; one left once clamping collapses the repeats
         for poly in (np.empty((0, 2)), [[0.0, 0.0]], [[3.0, 4.0], [3.0, 4.0]],
                      [[49.0, 50.0], [49.0, 70.0], [49.0, 80.0]]):
-            assert lane_chunks([poly]).paths == ()
+            assert lane_chunks([poly]).paths == []
 
     def test_fully_outside_dropped(self):
-        assert lane_chunks([[[200.0, 200.0], [210.0, 200.0]]]).paths == ()
+        assert lane_chunks([[[200.0, 200.0], [210.0, 200.0]]]).paths == []
 
     def test_split_chunks_share_their_boundary_vertex(self):
         # mc = 4: 8 vertices make chunks [0, 4), [3, 7), [6, 8)
@@ -219,10 +232,10 @@ class TestPolylinesToSvg:
         base = normalize_sample(rec, IngestConfig())
         rec.map_polylines.insert(0, np.array([[1e5, 1e5], [1e5 + 10.0, 1e5]]))
         shifted = normalize_sample(rec, IngestConfig())
-        ids = [p.id for p in shifted.scene_svg.paths]
+        ids = shifted.scene_svg.ids
         assert ids[0] == "lane1#0"
-        assert ids == [re.sub(r"\d+", lambda m: str(int(m.group()) + 1), p.id, count=1)
-                       for p in base.scene_svg.paths]
+        assert ids == [re.sub(r"\d+", lambda m: str(int(m.group()) + 1), path_id, count=1)
+                       for path_id in base.scene_svg.ids]
 
     def test_counting_property(self, rng):
         for _ in range(20):
@@ -230,14 +243,16 @@ class TestPolylinesToSvg:
             m = int(rng.integers(2, 20))
             lanes = lane_chunks([rng.uniform(-40, 40, (m, 2)) for _ in range(k)])
             assert len(lanes.paths) == k
-            assert all(len(p.commands) == m for p in lanes.paths)
+            assert all(len(p) == m for p in lanes.paths)
 
     def test_line_kinds_only(self, rng):
         polys = [rng.uniform(-40, 40, (int(rng.integers(2, 90)), 2)) for _ in range(5)]
-        for p in lane_chunks(polys, max_commands=12).paths:
-            assert all(c.kind in (CommandKind.MOVE_TO, CommandKind.LINE_TO)
-                       for c in p.commands)
-            assert len(p.commands) <= 12
+        sample = normalize_sample(frame_record(polys), IngestConfig(max_commands=12))
+        assert all(len(p) <= 12 for p in sample.scene_svg.paths)
+        kinds = make_batch([sample], 64, 12, 2).command_kinds[0]
+        real = kinds[:len(sample.scene_svg.paths)]
+        assert (real[:, 0] == CommandKind.MOVE_TO).all()
+        assert set(np.unique(real[:, 1:]).tolist()) <= {CommandKind.LINE_TO, CommandKind.PAD}
 
 
 class TestNormalize:
@@ -366,9 +381,9 @@ class TestMakeBatch:
         np.testing.assert_array_equal(merged.main_history[1], batch.main_history[1])
 
 
-def oracle_paths(record: SceneRecord, sample, cfg: IngestConfig) -> list[SvgPath]:
-    """Scalar reference for the lane chunks: the clamped polylines as SvgPaths,
-    split by split_path."""
+def oracle_paths(record: SceneRecord, sample, cfg: IngestConfig) -> list[tuple[str, np.ndarray]]:
+    """Scalar reference for the lane chunks: each clamped polyline split by
+    split_path, as (id, vertices) pairs."""
     rot = np.ascontiguousarray(sample.frame_to_city[:, :2].T)
     anchor, half = sample.frame_to_city[:, 2], cfg.view_extent / 2.0
     paths = []
@@ -380,26 +395,29 @@ def oracle_paths(record: SceneRecord, sample, cfg: IngestConfig) -> list[SvgPath
         kept = [pts[0]] + [b for a, b in zip(pts[:-1], pts[1:]) if (np.abs(b - a) > 1e-12).any()]
         if len(kept) < 2:
             continue
-        cmds = [SvgCommand.move_to(*kept[0])] + [SvgCommand.line_to(*pt) for pt in kept[1:]]
-        paths += split_path(SvgPath(tuple(cmds), id=f"lane{i}"), cfg.max_commands)
+        chunks = split_path(np.array(kept), cfg.max_commands)
+        ids = [f"lane{i}"] if len(chunks) == 1 else [f"lane{i}#{k}" for k in range(len(chunks))]
+        paths += zip(ids, chunks)
     return paths
 
 
-def oracle_path_arrays(paths: list[SvgPath], viewport, n_paths: int, n_commands: int):
+def oracle_path_arrays(paths: list[tuple[str, np.ndarray]], viewport, n_paths: int,
+                       n_commands: int):
     """Scalar reference for make_batch's path arrays of one sample."""
     if len(paths) > n_paths:
-        dist = [min(x * x + y * y for x, y in (c.end_point for c in p.commands)) for p in paths]
+        dist = [min(x * x + y * y for x, y in pts) for _, pts in paths]
         paths = [paths[j] for j in sorted(np.argsort(dist, kind="stable")[:n_paths])]
     kinds = np.full((n_paths, n_commands), int(CommandKind.PAD), dtype=np.int16)
     args = np.full((n_paths, n_commands, 6), -1, dtype=np.int16)
     path_mask = np.zeros(n_paths, dtype=np.float32)
     command_mask = np.zeros((n_paths, n_commands), dtype=np.float32)
-    for j, p in enumerate(paths):
+    for j, (_, pts) in enumerate(paths):
         path_mask[j] = 1.0
-        for k, cmd in enumerate(p.commands[:n_commands]):
-            vec = encode_command(cmd, viewport)
-            kinds[j, k], args[j, k], command_mask[j, k] = vec.kind_index, vec.arg_bins, 1.0
-    return kinds, args, path_mask, command_mask, [p.id for p in paths]
+        for k, (x, y) in enumerate(pts[:n_commands]):
+            kind = CommandKind.MOVE_TO if k == 0 else CommandKind.LINE_TO
+            kinds[j, k], args[j, k] = encode_command(kind, x, y, viewport)
+            command_mask[j, k] = 1.0
+    return kinds, args, path_mask, command_mask, [path_id for path_id, _ in paths]
 
 
 def line(n, x=0.0, y0=-10.0):
@@ -415,7 +433,9 @@ class TestMakeBatchOracle:
     def assert_matches_oracle(self, record, cfg, n_paths, n_commands):
         sample = normalize_sample(record, cfg)
         paths = oracle_paths(record, sample, cfg)
-        assert sample.scene_svg.paths == tuple(paths)
+        assert sample.scene_svg.ids == [path_id for path_id, _ in paths]
+        for got, (_, want) in zip(sample.scene_svg.paths, paths, strict=True):
+            assert np.array_equal(got, want)
         batch = make_batch([sample], n_paths, n_commands, 2)
         want = oracle_path_arrays(paths, sample.scene_svg.viewport, n_paths, n_commands)
         got = (batch.command_kinds[0], batch.command_args[0], batch.path_mask[0],

@@ -3,8 +3,7 @@ import pytest
 
 from model_helpers import frame_record, read_svg_paths
 from svgnet.dataset import IngestConfig, normalize_sample
-from svgnet.svg import (CommandKind, SvgCommand, SvgPath, Viewport, encode_command,
-                        quantize_coords, split_path)
+from svgnet.svg import CommandKind, Viewport, encode_command, quantize_coords, split_path
 from svgnet.viz import _poly_d, render_attention_svg
 
 
@@ -20,32 +19,24 @@ class TestSerialize:
             [(_, back)] = read_svg_paths(svg)
             assert np.array_equal(back, pts)
 
-    def test_pad_rejected_by_path(self):
-        with pytest.raises(ValueError):
-            SvgPath((SvgCommand(CommandKind.PAD),))
-
 
 class TestQuantize:
     VIEW = Viewport((0.0, 0.0), (100.0, 100.0))
 
     def test_boundary_bins(self):
-        vec = encode_command(SvgCommand.line_to(0, 0), self.VIEW)
-        assert vec.kind_index == int(CommandKind.LINE_TO)
-        assert vec.arg_bins == (-1, -1, -1, -1, 0, 0)
+        assert encode_command(CommandKind.LINE_TO, 0, 0, self.VIEW) == (
+            int(CommandKind.LINE_TO), (-1, -1, -1, -1, 0, 0))
+        assert encode_command(CommandKind.MOVE_TO, 100, 100, self.VIEW) == (
+            int(CommandKind.MOVE_TO), (-1, -1, -1, -1, 255, 255))
 
     def test_round_half_up(self):
-        vec = encode_command(SvgCommand.line_to(50, 100), self.VIEW)
-        assert vec.arg_bins[4] == 128  # 50/100*255 = 127.5 rounds up
-        assert vec.arg_bins[5] == 255
-
-    def test_close_path_all_sentinels(self):
-        vec = encode_command(SvgCommand.close_path(), self.VIEW)
-        assert vec.kind_index == int(CommandKind.CLOSE_PATH)
-        assert vec.arg_bins == (-1,) * 6
+        _, bins = encode_command(CommandKind.LINE_TO, 50, 100, self.VIEW)
+        assert bins[4] == 128  # 50/100*255 = 127.5 rounds up
+        assert bins[5] == 255
 
     def test_clamping(self):
-        clamped = encode_command(SvgCommand.line_to(-5, 120), self.VIEW)
-        assert clamped.arg_bins[4] == 0 and clamped.arg_bins[5] == 255
+        _, bins = encode_command(CommandKind.LINE_TO, -5, 120, self.VIEW)
+        assert bins[4] == 0 and bins[5] == 255
 
     def test_monotonicity(self):
         rng = np.random.default_rng(11)
@@ -73,52 +64,35 @@ class TestQuantize:
         assert value / 100.0 * 255 == 126.5
         assert quantize_coords([value], 0.0, 100.0).tolist() == [127]
 
-    def test_decode_inverse(self):
-        # each cubic slot lands in the bin whose centre is within half a bin
-        cmd = SvgCommand.cubic_to(1, 2, 3, 4, 5, 6)
-        vec = encode_command(cmd, self.VIEW)
-        assert vec.kind_index == int(CommandKind.CUBIC_TO)
-        centres = [b / 255 * 100.0 for b in vec.arg_bins]
-        np.testing.assert_allclose(centres, cmd.args, atol=100.0 / 255 / 2 + 1e-9)
-
 
 class TestSplit:
-    def segment_count(self, paths):
-        n = 0
-        for p in (paths if isinstance(paths, list) else [paths]):
-            for c in p.commands:
-                if c.kind in (CommandKind.LINE_TO, CommandKind.CUBIC_TO, CommandKind.CLOSE_PATH):
-                    n += 1
-        return n
-
     def test_short_path_unchanged(self):
-        p = SvgPath([SvgCommand.move_to(0, 0)] + [SvgCommand.line_to(i, i) for i in range(1, 5)])
-        assert split_path(p, 10) == [p]
+        pts = np.stack([np.arange(5.0), np.arange(5.0)], axis=1)
+        [chunk] = split_path(pts, 10)
+        assert np.array_equal(chunk, pts) and np.shares_memory(chunk, pts)
 
     def test_long_polyline_split(self):
-        cmds = [SvgCommand.move_to(0, 0)] + [SvgCommand.line_to(i, 0) for i in range(1, 35)]
-        p = SvgPath(tuple(cmds))
-        parts = split_path(p, 30)
-        assert len(parts) == 2
-        assert all(len(q.commands) <= 30 for q in parts)
-        assert parts[1].commands[0].kind == CommandKind.MOVE_TO
-        # the prefix MoveTo sits at the endpoint of command 30
-        assert parts[1].commands[0].end_point == p.commands[29].end_point
+        pts = np.stack([np.arange(35.0), np.zeros(35)], axis=1)
+        parts = split_path(pts, 30)
+        assert [len(q) for q in parts] == [30, 6]
+        # the second chunk's MoveTo sits on the first chunk's last vertex
+        assert np.array_equal(parts[1][0], pts[29])
 
     def test_segment_count_preserved(self):
+        # the chunks draw the polyline's segments, each once and in order
         rng = np.random.default_rng(5)
         for _ in range(50):
-            cmds = [SvgCommand.move_to(*rng.uniform(-10, 10, 2))]
-            for _ in range(rng.integers(2, 80)):
-                cmds.append(SvgCommand.line_to(*rng.uniform(-10, 10, 2)))
-            p = SvgPath(tuple(cmds))
-            parts = split_path(p, int(rng.integers(2, 12)))
-            assert self.segment_count(parts) == self.segment_count(p)
-            assert all(len(q.commands) <= 12 for q in parts)
+            pts = rng.uniform(-10, 10, (int(rng.integers(3, 82)), 2))
+            mc = int(rng.integers(2, 12))
+            parts = split_path(pts, mc)
+            assert all(2 <= len(q) <= mc for q in parts)
+            assert all(np.array_equal(a[-1], b[0]) for a, b in zip(parts[:-1], parts[1:]))
+            segments = np.concatenate([np.stack([q[:-1], q[1:]], axis=1) for q in parts])
+            assert np.array_equal(segments, np.stack([pts[:-1], pts[1:]], axis=1))
 
     def test_max_commands_validation(self):
         with pytest.raises(ValueError):
-            split_path(SvgPath((SvgCommand.move_to(0, 0), SvgCommand.line_to(1, 1))), 1)
+            split_path(np.array([[0.0, 0.0], [1.0, 1.0]]), 1)
 
 
 def test_document_xml_round_trip():
@@ -135,5 +109,5 @@ def test_document_xml_round_trip():
     read = [(path_id, pts) for path_id, pts in read_svg_paths(render_attention_svg(sample, []))
             if path_id.startswith("lane")]
     assert [path_id for path_id, _ in read] == lanes.ids
-    for (_, pts), start, stop in zip(read, lanes.offsets[:-1], lanes.offsets[1:]):
-        assert np.array_equal(pts, lanes.vertices[start:stop])
+    for (_, pts), chunk in zip(read, lanes.paths, strict=True):
+        assert np.array_equal(pts, chunk)
