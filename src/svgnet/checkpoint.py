@@ -12,8 +12,10 @@ A checkpoint named ``prefix`` occupies ``prefix.json`` and ``prefix.bin``
 Saving streams each array into the blob file in turn, with no copy of a
 float32 array and no copy of the whole blob. Loading reads the blob once
 and returns views of it, so the manifest's entries must tile the blob
-exactly, in order, lest two views alias, and must name distinct arrays;
-anything else is a CheckpointError.
+exactly, in order, lest two views alias, and must name distinct arrays.
+Every value must be finite, as no trained model holds a NaN or an inf.
+Anything else is a DatasetError (CLI exit code 3) naming the file, and the
+entry where there is one.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ from .dataset import DatasetError, _atomic_write
 FORMAT_VERSION = 1
 
 
-class CheckpointError(DatasetError):
-    """A checkpoint that cannot be read, or that does not fit the model."""
-
-
 def _files(prefix: str | Path) -> tuple[Path, Path]:
     prefix = Path(prefix)
     return prefix.with_name(prefix.name + ".json"), prefix.with_name(prefix.name + ".bin")
@@ -44,8 +42,6 @@ def save_checkpoint(arrays: dict[str, np.ndarray], prefix: str | Path) -> None:
     The blob is written first, so an array that cannot be converted leaves
     both files as they were.
     """
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
     manifest_path, blob_path = _files(prefix)
     entries = []
 
@@ -73,30 +69,34 @@ def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         if manifest.get("format_version") != FORMAT_VERSION:
-            raise CheckpointError(
+            raise DatasetError(
                 f"unsupported checkpoint version {manifest.get('format_version')}")
         entries = [(e["name"], e["shape"], e["offset"]) for e in manifest["params"]]
     except (ValueError, AttributeError, KeyError, TypeError) as exc:
-        # CheckpointError is not a ValueError, so the version check passes through
-        raise CheckpointError(f"{manifest_path.name}: unreadable manifest ({exc})") from exc
+        # DatasetError is not a ValueError, so the version check passes through
+        raise DatasetError(f"{manifest_path.name}: unreadable manifest ({exc})") from exc
     end = 0
     names = set()
     for name, shape, start in entries:
         if not (isinstance(name, str) and isinstance(shape, list)
                 and all(map(_is_count, shape)) and _is_count(start)):
-            raise CheckpointError(f"{manifest_path.name}: entry {name!r} needs a string name "
-                                  f"and a shape and offset of non-negative integers, "
-                                  f"got {shape!r} and {start!r}")
+            raise DatasetError(f"{manifest_path.name}: entry {name!r} needs a string name "
+                               f"and a shape and offset of non-negative integers, "
+                               f"got {shape!r} and {start!r}")
         if name in names:
-            raise CheckpointError(f"{manifest_path.name}: entry {name!r} is listed twice")
+            raise DatasetError(f"{manifest_path.name}: entry {name!r} is listed twice")
         names.add(name)
         if start != end:
-            raise CheckpointError(f"{manifest_path.name}: entry {name!r} starts at {start}, "
-                                  f"where the entry before it ends at {end}")
+            raise DatasetError(f"{manifest_path.name}: entry {name!r} starts at {start}, "
+                               f"where the entry before it ends at {end}")
         end += math.prod(shape)
     if blob_path.stat().st_size != 4 * end:
-        raise CheckpointError(f"{blob_path.name} holds {blob_path.stat().st_size} bytes, "
-                              f"the manifest needs {4 * end}")
+        raise DatasetError(f"{blob_path.name} holds {blob_path.stat().st_size} bytes, "
+                           f"the manifest needs {4 * end}")
     blob = np.fromfile(blob_path, dtype="<f4")
-    return {name: blob[start:start + math.prod(shape)].reshape(shape)
-            for name, shape, start in entries}
+    arrays = {name: blob[start:start + math.prod(shape)].reshape(shape)
+              for name, shape, start in entries}
+    for name, arr in arrays.items():   # one entry at a time: no blob-sized temporary
+        if not np.isfinite(arr).all():
+            raise DatasetError(f"{blob_path.name}: entry {name!r} holds a non-finite value")
+    return arrays

@@ -1,16 +1,18 @@
 """Command-line entry point: dataset tooling, training, evaluation, plots.
 
-Exit codes: 0 success, 2 configuration error, 3 data error (bad records, or a
-checkpoint that is corrupt or does not fit the model), 4 runtime error. The
-model, train, ingest and synth sections of the config are all checked before
-any work starts, so a value out of range exits 2 without reading data or
-writing files. Map or agent coordinates that are not finite numbers make a
-record bad (exit 3 when no usable record is left), and so does a JSONL line
-that is not UTF-8. A config file that is not UTF-8 exits 2, and an
-import-argoverse CSV or map file that is not UTF-8 exits 3. A training step
-whose loss or any gradient is NaN or inf raises train.NonFiniteLossError,
-exit 4, before that step's update and before any further checkpoint or loss
-log write.
+Exit codes: 0 success, 2 configuration error (a ConfigError), 3 data error (a
+DatasetError: bad records, or a checkpoint that is corrupt, holds a NaN or
+inf, or does not fit the model), 4 runtime error (anything else). The model,
+train, ingest and synth sections of the config are all checked before any
+work starts, so a value out of range exits 2 without reading data or writing
+files. Map or agent coordinates that are not finite numbers, or that lie
+beyond 1e8 m of 0, make a record bad (exit 3 when no usable record is left),
+and so does a JSONL line that is not UTF-8. A config file that is not UTF-8
+exits 2, and an import-argoverse CSV or map file that is not UTF-8 exits 3.
+A training step whose loss or any gradient is NaN or inf raises
+train.NonFiniteLossError, exit 4, before that step's update and before any
+further checkpoint or loss log write. Every output file's directory is
+created if it does not exist.
 Set SVGNET_LOG to a logging level name (DEBUG, INFO, ...) for diagnostics.
 """
 
@@ -37,10 +39,6 @@ from .train import encode_samples, train as run_training
 from .viz import render_attention_svg
 
 log = logging.getLogger("svgnet")
-
-
-class SceneNotFoundError(DatasetError):
-    pass
 
 
 def _setup_logging() -> None:
@@ -145,7 +143,6 @@ def train_cmd(config_path, data, out_dir, input_mode, dtype, seed) -> None:
                              cfg.model.n_commands, cfg.model.n_agents)
     model = SvgNet(cfg.model, seed=cfg.train.seed, dtype=dtype)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg.write_json(out / "config.json")
     log_entries = run_training(model, encoded, cfg.train, out_dir=out)
     final_losses = [e["loss"] for e in log_entries if e["loss"] is not None]
@@ -179,7 +176,7 @@ def eval_cmd(checkpoint, data, config_path, out, per_sample_csv, baseline, input
                       per_sample=per_sample_csv is not None)
     click.echo(json.dumps({"ade": report.ade, "fde": report.fde,
                            "miss_rate": report.miss_rate,
-                           "n_samples": report.n_samples}))
+                           "n_samples": report.n_samples}, allow_nan=False))
     if out:
         report.write_json(out)
     if per_sample_csv:
@@ -206,7 +203,8 @@ def predict_cmd(checkpoint, data, out, config_path, input_mode, dtype) -> None:
                            cfg.model.n_agents)
         pred = model.predict(batch)[0].reshape(-1, 2).astype(np.float64)
         city = apply_affine_points(sample.frame_to_city, pred)
-        lines.append(json.dumps({"scene_id": rec.scene_id, "prediction": city.tolist()}))
+        lines.append(json.dumps({"scene_id": rec.scene_id, "prediction": city.tolist()},
+                                allow_nan=False))
     _atomic_write_text(Path(out), "\n".join(lines) + "\n")
     click.echo(f"wrote {len(lines)} predictions to {out}")
 
@@ -230,7 +228,7 @@ def visualize_cmd(checkpoint, data, scene_id, out, config_path, input_mode, dtyp
             record = rec
             break
     if record is None:
-        raise SceneNotFoundError(f"scene {scene_id!r} not found in {data}")
+        raise DatasetError(f"scene {scene_id!r} not found in {data}")
     sample = normalize_sample(record, cfg.ingest)
     batch = make_batch([sample], cfg.model.n_paths, cfg.model.n_commands,
                        cfg.model.n_agents)

@@ -8,7 +8,7 @@ import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .dataset import IngestConfig, _atomic_write_text
+from .dataset import IngestConfig, _atomic_write_json
 from .model import ModelConfig
 from .synth import SynthConfig
 from .train import TrainConfig
@@ -43,7 +43,7 @@ class RunConfig:
                 "ingest": asdict(self.ingest), "synth": asdict(self.synth)}
 
     def write_json(self, path: str | Path) -> None:
-        _atomic_write_text(Path(path), json.dumps(self.to_json_obj(), indent=1) + "\n")
+        _atomic_write_json(path, self.to_json_obj())
 
 
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "ingest": IngestConfig,

@@ -16,14 +16,16 @@ JSONL record schema (one object per line):
      "map_polylines": [[[x, y], ...], ...],
      "agents": [{"agent_id": str, "is_main": bool,
                  "positions": [[frame, x, y], ...]}, ...]}
-Every coordinate is a finite number and every point list (a polyline, an
-agent's positions) is non-empty. frame_rate is a finite positive number,
-agent_id a string and is_main a boolean. Frame numbers are integers within
-2**53 of 0 and strictly increasing per agent, and exactly one agent is the
-main one. A line that is not UTF-8 JSON or breaks any of this is a
-SchemaError. _record_from_obj states these rules once: load_dataset reads
-each line through it, and save_dataset applies the loader's check to every
-record before it writes.
+Every map or agent x, y is a number within MAX_COORD = 1e8 m of 0: above
+any map projection's range (UTM northings stay under 1e7 m), and small
+enough that every agent-frame value stays finite in float32. Every point
+list (a polyline, an agent's positions) is non-empty. frame_rate is a
+finite positive number, agent_id a string and is_main a boolean. Frame
+numbers are integers within 2**53 of 0 and strictly increasing per agent,
+and exactly one agent is the main one. A line that is not UTF-8 JSON or
+breaks any of this is a SchemaError. _record_from_obj states these rules
+once: load_dataset reads each line through it, and save_dataset applies
+the loader's check to every record before it writes.
 """
 
 from __future__ import annotations
@@ -57,22 +59,6 @@ class SchemaError(DatasetError):
         self.message = message
         super().__init__(f"line {line_no}: bad or missing field {fieldname!r}"
                          + (f" ({message})" if message else ""))
-
-
-class InsufficientHistoryError(DatasetError):
-    pass
-
-
-class MissingMainAgentError(DatasetError):
-    pass
-
-
-class BadTimestampGridError(DatasetError):
-    pass
-
-
-class MissingTargetError(DatasetError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +116,14 @@ class SceneRecord:
         }
 
 
+MAX_COORD = 1e8
+# per column of a point: a position's frame number is bounded by its own 2**53 rule
+_POINT_BOUNDS = np.array([sys.float_info.max, MAX_COORD, MAX_COORD])
+
+
 def _points(value, width: int) -> np.ndarray:
-    """value as an (n, width) float64 array of finite numbers; ValueError otherwise."""
+    """value as an (n, width) float64 array whose last two columns are x, y within
+    MAX_COORD of 0 and whose other columns are finite; ValueError otherwise."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -139,8 +131,10 @@ def _points(value, width: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"expected a non-empty list of {width}-number points, "
                          f"got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("non-finite coordinate")
+    # NaN fails every comparison, so this one test rejects NaN, inf and out-of-range values
+    if not (np.abs(arr) <= _POINT_BOUNDS[-width:]).all():
+        raise ValueError("non-finite coordinate" if not np.isfinite(arr).all()
+                         else "coordinate beyond ±1e8 m")
     return arr
 
 
@@ -229,9 +223,11 @@ def load_dataset(path: str | Path,
 def _atomic_write(path: Path, chunks: Iterable) -> None:
     """Write each buffer of ``chunks`` in turn to a temp file, then rename it to ``path``.
 
-    ``chunks`` may be a generator, so the caller never holds the whole
-    payload; if it raises, neither ``path`` nor the temp file is left.
+    Every file the package writes goes through here, and the parent directory
+    is created first. ``chunks`` may be a generator, so the caller never holds
+    the whole payload; if it raises, neither ``path`` nor the temp file is left.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -246,6 +242,11 @@ def _atomic_write(path: Path, chunks: Iterable) -> None:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write(path, [text.encode("utf-8")])
+
+
+def _atomic_write_json(path: str | Path, obj) -> None:
+    """obj as indented JSON; a NaN or inf in it is a ValueError, never a bare NaN."""
+    _atomic_write_text(Path(path), json.dumps(obj, indent=1, allow_nan=False) + "\n")
 
 
 def save_dataset(records: Sequence[SceneRecord], path: str | Path) -> int:
@@ -264,7 +265,6 @@ def save_dataset(records: Sequence[SceneRecord], path: str | Path) -> int:
             raise DatasetError(f"scene {r.scene_id!r}: cannot save field {exc.field!r} "
                                f"({exc.message})") from None
         lines.append(json.dumps(obj, separators=(",", ":"), allow_nan=False))
-    path.parent.mkdir(parents=True, exist_ok=True)
     _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
     return len(lines)
 
@@ -377,9 +377,8 @@ def normalize_sample(record: SceneRecord, cfg: IngestConfig) -> NormalizedSample
     # -1 after the last frame: no wanted frame matches it
     found = np.append(main.frames, -1)[at] == wanted
     if not found[:t_obs].all():
-        raise InsufficientHistoryError(
-            f"scene {record.scene_id!r}: main agent must be observed on every frame "
-            f"0..{t_obs - 1}")
+        raise DatasetError(f"scene {record.scene_id!r}: main agent must be observed on "
+                           f"every frame 0..{t_obs - 1}")
 
     anchor = main.xy[at[t_obs - 1]]
     ref = main.xy[at[max(t_obs - 1 - cfg.k_heading, 0)]]
@@ -447,7 +446,7 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
         raise ValueError("cannot batch zero samples")
     missing = [s.scene_id for s in samples if s.target is None]
     if 0 < len(missing) < len(samples):
-        raise MissingTargetError(f"scene {missing[0]!r} has no target, unlike others in its batch")
+        raise DatasetError(f"scene {missing[0]!r} has no target, unlike others in its batch")
     b = len(samples)
     t_obs = samples[0].main_history.shape[0]
     kinds = np.full((b, n_paths, n_commands), int(CommandKind.PAD), dtype=np.int16)
@@ -554,18 +553,18 @@ def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
         rows.append((number(row, "TIMESTAMP"), row["TRACK_ID"], row["OBJECT_TYPE"],
                      number(row, "X"), number(row, "Y"), row["CITY_NAME"]))
     if not rows:
-        raise MissingMainAgentError(f"{csv_path.name}: empty sequence")
+        raise DatasetError(f"{csv_path.name}: empty sequence")
 
     stamps = np.array(sorted({r[0] for r in rows}))
     if stamps.size < 2:
-        raise BadTimestampGridError(f"{csv_path.name}: need at least two timestamps")
+        raise DatasetError(f"{csv_path.name}: need at least two timestamps")
     dts = np.diff(stamps)
     dt = float(np.median(dts))
     if dt <= 0 or (np.abs(dts - dt) > 0.10 * dt).any():
-        raise BadTimestampGridError(f"{csv_path.name}: non-uniform sampling")
+        raise DatasetError(f"{csv_path.name}: non-uniform sampling")
     frame_of = {t: int(round((t - stamps[0]) / dt)) for t in stamps}
     if len(set(frame_of.values())) < stamps.size:
-        raise BadTimestampGridError(f"{csv_path.name}: two timestamps round to one frame")
+        raise DatasetError(f"{csv_path.name}: two timestamps round to one frame")
     n_frames = t_obs + t_pred
 
     tracks: dict[str, dict] = {}
@@ -587,7 +586,7 @@ def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
             anchor_frame = frames[frames <= t_obs - 1]
             main_xy = xy[len(anchor_frame) - 1] if len(anchor_frame) else xy[-1]
     if sum(a.is_main for a in agents) != 1:
-        raise MissingMainAgentError(
+        raise DatasetError(
             f"{csv_path.name}: expected exactly one AGENT track, "
             f"found {sum(a.is_main for a in agents)}")
 

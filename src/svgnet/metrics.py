@@ -4,21 +4,15 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import (Batch, IngestConfig, InsufficientHistoryError, MissingTargetError,
+from .dataset import (Batch, DatasetError, IngestConfig, _atomic_write_json,
                       _atomic_write_text, apply_affine_points, concat_batches, make_batch,
                       normalize_sample)
-from .tensor import ShapeMismatchError
-
-
-class EmptyInputError(ValueError):
-    pass
 
 
 MISS_THRESHOLD = 2.0  # meters; a miss is a final error strictly beyond this
@@ -41,14 +35,14 @@ class MetricsReport:
         return obj
 
     def write_json(self, path: str | Path) -> None:
-        _atomic_write_text(Path(path), json.dumps(self.to_json_obj(), indent=1) + "\n")
+        _atomic_write_json(path, self.to_json_obj())
 
 
 def _check_pair(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape or pred.ndim != 2 or pred.shape[1] != 2:
-        raise ShapeMismatchError(f"trajectory shapes differ: {pred.shape} vs {gt.shape}")
+        raise ValueError(f"trajectory shapes differ: {pred.shape} vs {gt.shape}")
     return pred, gt
 
 
@@ -68,7 +62,7 @@ def miss_rate(fdes: Sequence[float], threshold: float = MISS_THRESHOLD) -> float
     """Fraction of samples whose final error is strictly above the threshold."""
     fdes = np.asarray(fdes, dtype=np.float64)
     if fdes.size == 0:
-        raise EmptyInputError("miss_rate needs at least one sample")
+        raise ValueError("miss_rate needs at least one sample")
     return float((fdes > threshold).mean())
 
 
@@ -81,7 +75,7 @@ def constant_velocity_baseline(history: np.ndarray, t_pred: int = 30,
     """
     history = np.asarray(history, dtype=np.float64)
     if history.ndim != 2 or history.shape[0] < 2:
-        raise InsufficientHistoryError("need at least 2 observed frames")
+        raise DatasetError("need at least 2 observed frames")
     k = min(k_vel, history.shape[0] - 1)
     v = (history[-1] - history[-1 - k]) / k
     steps = np.arange(1, t_pred + 1, dtype=np.float64)[:, None]
@@ -114,8 +108,8 @@ def evaluate(predict_fn: Callable[[Batch], np.ndarray], records: Sequence, *,
 
     ``records`` are SceneRecords, encoded at ``caps`` (n_paths, n_commands, n_agents)
     and predicted EVAL_BATCH_SIZE at a time; only one chunk is encoded at once. A
-    record without a prediction target raises MissingTargetError when its chunk is
-    encoded; no records raise EmptyInputError.
+    record without a prediction target raises DatasetError when its chunk is
+    encoded; no records raise ValueError.
     """
     ades, fdes, rows = [], [], []
     for lo in range(0, len(records), EVAL_BATCH_SIZE):
@@ -123,7 +117,7 @@ def evaluate(predict_fn: Callable[[Batch], np.ndarray], records: Sequence, *,
         for rec in records[lo:lo + EVAL_BATCH_SIZE]:
             sample = normalize_sample(rec, ingest)
             if sample.target is None:
-                raise MissingTargetError(f"scene {rec.scene_id!r} has no prediction target")
+                raise DatasetError(f"scene {rec.scene_id!r} has no prediction target")
             encoded.append(make_batch([sample], *caps))
         batch = concat_batches(encoded)
         preds = predict_fn(batch)
@@ -140,7 +134,7 @@ def evaluate(predict_fn: Callable[[Batch], np.ndarray], records: Sequence, *,
                              "miss": bool(f > MISS_THRESHOLD)})
 
     if not ades:
-        raise EmptyInputError("no samples evaluated")
+        raise ValueError("no samples evaluated")
     return MetricsReport(ade=float(np.mean(ades)), fde=float(np.mean(fdes)),
                          miss_rate=miss_rate(fdes), n_samples=len(ades),
                          per_sample=rows if per_sample else None)

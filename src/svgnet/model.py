@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import CheckpointError
+from .dataset import DatasetError
 from .svg import N_ARG_SLOTS, N_COORD_BINS, CommandKind
 from .tensor import Parameter, Tensor
 
@@ -396,12 +396,12 @@ class SvgNet:
         """Load every parameter; the names and shapes must match the model's exactly."""
         extra = sorted(arrays.keys() - self.params.keys())
         if extra:
-            raise CheckpointError(f"checkpoint parameter {extra[0]!r} is not in the model")
+            raise DatasetError(f"checkpoint parameter {extra[0]!r} is not in the model")
         for name, p in self.params.items():
             if name not in arrays:
-                raise CheckpointError(f"checkpoint is missing parameter {name!r}")
+                raise DatasetError(f"checkpoint is missing parameter {name!r}")
             if tuple(arrays[name].shape) != p.shape:
-                raise CheckpointError(
+                raise DatasetError(
                     f"parameter {name!r}: checkpoint shape {arrays[name].shape}, "
                     f"model shape {p.shape}")
             p.data[...] = arrays[name]

@@ -15,13 +15,12 @@ Everything is a pure function of (seed, scene index).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import AgentTrack, SceneRecord, _atomic_write_text, save_dataset
+from .dataset import AgentTrack, SceneRecord, _atomic_write_json, save_dataset
 
 VERTEX_SPACING = 1.0  # meters between lane polyline vertices
 
@@ -225,5 +224,5 @@ def generate_dataset(config: SynthConfig, out_path: str | Path,
         "split_ranges": {"all": [first_index, first_index + config.n_scenes]},
     }
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    _atomic_write_text(manifest_path, json.dumps(manifest, indent=1) + "\n")
+    _atomic_write_json(manifest_path, manifest)
     return out_path

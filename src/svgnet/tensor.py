@@ -21,14 +21,6 @@ import numpy as np
 MASK_LARGE = 1e9
 
 
-class ShapeMismatchError(ValueError):
-    pass
-
-
-class DisconnectedLossError(ValueError):
-    pass
-
-
 class Tensor:
     """A numpy array with optional gradient tracking."""
 
@@ -78,7 +70,7 @@ class _Node:
 class GradientTape:
     """Records one forward pass; backward() consumes it, node by node in reverse order.
 
-    A second backward() on the same tape is a DisconnectedLossError.
+    A second backward() on the same tape is a ValueError.
     """
 
     _stack: list["GradientTape"] = []
@@ -114,11 +106,11 @@ class GradientTape:
         Two leaves' gradients may be one array, so treat them as read-only.
         """
         if self._ran:
-            raise DisconnectedLossError("this tape's backward has already run; record a new tape")
+            raise ValueError("this tape's backward has already run; record a new tape")
         if loss.data.size != 1:
-            raise ShapeMismatchError(f"loss must be scalar, got shape {loss.shape}")
+            raise ValueError(f"loss must be scalar, got shape {loss.shape}")
         if id(loss) not in self._out_ids:
-            raise DisconnectedLossError("loss was not produced under this tape")
+            raise ValueError("loss was not produced under this tape")
         self._ran = True
 
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
@@ -319,9 +311,9 @@ def take_index(a, axis: int, index: int) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatchError("matmul requires tensors with ndim >= 2")
+        raise ValueError("matmul requires tensors with ndim >= 2")
     if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatchError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+        raise ValueError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = a.data @ b.data
 
     def backward(g):
@@ -404,7 +396,7 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     """Gather rows of a (rows, dim) table; gradient scatter-adds rows back."""
     idx = np.asarray(indices)
     if table.ndim != 2:
-        raise ShapeMismatchError("embedding table must be 2-D")
+        raise ValueError("embedding table must be 2-D")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise IndexError("embedding index out of range")
     out = table.data[idx]
@@ -443,9 +435,9 @@ def scaled_dot_product_attention(q, k, v, place, n_heads: int,
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     n_rows, d_m = q.shape
     if k.shape != q.shape or v.shape != q.shape:
-        raise ShapeMismatchError(f"q, k and v differ: {q.shape}, {k.shape}, {v.shape}")
+        raise ValueError(f"q, k and v differ: {q.shape}, {k.shape}, {v.shape}")
     if d_m % n_heads:
-        raise ShapeMismatchError(f"d_m={d_m} is not divisible by n_heads={n_heads}")
+        raise ValueError(f"d_m={d_m} is not divisible by n_heads={n_heads}")
     place = np.asarray(place)
     n, t = place.shape
     flat = place.reshape(-1)

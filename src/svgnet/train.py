@@ -13,11 +13,10 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import save_checkpoint
-from .dataset import (Batch, IngestConfig, MissingTargetError, _atomic_write_text,
+from .dataset import (Batch, DatasetError, IngestConfig, _atomic_write_text,
                       concat_batches, make_batch, normalize_sample)
-from .metrics import EmptyInputError
 from .model import SvgNet
-from .tensor import GradientTape, ShapeMismatchError, Tensor
+from .tensor import GradientTape, Tensor
 
 
 class NonFiniteLossError(RuntimeError):
@@ -66,7 +65,7 @@ def mse_loss(pred: Tensor, target) -> Tensor:
     """
     target = np.asarray(target.data if isinstance(target, Tensor) else target)
     if tuple(target.shape) != pred.shape:
-        raise ShapeMismatchError(f"pred {pred.shape} vs target {target.shape}")
+        raise ValueError(f"pred {pred.shape} vs target {target.shape}")
     if not np.isfinite(target).all():
         raise ValueError("targets contain non-finite values")
     diff = T.add_const(pred, -target.astype(pred.data.dtype))
@@ -156,12 +155,12 @@ def clip_grad_norm(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
 
 def encode_samples(records, ingest: IngestConfig, n_paths: int, n_commands: int,
                    n_agents: int) -> list[Batch]:
-    """Encode records as single-sample batches; one without a target is a MissingTargetError."""
+    """Encode records as single-sample batches; one without a target is a DatasetError."""
     out = []
     for rec in records:
         sample = normalize_sample(rec, ingest)
         if sample.target is None:
-            raise MissingTargetError(f"scene {rec.scene_id!r} has no prediction target")
+            raise DatasetError(f"scene {rec.scene_id!r} has no prediction target")
         out.append(make_batch([sample], n_paths, n_commands, n_agents))
     return out
 
@@ -171,7 +170,7 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
           eval_hook: Callable[[SvgNet], tuple[float, float]] | None = None) -> list[dict]:
     """Run the full training loop on ``encode_samples`` output; returns the per-step loss log.
 
-    An empty ``encoded`` raises EmptyInputError before anything is written.
+    An empty ``encoded`` raises ValueError before anything is written.
     Each step's gradients are the mapping its tape's backward returns;
     they are clipped, applied and dropped within the step.
     A NaN or inf step loss, or a NaN or inf in any parameter's gradient
@@ -190,14 +189,12 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
     cfg.validate()
     n = len(encoded)
     if n == 0:
-        raise EmptyInputError("no samples to train on")
+        raise ValueError("no samples to train on")
     steps_per_epoch = math.ceil(n / cfg.batch_size)
 
     optimizer = AdamW(model.parameters(), cfg)
     rng = np.random.default_rng(cfg.seed)
     out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     log: list[dict] = []
     step = 0
@@ -271,6 +268,6 @@ def _weights(model: SvgNet) -> dict[str, np.ndarray]:
 
 def write_loss_log(log: list[dict], path: str | Path) -> None:
     path = Path(path)
-    lines = [json.dumps(entry) for entry in log]
+    lines = [json.dumps(entry, allow_nan=False) for entry in log]
     _atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +173,33 @@ class TestTrainEvalPredict:
             op = float(re.search(r'opacity="([^"]+)"', elem).group(1))
             assert op == pytest.approx(0.15, abs=1e-6)
 
+    @pytest.mark.parametrize("command", ["eval", "predict", "visualize"])
+    def test_outputs_into_a_new_directory(self, trained, workspace, runner, tmp_path, command):
+        # before, each did all its work (eval printed its report) and then exited 3
+        # on the missing directory, naming the temp file
+        new = tmp_path / "new" / "dir"
+        argv = {"eval": ["--out", new / "report.json", "--per-sample-csv", new / "rows.csv"],
+                "predict": ["--out", new / "pred.jsonl"],
+                "visualize": ["--scene-id", "synth-000000", "--out", new / "scene.svg"]}[command]
+        res = runner.invoke(cli, [command, "--checkpoint", str(trained / "model_final"),
+                                  "--data", str(workspace["data"]), *map(str, argv)],
+                            catch_exceptions=False)
+        assert res.exit_code == 0, res.output
+        assert sorted(new.iterdir()) == sorted(a for a in argv if isinstance(a, Path))
+
+    @pytest.mark.parametrize("scale", [1e50, 1e305])
+    def test_eval_on_agents_beyond_1e8_m_is_a_data_error(self, trained, workspace, monkeypatch,
+                                                         capsys, scale):
+        # before, eval exited 0 and scored this scene "ade": NaN (x1e50) or 0.0 (x1e305)
+        obj = json.loads(workspace["data"].read_text().splitlines()[0])
+        for agent in obj["agents"]:
+            agent["positions"] = [[f, x * scale, y * scale] for f, x, y in agent["positions"]]
+        data = workspace["dir"] / "far.jsonl"
+        data.write_text(json.dumps(obj, allow_nan=False) + "\n")
+        assert _run_main(monkeypatch, "eval", "--checkpoint", str(trained / "model_final"),
+                         "--data", str(data)) == 3
+        assert f"{data}: no usable records" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", [
     ["train", "--out-dir", "run"],
@@ -237,6 +265,24 @@ def test_bad_checkpoint_is_a_data_error(workspace, runner, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
     assert ("is listed twice" in err) == (damage == "duplicate_name")
+
+
+def test_checkpoint_with_a_nan_is_a_data_error(workspace, runner, monkeypatch, capsys):
+    # before, eval exited 0 with "ade": NaN, "fde": NaN, "miss_rate": 0.0
+    out_dir = workspace["dir"] / "run"
+    res = runner.invoke(cli, ["train", "--config", str(workspace["cfg"]),
+                              "--data", str(workspace["data"]), "--out-dir", str(out_dir)],
+                        catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((out_dir / "model_final.json").read_text())
+    (entry,) = [e for e in manifest["params"] if e["name"] == "decoder.head.l3.b"]
+    blob = np.fromfile(out_dir / "model_final.bin", dtype="<f4")
+    blob[entry["offset"]] = np.nan
+    blob.tofile(out_dir / "model_final.bin")
+    assert _run_main(monkeypatch, "eval", "--checkpoint", str(out_dir / "model_final"),
+                     "--data", str(workspace["data"])) == 3
+    assert capsys.readouterr().err == ("data error: model_final.bin: entry "
+                                       "'decoder.head.l3.b' holds a non-finite value\n")
 
 
 @pytest.mark.parametrize("command", ["eval", "predict", "visualize"])

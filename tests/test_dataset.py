@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from model_helpers import frame_record, take_batch
-from svgnet.dataset import (AgentTrack, BadTimestampGridError, Batch, DatasetError,
-                            IngestConfig, InsufficientHistoryError, MissingMainAgentError,
-                            MissingTargetError, SceneRecord, SchemaError, apply_affine_points, concat_batches,
-                            import_argoverse_csv, load_dataset, make_batch,
+from svgnet.dataset import (AgentTrack, Batch, DatasetError, IngestConfig, SceneRecord,
+                            SchemaError, apply_affine_points, concat_batches, import_argoverse_csv, load_dataset, make_batch,
                             normalize_sample, save_dataset)
 from svgnet.svg import CommandKind, encode_command, split_path
 from svgnet.synth import SynthConfig, generate_records
@@ -111,6 +109,32 @@ class TestJsonl:
         with pytest.raises(SchemaError, match=r"agents\[0\]\.positions"):
             list(load_dataset(path))
 
+
+    @pytest.mark.parametrize("field", ["map_polylines[0]", "agents[1].positions"])
+    def test_coordinate_beyond_1e8_m_is_a_schema_error(self, tmp_path, field):
+        # before, an agent at 1e50 m loaded, and eval scored its scene NaN or 0.0
+        good = straight_record(extra_agents=1).to_json_obj()
+        lines = []
+        for value in (1.5e8, -1.5e8, 1e8):
+            obj = json.loads(json.dumps(good))
+            point = (obj["map_polylines"][0][3] if field == "map_polylines[0]"
+                     else obj["agents"][1]["positions"][3])
+            point[-1] = value   # y
+            lines.append(json.dumps(obj))
+        path = tmp_path / "data.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        errors: list[SchemaError] = []
+        records = list(load_dataset(path, errors=errors))
+        assert [(e.line_no, e.field, e.message) for e in errors] == [
+            (1, field, "coordinate beyond ±1e8 m"), (2, field, "coordinate beyond ±1e8 m")]
+        (at_bound,) = records
+        xy = at_bound.map_polylines[0] if field == "map_polylines[0]" else at_bound.agents[1].xy
+        assert xy[3, 1] == 1e8
+        xy[3, 1] = 1.5e8
+        with pytest.raises(DatasetError, match=rf"cannot save field '{re.escape(field)}' "
+                                               r"\(coordinate beyond ±1e8 m\)$"):
+            save_dataset([at_bound], tmp_path / "out.jsonl")
+        assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("agent, frame, value", [(0, 2, 2.9), (1, -1, 1e300)],
                              ids=["fraction", "beyond-int64"])
@@ -297,7 +321,8 @@ class TestNormalize:
         frames = np.arange(5, 50)  # missing frames 0..4
         xy = np.zeros((45, 2))
         rec = SceneRecord("x", [], [AgentTrack("m", frames, xy, True)])
-        with pytest.raises(InsufficientHistoryError):
+        with pytest.raises(DatasetError,
+                           match=r"'x': main agent must be observed on every frame 0\.\.19$"):
             normalize_sample(rec, self.CFG)
 
     def test_no_target_for_short_records(self):
@@ -367,7 +392,7 @@ class TestMakeBatch:
         full = normalize_sample(straight_record(scene_id="full"), self.CFG)
         short = normalize_sample(straight_record(n_frames=20, scene_id="short"), self.CFG)
         assert make_batch([short, short], 16, 30, 4).targets is None
-        with pytest.raises(MissingTargetError, match="'short'"):
+        with pytest.raises(DatasetError, match="'short' has no target, unlike others in its batch"):
             make_batch([full, short], 16, 30, 4)
 
     def test_take_and_concat(self):
@@ -502,7 +527,7 @@ class TestArgoverseImport:
         self.write_csv(csv_path, self.make_rows(with_agent=False, extra_tracks=1))
         map_path = tmp_path / "map.json"
         map_path.write_text("{}")
-        with pytest.raises(MissingMainAgentError):
+        with pytest.raises(DatasetError, match="seq2.csv: expected exactly one AGENT track, found 0"):
             import_argoverse_csv(csv_path, map_path, tmp_path / "o.jsonl")
 
     def test_three_agents(self, tmp_path):
@@ -523,7 +548,7 @@ class TestArgoverseImport:
         self.write_csv(csv_path, rows)
         map_path = tmp_path / "map.json"
         map_path.write_text("{}")
-        with pytest.raises(BadTimestampGridError):
+        with pytest.raises(DatasetError, match="seq4.csv: non-uniform sampling"):
             import_argoverse_csv(csv_path, map_path, tmp_path / "o.jsonl")
 
     @pytest.mark.parametrize("column, value", [("X", "abc"), ("Y", "nan"), ("TIMESTAMP", "")])
@@ -557,5 +582,5 @@ class TestArgoverseImport:
         self.write_csv(csv_path, rows)
         map_path = tmp_path / "map.json"
         map_path.write_text("{}")
-        with pytest.raises(BadTimestampGridError, match="one frame"):
+        with pytest.raises(DatasetError, match="seq5.csv: two timestamps round to one frame"):
             import_argoverse_csv(csv_path, map_path, tmp_path / "o.jsonl")

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from svgnet import metrics
-from svgnet.dataset import AgentTrack, DatasetError, IngestConfig, InsufficientHistoryError, \
-    MissingTargetError, apply_affine_points, concat_batches, make_batch, normalize_sample
-from svgnet.metrics import (EmptyInputError, MetricsReport, ade, constant_velocity_baseline,
+from svgnet.dataset import AgentTrack, DatasetError, IngestConfig, apply_affine_points, \
+    concat_batches, make_batch, normalize_sample
+from svgnet.metrics import (MetricsReport, ade, constant_velocity_baseline,
                             constant_velocity_predictor, evaluate, fde, miss_rate,
                             model_predictor, write_per_sample_csv)
 from svgnet.model import SvgNet
 from svgnet.synth import SynthConfig, generate_records
-from svgnet.tensor import ShapeMismatchError
 from model_helpers import tiny_config
 
 T30 = 30
@@ -40,7 +39,7 @@ class TestAde:
         assert ade(pred, gt) == pytest.approx(1.0 / 30.0, abs=1e-9)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"trajectory shapes differ: \(30, 2\) vs \(29, 2\)"):
             ade(np.zeros((30, 2)), np.zeros((29, 2)))
 
 
@@ -73,7 +72,7 @@ class TestMissRate:
         assert miss_rate([5.0, 5.0, 5.0]) == 1.0
 
     def test_empty(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValueError, match="miss_rate needs at least one sample"):
             miss_rate([])
 
     def test_non_increasing_in_threshold(self):
@@ -101,9 +100,8 @@ class TestConstantVelocity:
         assert ade(constant_velocity_baseline(hist), gt) < 1e-9
 
     def test_insufficient_history(self):
-        with pytest.raises(InsufficientHistoryError) as exc:
+        with pytest.raises(DatasetError, match="need at least 2 observed frames"):
             constant_velocity_baseline(np.zeros((1, 2)))
-        assert isinstance(exc.value, DatasetError)
 
 
 class TestRigidInvariance:
@@ -135,7 +133,7 @@ class TestEvaluate:
         assert report.n_samples == 6
 
     def test_no_records_is_an_error(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValueError, match="no samples evaluated"):
             evaluate(constant_velocity_predictor(), [], ingest=IngestConfig(), caps=(16, 30, 4))
 
     def test_order_invariance(self):
@@ -204,7 +202,7 @@ class TestEvaluate:
         cut = [AgentTrack(a.agent_id, a.frames[:20], a.xy[:20], is_main=True) if a.is_main
                else a for a in last.agents]
         recs[-1] = dataclasses.replace(last, scene_id="no target", agents=cut)
-        with pytest.raises(MissingTargetError, match="'no target'"):
+        with pytest.raises(DatasetError, match="'no target' has no prediction target"):
             evaluate(constant_velocity_predictor(), recs, ingest=IngestConfig(),
                      caps=(16, 30, 4))
 
@@ -225,6 +223,12 @@ class TestEvaluate:
         import json
         obj = json.loads((tmp_path / "r.json").read_text())
         assert set(obj) >= {"ade", "fde", "miss_rate", "n_samples"}
+
+    def test_a_nan_in_the_report_is_an_error_not_a_bare_nan(self, tmp_path):
+        report = MetricsReport(ade=float("nan"), fde=1.0, miss_rate=0.0, n_samples=1)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report.write_json(tmp_path / "r.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_per_sample_csv_round_trips_any_scene_id(self, tmp_path):
         ids = ['x,"y', "line\nbreak", "plain"]

@@ -5,8 +5,7 @@ import pytest
 
 from svgnet import tensor as T
 from svgnet.gradcheck import grad_check
-from svgnet.tensor import (DisconnectedLossError, GradientTape, Parameter, ShapeMismatchError,
-                           Tensor)
+from svgnet.tensor import GradientTape, Parameter, Tensor
 
 
 class TestForwardOps:
@@ -39,7 +38,7 @@ class TestForwardOps:
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
 
     def test_matmul_shape_error(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"matmul inner dims differ: \(2, 3\) @ \(4, 2\)"):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
     def test_embedding_lookup(self):
@@ -178,7 +177,7 @@ class TestBackward:
         with GradientTape() as tape:
             loss = T.tsum(T.mul(p, p))
             grads = tape.backward(loss)
-            with pytest.raises(DisconnectedLossError, match="already run"):
+            with pytest.raises(ValueError, match="this tape's backward has already run"):
                 tape.backward(loss)
         np.testing.assert_allclose(grads[p], [6.0])
 
@@ -213,14 +212,14 @@ class TestBackward:
         with GradientTape() as tape:
             _ = T.mul(p, p)
             orphan = Tensor(np.array(1.0))
-            with pytest.raises(DisconnectedLossError):
+            with pytest.raises(ValueError, match="loss was not produced under this tape"):
                 tape.backward(orphan)
 
     def test_non_scalar_loss_rejected(self):
         p = Parameter("p", np.ones(3))
         with GradientTape() as tape:
             out = T.mul(p, p)
-            with pytest.raises(ShapeMismatchError):
+            with pytest.raises(ValueError, match=r"loss must be scalar, got shape \(3,\)"):
                 tape.backward(out)
 
     def test_branching_graph(self):

@@ -12,16 +12,16 @@ import pytest
 
 from model_helpers import random_batch, take_batch, tiny_config
 from svgnet import tensor as T
-from svgnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from svgnet.dataset import IngestConfig, _atomic_write
-from svgnet.metrics import EmptyInputError
+from svgnet.checkpoint import load_checkpoint, save_checkpoint
+from svgnet.dataset import DatasetError, IngestConfig, _atomic_write
 from svgnet.gradcheck import grad_check
 from svgnet.model import SvgNet
 from svgnet.synth import SynthConfig, generate_records
-from svgnet.tensor import GradientTape, Parameter, ShapeMismatchError
+from svgnet.tensor import GradientTape, Parameter
 from svgnet import train as train_module
 from svgnet.train import (AdamW, NonFiniteLossError, TrainConfig, clip_grad_norm,
-                          encode_samples, lr_at, mse_loss, release_free_heap, train)
+                          encode_samples, lr_at, mse_loss, release_free_heap, train,
+                          write_loss_log)
 
 
 class TestMseLoss:
@@ -49,7 +49,7 @@ class TestMseLoss:
         assert mse_loss(Parameter("p", pred_arr), target).item() == pytest.approx(15.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"pred \(1, 60\) vs target \(1, 59\)"):
             mse_loss(Parameter("p", np.zeros((1, 60))), np.zeros((1, 59)))
 
     def test_gradient_matches_fd(self):
@@ -218,7 +218,7 @@ class TestCheckpoint:
         data = blob.read_bytes()
         blob.write_bytes(data + b"\0" * size_change if size_change > 0
                          else data[:size_change])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(DatasetError, match=r"c\.bin holds \d+ bytes, the manifest needs 24$"):
             load_checkpoint(tmp_path / "c")
 
     @pytest.mark.parametrize("arr", [
@@ -260,7 +260,7 @@ class TestCheckpoint:
         save_checkpoint({"a": np.arange(6, dtype=np.float32), "b": np.ones(4, np.float32)},
                         tmp_path / "c")
         (tmp_path / "c.json").write_text(json.dumps({"format_version": 1, "params": params}))
-        with pytest.raises(CheckpointError, match="c.json: entry"):
+        with pytest.raises(DatasetError, match="c.json: entry"):
             load_checkpoint(tmp_path / "c")
 
     def test_a_name_listed_twice_is_rejected(self, tmp_path):
@@ -270,7 +270,15 @@ class TestCheckpoint:
         manifest = json.loads((tmp_path / "c.json").read_text())
         manifest["params"][1]["name"] = "a"
         (tmp_path / "c.json").write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError, match="c.json: entry 'a' is listed twice"):
+        with pytest.raises(DatasetError, match="c.json: entry 'a' is listed twice"):
+            load_checkpoint(tmp_path / "c")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_names_its_entry(self, tmp_path, value):
+        # before, a NaN weight loaded, and eval scored every scene NaN with a 0.0 miss rate
+        save_checkpoint({"a": np.ones(3, np.float32), "b": np.array([1.0, value, 2.0])},
+                        tmp_path / "c")
+        with pytest.raises(DatasetError, match=r"^c\.bin: entry 'b' holds a non-finite value$"):
             load_checkpoint(tmp_path / "c")
 
 
@@ -307,7 +315,7 @@ class TestTrainingLoop:
         assert len(optimizers) == 1 and released == [True]
 
     def test_no_samples_is_an_error_before_any_write(self, tmp_path):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ValueError, match="no samples to train on"):
             train(SvgNet(tiny_config()), [], TrainConfig(), out_dir=tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
@@ -376,7 +384,14 @@ class TestTrainingLoop:
         assert all(np.isfinite(grads[params[n]]).all() for n in names[:names.index(name)])
         assert not np.isfinite(grads[params[name]]).all()
         assert all((p.data == before[n]).all() for n, p in params.items())
-        assert list((tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
+
+    def test_a_nan_in_the_loss_log_is_an_error_not_a_bare_nan(self, tmp_path):
+        entry = {"epoch": 0, "step": 0, "lr": 1e-4, "loss": float("nan"), "val_ade": None,
+                 "val_fde": None}
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_loss_log([entry], tmp_path / "loss_log.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
 
 _PINNED_HEAP = """
