@@ -25,7 +25,9 @@ numbers are integers within 2**53 of 0 and strictly increasing per agent,
 and exactly one agent is the main one. A line that is not UTF-8 JSON or
 breaks any of this is a SchemaError. _record_from_obj states these rules
 once: load_dataset reads each line through it, and save_dataset applies
-the loader's check to every record before it writes.
+the loader's check to every record before it writes. The coordinate rule
+is checked by AgentTrack and SceneRecord themselves, so a record built
+in code with a coordinate out of range is a ValueError at construction.
 """
 
 from __future__ import annotations
@@ -65,6 +67,18 @@ class SchemaError(DatasetError):
 # Records
 # ---------------------------------------------------------------------------
 
+MAX_COORD = 1e8
+
+
+def _coord_error(xy: np.ndarray) -> str | None:
+    """Why xy breaks the coordinate rule, or None if every value is within
+    MAX_COORD of 0."""
+    # NaN fails every comparison, so this one test rejects NaN, inf and out-of-range values
+    if (np.abs(xy) <= MAX_COORD).all():
+        return None
+    return "non-finite coordinate" if not np.isfinite(xy).all() else "coordinate beyond ±1e8 m"
+
+
 @dataclass
 class AgentTrack:
     agent_id: str
@@ -79,8 +93,8 @@ class AgentTrack:
             raise ValueError("frames must be (n,), xy must be (n, 2)")
         if self.frames.size > 1 and not (np.diff(self.frames) > 0).all():
             raise ValueError(f"agent {self.agent_id!r}: frame indices not strictly increasing")
-        if not np.isfinite(self.xy).all():
-            raise ValueError(f"agent {self.agent_id!r}: non-finite coordinates")
+        if why := _coord_error(self.xy):
+            raise ValueError(why)
 
 
 @dataclass
@@ -92,6 +106,9 @@ class SceneRecord:
 
     def __post_init__(self):
         self.map_polylines = [np.asarray(p, dtype=np.float64) for p in self.map_polylines]
+        for i, p in enumerate(self.map_polylines):
+            if why := _coord_error(p):
+                raise ValueError(f"map polyline {i}: {why}")
         self.frame_rate = float(self.frame_rate)
         mains = [a for a in self.agents if a.is_main]
         if len(mains) != 1:
@@ -116,14 +133,10 @@ class SceneRecord:
         }
 
 
-MAX_COORD = 1e8
-# per column of a point: a position's frame number is bounded by its own 2**53 rule
-_POINT_BOUNDS = np.array([sys.float_info.max, MAX_COORD, MAX_COORD])
-
-
 def _points(value, width: int) -> np.ndarray:
-    """value as an (n, width) float64 array whose last two columns are x, y within
-    MAX_COORD of 0 and whose other columns are finite; ValueError otherwise."""
+    """value as a non-empty (n, width) float64 array; ValueError otherwise.
+
+    The x, y columns are checked by the record constructors."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -131,10 +144,6 @@ def _points(value, width: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"expected a non-empty list of {width}-number points, "
                          f"got shape {arr.shape}")
-    # NaN fails every comparison, so this one test rejects NaN, inf and out-of-range values
-    if not (np.abs(arr) <= _POINT_BOUNDS[-width:]).all():
-        raise ValueError("non-finite coordinate" if not np.isfinite(arr).all()
-                         else "coordinate beyond ±1e8 m")
     return arr
 
 
@@ -178,19 +187,21 @@ def _record_from_obj(obj, line_no: int) -> SceneRecord:
                 raise SchemaError(line_no, f"agents[{i}].{key}", f"expected {typ.__name__}")
         try:
             pos = _points(a["positions"], 3)
-            # a whole number up to 2**53 converts to int64 exactly
+            # a whole number up to 2**53 converts to int64 exactly; NaN and inf are not
             if not ((pos[:, 0] == np.floor(pos[:, 0])) & (np.abs(pos[:, 0]) <= 2 ** 53)).all():
                 raise ValueError("frame numbers must be integers within 2**53 of 0")
-        except ValueError as exc:
-            raise SchemaError(line_no, f"agents[{i}].positions", str(exc)) from exc
-        try:
+            # the track checks that frames increase and that x, y are in range
             agents.append(AgentTrack(a["agent_id"], pos[:, 0].astype(np.int64),
                                      pos[:, 1:3], a["is_main"]))
         except ValueError as exc:
-            raise SchemaError(line_no, f"agents[{i}]", str(exc)) from exc
+            raise SchemaError(line_no, f"agents[{i}].positions", str(exc)) from exc
     try:
         return SceneRecord(scene_id, polylines, agents, frame_rate)
     except ValueError as exc:
+        # the constructor checks each polyline's coordinates, then the main agent
+        bad = [(i, why) for i, p in enumerate(polylines) if (why := _coord_error(p))]
+        if bad:
+            raise SchemaError(line_no, f"map_polylines[{bad[0][0]}]", bad[0][1]) from exc
         raise SchemaError(line_no, "agents", str(exc)) from exc
 
 
@@ -581,7 +592,10 @@ def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
         frames = np.array(sorted(rec["pos"]), dtype=np.int64)
         xy = np.array([rec["pos"][f] for f in frames], dtype=np.float64)
         is_main = rec["type"] == "AGENT"
-        agents.append(AgentTrack(track_id, frames, xy, is_main))
+        try:
+            agents.append(AgentTrack(track_id, frames, xy, is_main))
+        except ValueError as exc:
+            raise DatasetError(f"{csv_path.name}: track {track_id!r}: {exc}") from exc
         if is_main:
             anchor_frame = frames[frames <= t_obs - 1]
             main_xy = xy[len(anchor_frame) - 1] if len(anchor_frame) else xy[-1]
@@ -603,7 +617,7 @@ def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
 
 
 def _load_city_maps(path: Path) -> dict[str, list[np.ndarray]]:
-    """City name -> centerline polylines, each an (n, 2) array of finite floats."""
+    """City name -> centerline polylines, each an (n, 2) array within MAX_COORD of 0."""
     try:
         raw = json.loads(_read_utf8(path))
     except json.JSONDecodeError as exc:
@@ -617,9 +631,12 @@ def _load_city_maps(path: Path) -> dict[str, list[np.ndarray]]:
         city_maps[city] = []
         for i, poly in enumerate(polys):
             try:
-                city_maps[city].append(_points(poly, 2))
+                arr = _points(poly, 2)
+                if why := _coord_error(arr):
+                    raise ValueError(why)
             except ValueError as exc:
                 raise DatasetError(f"{path.name}: bad polyline {city}[{i}] ({exc})") from exc
+            city_maps[city].append(arr)
     return city_maps
 
 

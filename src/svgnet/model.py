@@ -200,8 +200,9 @@ class _Linear:
         self.w = pf.xavier(f"{name}.w", d_in, d_out)
         self.b = pf.zeros(f"{name}.b", (d_out,)) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.linear(x, self.w, self.b)
+    def __call__(self, x: Tensor, *, residual: Tensor | None = None,
+                 relu: bool = False) -> Tensor:
+        return T.linear(x, self.w, self.b, residual=residual, relu=relu)
 
 
 class _LayerNorm:
@@ -215,14 +216,18 @@ class _LayerNorm:
 
 
 class _ResidualBlock:
-    """x + MLP(x) with one ReLU, all at the same width."""
+    """x + MLP(x) with one ReLU, all at the same width.
+
+    Two dense layers, the first with its ReLU and the second with the
+    residual add fused in (``T.linear``): the tape keeps one buffer each.
+    """
 
     def __init__(self, pf: _ParamFactory, name: str, dim: int):
         self.l1 = _Linear(pf, f"{name}.l1", dim, dim)
         self.l2 = _Linear(pf, f"{name}.l2", dim, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(x, self.l2(T.relu(self.l1(x))))
+        return self.l2(self.l1(x, relu=True), residual=x)
 
 
 class _TransformerLayer:
@@ -231,7 +236,11 @@ class _TransformerLayer:
     Takes (R, d_m) rows and an (n, t) place index that puts them into n
     blocks of t positions, with R at an empty position (see
     ``T.scaled_dot_product_attention``). Every dense sublayer runs on the
-    R rows only; each row attends over the rows of its own block.
+    R rows only; each row attends over the rows of its own block. The
+    residual adds and the MLP's ReLU are fused into the dense layers
+    (``T.linear``), so the tape keeps one buffer per dense layer, plus
+    the two layer norms' outputs and normalized inputs and the attention
+    output and weights.
     """
 
     def __init__(self, pf: _ParamFactory, name: str, d_m: int, n_heads: int):
@@ -251,9 +260,8 @@ class _TransformerLayer:
         h = self.ln1(x)
         att = T.scaled_dot_product_attention(self.wq(h), self.wk(h), self.wv(h), place,
                                              self.n_heads, record)
-        x = T.add(x, self.wo(att))
-        h = self.ln2(x)
-        return T.add(x, self.ffn2(T.relu(self.ffn1(h))))
+        x = self.wo(att, residual=x)
+        return self.ffn2(self.ffn1(self.ln2(x), relu=True), residual=x)
 
 
 class _TransformerStack:
@@ -292,7 +300,7 @@ class SceneEncoder:
         rows = np.where(args < 0, SENTINEL_ROW, args)
         rows = rows + np.arange(N_ARG_SLOTS) * N_ARG_ROWS
         table = T.reshape(self.arg_embed, (N_ARG_SLOTS * N_ARG_ROWS, self.cfg.d_m))
-        arg_vecs = T.tsum(T.embedding_lookup(table, rows), axis=-2)
+        arg_vecs = T.embedding_lookup(table, rows, sum_axis=-1)
         return T.add(T.embedding_lookup(self.kind_embed, kinds), arg_vecs)
 
     def __call__(self, kinds: np.ndarray, args: np.ndarray, cmd_mask: np.ndarray) -> Tensor:
@@ -306,9 +314,9 @@ class SceneEncoder:
         # mean over each path's real commands, summed in slot order with
         # zeros at the empty slots; a path with no real command pools to 0
         zero = Tensor(np.zeros((1, self.cfg.d_m), x.data.dtype))
-        slots = T.embedding_lookup(T.concat([x, zero], axis=0), place)
+        summed = T.embedding_lookup(T.concat([x, zero], axis=0), place, sum_axis=1)
         counts = np.maximum(cmd_mask.sum(axis=1), 1.0)
-        pooled = T.mul_const(T.tsum(slots, axis=1), (1.0 / counts)[:, None])
+        pooled = T.mul_const(summed, (1.0 / counts)[:, None])
         return self.pool(pooled)
 
 
@@ -349,17 +357,15 @@ class Decoder:
         """elems (R, d_z) rows of kinds (R,), placed into the (B, L) fusion
         sequences by place (R at an empty position); the last B rows are
         the main agents, one per sample, at position L - 1."""
-        x = self.input(elems)
-        x = T.add(x, T.embedding_lookup(self.type_embed, kinds))
+        x = self.input(elems, residual=T.embedding_lookup(self.type_embed, kinds))
         x = self.stack(x, place, record=record)
         n_rows = x.shape[0]
         r = T.embedding_lookup(x, np.arange(n_rows - place.shape[0], n_rows))
         for block in self.blocks:
             r = block(r)
-        prof = self.prof2(T.relu(self.prof1(main_history)))
-        h = T.relu(self.head1(T.concat([r, prof], axis=1)))
-        h = T.relu(self.head2(h))
-        return self.head3(h)
+        prof = self.prof2(self.prof1(main_history, relu=True))
+        h = self.head1(T.concat([r, prof], axis=1), relu=True)
+        return self.head3(self.head2(h, relu=True))
 
 
 class SvgNet:

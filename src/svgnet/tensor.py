@@ -9,6 +9,15 @@ gradients as a mapping from leaf tensor to array; tensors themselves
 hold only their values. Values are numpy arrays and every op keeps its
 inputs' dtype: the model picks the dtype (float32 for training, float64
 for gradient checking) when it creates its parameters and inputs.
+
+A forward pass keeps each node's output and what its closure reads, and
+two ops fuse steps to skip buffers that no backward reads. ``linear``
+adds its bias, an optional residual and an optional ReLU in place into
+its matmul's output, and its second node masks with that same buffer:
+a dense layer keeps one buffer. ``embedding_lookup`` with ``sum_axis``
+sums the gathered rows inside its node and keeps only the sum.
+``layer_norm`` also keeps its normalized input, and
+``scaled_dot_product_attention`` its attention weights.
 """
 
 from __future__ import annotations
@@ -324,20 +333,40 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def linear(x, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w + b for x of shape (rows, d_in).
+def linear(x, w: Tensor, b: Tensor | None = None, *, residual=None,
+           relu: bool = False) -> Tensor:
+    """x @ w + b + residual for x of shape (rows, d_in), then max(., 0) if relu.
 
-    The product is one ``matmul`` node. The bias is added into that
-    node's output buffer in place, which is safe because matmul's
-    backward reads only its inputs, and a second node passes the
-    gradient through and sums it over rows for b; so the tape keeps one
-    buffer for the layer.
+    The product is one ``matmul`` node. The bias, then the residual, are
+    added into that node's output buffer in place and the ReLU is applied
+    there too, which is safe because matmul's backward reads only its
+    inputs. A second node then keeps that same buffer as its output: its
+    backward masks the gradient with ``out > 0`` when relu is set, passes
+    it on to the product and the residual, and sums it over rows for b.
+    So a dense layer, with or without a residual and a ReLU, keeps one
+    buffer on the tape.
     """
     out = matmul(x, w)
-    if b is None:
+    if b is None and residual is None and not relu:
         return out
-    out.data += b.data
-    return _make(out.data, (out, b), lambda g: (g, _unbroadcast(g, b.shape)))
+    y = out.data
+    parents = (out,)
+    if b is not None:
+        y += b.data
+        parents += (b,)
+    if residual is not None:
+        residual = _as_tensor(residual)
+        y += residual.data
+        parents += (residual,)
+    if relu:
+        np.maximum(y, 0, out=y)
+
+    def backward(g):
+        if relu:
+            g = g * (y > 0)
+        return (g,) + tuple(_unbroadcast(g, p.shape) for p in parents[1:])
+
+    return _make(y, parents, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +421,29 @@ def layer_norm(a, gamma: Tensor | None = None, beta: Tensor | None = None,
     return _make(out, (a,) + affine, backward)
 
 
-def embedding_lookup(table: Tensor, indices) -> Tensor:
-    """Gather rows of a (rows, dim) table; gradient scatter-adds rows back."""
+def embedding_lookup(table: Tensor, indices, sum_axis: int | None = None) -> Tensor:
+    """Gather rows of a (rows, dim) table at indices, to indices.shape + (dim,).
+
+    With sum_axis, an axis of indices, the gathered rows are summed over
+    it in the same node, and the gathered block is freed before the node
+    returns. The backward scatter-adds each row's gradient into the table
+    by a sorted segment-sum, and reads only the indices.
+    """
     idx = np.asarray(indices)
     if table.ndim != 2:
         raise ValueError("embedding table must be 2-D")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise IndexError("embedding index out of range")
     out = table.data[idx]
+    if sum_axis is not None:
+        if not -idx.ndim <= sum_axis < idx.ndim:
+            raise ValueError(f"sum_axis {sum_axis} is not an axis of {idx.ndim}-D indices")
+        sum_axis %= idx.ndim
+        out = out.sum(axis=sum_axis)
 
     def backward(g):
+        if sum_axis is not None:
+            g = np.broadcast_to(np.expand_dims(g, sum_axis), idx.shape + g.shape[-1:])
         flat_idx = idx.reshape(-1)
         flat_g = g.reshape(-1, table.shape[1])
         g_table = np.zeros_like(table.data)
@@ -413,6 +455,22 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
         return (g_table,)
 
     return _make(out, (table,), backward)
+
+
+def _max_last_axis(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1, keepdims=True) as a new array, by halving: np.maximum
+    of the two halves of the last axis, with an odd length's last column
+    folded into the first, until one column is left. Max is order-free,
+    so the bits are the same; on a short last axis this is about twice as
+    fast as the reduction."""
+    m = x
+    while m.shape[-1] > 1:
+        half = m.shape[-1] // 2
+        h = np.maximum(m[..., :half], m[..., half:2 * half])
+        if m.shape[-1] % 2:
+            np.maximum(h[..., :1], m[..., -1:], out=h[..., :1])
+        m = h
+    return x.copy() if m is x else m
 
 
 def scaled_dot_product_attention(q, k, v, place, n_heads: int,
@@ -463,7 +521,7 @@ def scaled_dot_product_attention(q, k, v, place, n_heads: int,
     attn = blocks(q.data) @ np.swapaxes(blocks(k.data), -1, -2)
     attn *= s
     attn += (real.reshape(n, 1, 1, t).astype(dt) - 1.0) * MASK_LARGE
-    attn -= attn.max(axis=-1, keepdims=True)
+    attn -= _max_last_axis(attn)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
     if record is not None:

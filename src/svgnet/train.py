@@ -247,13 +247,14 @@ except (AttributeError, OSError, TypeError):
 def release_free_heap() -> None:
     """Return the C heap's free pages to the OS; a no-op without glibc.
 
-    A paper-size training step frees about 100 MB of activations. glibc's
-    free() gives back only the top of the heap, so freed pages below any
-    live allocation stay resident, and how many do depends on where a few
-    small allocations happened to land. Without this call, the peak RSS of
-    a train-paper-b4 benchmark run (seed 0, 2-CPU x86-64 Linux) moved
-    between 295 and 365 MB as the process environment grew by up to 4 KB;
-    with it, it stays within 256-258 MB. The price is that the next step
+    A paper-size training step at B=4 frees about 70 MB of activations.
+    glibc's free() gives back only the top of the heap, so freed pages
+    below any live allocation stay resident, and how many do depends on
+    where a few small allocations happened to land. Without this call, the
+    peak RSS of a train-paper-b4 benchmark run (seed 0, 2-CPU x86-64
+    Linux) moved between 295 and 365 MB as the process environment grew by
+    up to 4 KB, when a step still held about 100 MB; with it, ten runs
+    peaked at 219.2-219.5 MB. The price is that the next step
     faults the released pages back in: a loop of one-step train() calls
     pays that every step (about 12% of a paper-size step there).
     """

@@ -410,19 +410,28 @@ def _argoverse_files(tmp_path, rows=ARGOVERSE_ROWS, polylines=(ARGOVERSE_LANE,))
     return csv_path, map_path
 
 
-@pytest.mark.parametrize("bad", ["csv_x", "map_polyline"])
+@pytest.mark.parametrize("bad", ["csv_x", "csv_far", "map_polyline", "map_far"])
 def test_bad_argoverse_input_is_a_data_error(tmp_path, monkeypatch, capsys, bad):
     rows, polylines = list(ARGOVERSE_ROWS), [ARGOVERSE_LANE]
     if bad == "csv_x":
         rows[3] = "1000.3,aa,AGENT,ten,5.0,PIT"
-    else:
+    elif bad == "csv_far":
+        rows[3] = "1000.3,aa,AGENT,2e8,5.0,PIT"
+    elif bad == "map_polyline":
         polylines.append([[0.0, 1.0, 2.0]])
+    else:
+        polylines.append([[0.0, 1.0], [0.0, 2e8]])
     csv_path, map_path = _argoverse_files(tmp_path, rows, polylines)
     assert _run_main(monkeypatch, "import-argoverse", "--csv", str(csv_path),
                      "--map-json", str(map_path), "--out", str(tmp_path / "o.jsonl")) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
-    assert ("'X'" in err and "seq.csv" in err) if bad == "csv_x" else "map.json" in err
+    if bad == "csv_x":
+        assert "'X'" in err and "seq.csv" in err
+    elif bad == "csv_far":
+        assert "seq.csv: track 'aa': coordinate beyond ±1e8 m" in err
+    else:
+        assert "map.json" in err and ("beyond ±1e8 m" in err) == (bad == "map_far")
 
 
 # "Köln" in Latin-1: the 0xf6 byte is not UTF-8

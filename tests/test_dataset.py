@@ -44,6 +44,25 @@ class TestRecords:
         with pytest.raises(ValueError):
             AgentTrack("a", np.array([0, 0, 1]), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("scale, message", [(1e305, "coordinate beyond ±1e8 m"),
+                                                (np.inf, "non-finite coordinate")])
+    def test_records_built_in_code_keep_the_coordinate_bound(self, scale, message):
+        # before, the agents of synth seed 1's scene 0 scaled by 1e305 made a
+        # record, and metrics.evaluate scored it ade 0.0, fde 0.0, miss 0.0
+        rec = generate_records(SynthConfig(seed=1, n_scenes=1))[0]
+        a = rec.agents[0]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AgentTrack(a.agent_id, a.frames, a.xy * scale, a.is_main)
+        far = [p.copy() for p in rec.map_polylines]
+        far[1][2, 0] *= scale
+        with pytest.raises(ValueError, match=f"^map polyline 1: {message}$"):
+            SceneRecord(rec.scene_id, far, rec.agents)
+        # at the bound itself a record is fine
+        a.xy[0] = [1e8, -1e8]
+        far[1][2] = [-1e8, 1e8]
+        SceneRecord(rec.scene_id, far, [AgentTrack(t.agent_id, t.frames, t.xy, t.is_main)
+                                        for t in rec.agents])
+
 
 class TestJsonl:
     def test_round_trip(self, tmp_path):

@@ -6,8 +6,8 @@ from svgnet import tensor as T
 from svgnet.checkpoint import load_checkpoint, save_checkpoint
 from svgnet.dataset import IngestConfig, make_batch, normalize_sample
 from svgnet.gradcheck import grad_check
-from svgnet.model import (INPUT_MODES, AttentionRecord, ModelConfig, SvgNet, extract_attention,
-                          sinusoidal_encoding)
+from svgnet.model import (INPUT_MODES, AttentionRecord, ModelConfig, SvgNet, _ResidualBlock,
+                          _TransformerLayer, extract_attention, sinusoidal_encoding)
 from svgnet.svg import CommandKind
 from svgnet.synth import SynthConfig, generate_records
 from svgnet.tensor import GradientTape, Parameter, Tensor
@@ -407,6 +407,48 @@ class TestGradients:
                   if name.startswith("history_encoder.block0")]
         err = grad_check(lambda: T.tsum(T.mul(block(Tensor(x)), Tensor(mix))), params)
         assert err < 1e-4
+
+
+class TestTapeStructure:
+    def test_each_dense_layer_keeps_one_buffer(self, rng, monkeypatch):
+        # a dense layer's bias, residual add and ReLU write into its matmul's
+        # output, and the tape keeps that buffer once
+        kept = []
+
+        def spy(cls):
+            call = cls.__call__
+
+            def wrapped(self, *args, **kwargs):
+                retained = GradientTape.current()._retained
+                start = len(retained)
+                out = call(self, *args, **kwargs)
+                kept.append((cls, retained[start:]))
+                return out
+            monkeypatch.setattr(cls, "__call__", wrapped)
+
+        spy(_TransformerLayer)
+        spy(_ResidualBlock)
+        cfg = tiny_config(n_layers=2)
+        model = SvgNet(cfg, seed=0)
+        with GradientTape() as tape:
+            model.forward(random_batch(cfg, 3, rng))
+
+        def buffers(tensors):
+            bases = [t.data if t.data.base is None else t.data.base for t in tensors]
+            return len({id(b) for b in bases})
+
+        # per transformer layer: 2 layer norms, q, k, v (2 nodes with its
+        # bias), attention, then wo, ffn1 and ffn2 (2 nodes each); per
+        # residual block: 2 dense layers of 2 nodes
+        expected = {_TransformerLayer: (13, 9), _ResidualBlock: (4, 2)}
+        assert [cls for cls, _ in kept].count(_TransformerLayer) == 2 * cfg.n_layers
+        assert [cls for cls, _ in kept].count(_ResidualBlock) == (cfg.n_history_blocks
+                                                                 + cfg.n_decoder_blocks)
+        for cls, tensors in kept:
+            assert (len(tensors), buffers(tensors)) == expected[cls], cls.__name__
+        # the rest: embedding, pooling, encoder and decoder input/output layers and the head
+        outside = len(tape._retained) - sum(len(tensors) for _, tensors in kept)
+        assert outside == 32
 
 
 class TestConfigAndState:

@@ -119,6 +119,21 @@ class TestAttention:
         assert (mut[[4, 1]] == base[[4, 1]]).all()
         assert not (mut[hidden] == base[hidden]).any()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_halving_max_equals_ndarray_max(self, dtype):
+        rng = np.random.default_rng(19)
+        for t in range(1, 34):
+            x = rng.normal(size=(4, 2, 3, t)).astype(dtype)
+            x[0, 0, 0, rng.integers(t)] = np.nan
+            x[1] = -T.MASK_LARGE                     # a block whose keys are all hidden
+            x[2, :, :, rng.integers(t)] = -T.MASK_LARGE
+            x[3, 0, 0] = np.linspace(-1, 1, t)[::-1]   # the max in the first column
+            got = T._max_last_axis(x)
+            want = x.max(axis=-1, keepdims=True)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True), t
+            assert not np.shares_memory(got, x)
+
     @pytest.mark.parametrize("place", [[[0, 2, 2]], [[0, 0, 1]], [[0, 1, 3]], [[-1, 0, 1]]],
                              ids=["row-missing", "row-twice", "past-empty", "negative"])
     def test_place_must_hold_each_row_once(self, place):
@@ -194,18 +209,24 @@ class TestBackward:
         assert not tape._nodes and not tape._retained and not tape._out_ids
 
     def test_linear_adds_the_bias_into_the_matmul_buffer(self):
+        # with a residual and a ReLU too, the layer keeps one buffer
         rng = np.random.default_rng(14)
         w = Parameter("w", rng.normal(size=(3, 2)))
         b = Parameter("b", rng.normal(size=(2,)))
         x = rng.normal(size=(4, 3))
-        with GradientTape() as tape:
-            out = T.linear(Tensor(x), w, b)
-            assert (out.data == x @ w.data + b.data).all()
-            assert len(tape._retained) == 2
-            assert all(t.data is out.data for t in tape._retained)
-            grads = tape.backward(T.tsum(out))
-        np.testing.assert_allclose(grads[b], [4.0, 4.0])
-        np.testing.assert_allclose(grads[w], np.repeat(x.sum(axis=0)[:, None], 2, axis=1))
+        for res, relu in ((None, False), (rng.normal(size=(4, 2)), False),
+                          (rng.normal(size=(4, 2)), True)):
+            with GradientTape() as tape:
+                out = T.linear(Tensor(x), w, b, residual=None if res is None else Tensor(res),
+                               relu=relu)
+                pre = x @ w.data + b.data + (0.0 if res is None else res)
+                assert (out.data == (np.maximum(pre, 0) if relu else pre)).all()
+                assert len(tape._retained) == 2
+                assert all(t.data is out.data for t in tape._retained)
+                grads = tape.backward(T.tsum(out))
+            live = (pre > 0) if relu else np.ones_like(pre)
+            np.testing.assert_allclose(grads[b], live.sum(axis=0))
+            np.testing.assert_allclose(grads[w], x.T @ live)
 
     def test_disconnected_loss(self):
         p = Parameter("p", np.array([1.0]))
@@ -230,6 +251,83 @@ class TestBackward:
             loss = T.tsum(T.mul(b, b))  # (p^2+p)^2, d/dp = 2(p^2+p)(2p+1)
             grads = tape.backward(loss)
         np.testing.assert_allclose(grads[p], [2 * 6 * 5])
+
+
+def _values_and_grads(f, params, mix):
+    """f's output and the gradients of sum(f() * mix) for params, in order."""
+    with GradientTape() as tape:
+        out = f()
+        grads = tape.backward(T.tsum(T.mul(out, Tensor(mix))))
+    return [out.data] + [grads[p] for p in params]
+
+
+def _assert_same_bits(fused, composed):
+    for a, b in zip(fused, composed, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestFusedOps:
+    """The fused forms give the bits of the ops they replace, forward and backward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("residual, relu", [(False, True), (True, False), (True, True)],
+                             ids=["relu", "residual", "residual-relu"])
+    def test_linear_equals_add_and_relu(self, dtype, residual, relu):
+        rng = np.random.default_rng(15)
+        x = Parameter("x", rng.normal(size=(6, 4)).astype(dtype))
+        w = Parameter("w", rng.normal(size=(4, 5)).astype(dtype))
+        b = Parameter("b", rng.normal(size=(5,)).astype(dtype))
+        res = Parameter("res", rng.normal(size=(6, 5)).astype(dtype))
+        # pre-activations exactly 0: x @ w is 0 in row 0, and so is b + res
+        # there, or b[0] without a residual
+        x.data[0] = 0.0
+        b.data[0] = 0.0
+        res.data[0] = -b.data
+        pre = x.data @ w.data + b.data + (res.data if residual else 0)
+        assert (pre == 0).any() and (pre > 0).any() and (pre < 0).any()
+        mix = rng.normal(size=(6, 5)).astype(dtype)
+
+        def composed():
+            h = T.linear(x, w, b)
+            h = T.add(h, res) if residual else h
+            return T.relu(h) if relu else h
+
+        def fused():
+            return T.linear(x, w, b, residual=res if residual else None, relu=relu)
+
+        params = [x, w, b, res] if residual else [x, w, b]
+        got, want = _values_and_grads(fused, params, mix), _values_and_grads(composed, params, mix)
+        _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, axis", [((5, 4), 1), ((5, 4), -1), ((5, 4), 0),
+                                             ((3, 4, 6), -1), ((3, 4, 6), 1)])
+    def test_embedding_lookup_sum_equals_tsum(self, dtype, shape, axis):
+        rng = np.random.default_rng(16)
+        table = Parameter("t", rng.normal(size=(7, 3)).astype(dtype))
+        # repeats, and the last row as a sentinel that fills whole index rows
+        idx = rng.integers(0, 7, size=shape)
+        idx[0] = 6
+        idx.reshape(-1)[:4] = 2
+        ax = axis % len(shape)
+        mix = rng.normal(size=shape[:ax] + shape[ax + 1:] + (3,)).astype(dtype)
+        got = _values_and_grads(lambda: T.embedding_lookup(table, idx, sum_axis=axis),
+                                [table], mix)
+        want = _values_and_grads(lambda: T.tsum(T.embedding_lookup(table, idx), axis=ax),
+                                 [table], mix)
+        _assert_same_bits(got, want)
+
+    def test_embedding_lookup_sum_keeps_no_gathered_block(self):
+        table = Parameter("t", np.arange(12.0).reshape(4, 3))
+        idx = np.array([[0, 3], [1, 1]])
+        with GradientTape() as tape:
+            out = T.embedding_lookup(table, idx, sum_axis=1)
+            assert out.shape == (2, 3) and len(tape._retained) == 1
+            assert out.data.base is None
+        np.testing.assert_array_equal(out.data, [[9, 11, 13], [6, 8, 10]])
+        for axis in (2, -3):
+            with pytest.raises(ValueError, match=f"sum_axis {axis} is not an axis of 2-D"):
+                T.embedding_lookup(table, idx, sum_axis=axis)
 
 
 class TestGradCheck:
@@ -265,6 +363,28 @@ class TestGradCheck:
         for name, f in cases.items():
             err = grad_check(f, [w, b])
             assert err < 1e-6, f"{name}: {err}"
+
+    def test_fused_linear_grad(self):
+        rng = np.random.default_rng(17)
+        x = Parameter("x", rng.normal(0, 1.0, (4, 5)))
+        w = Parameter("w", rng.normal(0, 0.5, (5, 3)))
+        b = Parameter("b", rng.normal(0, 0.5, (3,)))
+        res = Parameter("res", rng.normal(0, 0.5, (4, 3)))
+        mix = np.asarray(rng.normal(size=(4, 3)))
+        pre = x.data @ w.data + b.data + res.data
+        assert (pre > 0).any() and (pre < 0).any() and np.abs(pre).min() > 1e-3
+        err = grad_check(lambda: T.tsum(T.mul(T.linear(x, w, b, residual=res, relu=True),
+                                              Tensor(mix))), [x, w, b, res])
+        assert err < 1e-6
+
+    def test_embedding_sum_grad(self):
+        rng = np.random.default_rng(18)
+        table = Parameter("t", rng.normal(0, 0.5, (7, 3)))
+        idx = np.array([[0, 2, 2, 6], [6, 6, 6, 6], [1, 0, 5, 2]])
+        mix = np.asarray(rng.normal(size=(3, 3)))
+        err = grad_check(lambda: T.tsum(T.mul(T.embedding_lookup(table, idx, sum_axis=1),
+                                              Tensor(mix))), [table])
+        assert err < 1e-6
 
     def test_embedding_grad(self):
         rng = np.random.default_rng(10)
