@@ -8,12 +8,15 @@ work starts, so a value out of range exits 2 without reading data or writing
 files. Map or agent coordinates that are not finite numbers, or that lie
 beyond 1e8 m of 0, make a record bad (exit 3 when no usable record is left),
 and so does a JSONL line that is not UTF-8. A config file that is not UTF-8
-exits 2, and an import-argoverse CSV or map file that is not UTF-8 exits 3.
+exits 2, and an import-argoverse CSV or map file that is not UTF-8 exits 3,
+as does a CSV track with two OBJECT_TYPEs or two rows at one timestamp.
 A training step whose loss or any gradient is NaN or inf raises
 train.NonFiniteLossError, exit 4, before that step's update and before any
 further checkpoint or loss log write. Every output file's directory is
 created if it does not exist.
-Set SVGNET_LOG to a logging level name (DEBUG, INFO, ...) for diagnostics.
+SVGNET_LOG sets the logging level by name (default WARNING). The only
+messages are the WARNING for each skipped bad record, so SVGNET_LOG=ERROR
+silences them; nothing logs below WARNING.
 """
 
 from __future__ import annotations
@@ -145,9 +148,8 @@ def train_cmd(config_path, data, out_dir, input_mode, dtype, seed) -> None:
     out = Path(out_dir)
     cfg.write_json(out / "config.json")
     log_entries = run_training(model, encoded, cfg.train, out_dir=out)
-    final_losses = [e["loss"] for e in log_entries if e["loss"] is not None]
     click.echo(f"trained {cfg.train.epochs} epochs, final step loss "
-               f"{final_losses[-1]:.4f}, checkpoints in {out}")
+               f"{log_entries[-1]['loss']:.4f}, checkpoints in {out}")
 
 
 @cli.command("eval")

@@ -3,8 +3,9 @@
 A record couples map centerline polylines (city frame, meters) with agent
 tracks. Normalization moves everything into the main agent's frame: its
 last observed position becomes the origin and its recent heading points
-along +y. The map is clamped to a square viewport around the origin and
-stored as arrays of chunk vertices, each chunk one line-command SVG path
+along +y. The map is clamped to the square view of side
+IngestConfig.view_extent centred on the origin and stored as arrays of
+chunk vertices, each chunk one line-command SVG path
 (a MoveTo, then LineTos). With mc = max_commands, a polyline of n vertices
 splits into chunks k = 0, 1, ... covering vertices [k*(mc-1), k*(mc-1)+mc)
 cut at n, so a chunk starts on the last vertex of the one before.
@@ -46,8 +47,8 @@ import numpy as np
 
 # encode_command and split_path are not called here: they are the tests' per-path
 # references, and the benchmark's tracer patches these two names
-from .svg import (N_ARG_SLOTS, SENTINEL_BIN, CommandKind, Viewport,  # noqa: F401
-                  encode_command, quantize_coords, split_path)
+from .svg import (N_ARG_SLOTS, SENTINEL_BIN, CommandKind, encode_command,  # noqa: F401
+                  quantize_coords, split_path)
 
 
 class DatasetError(Exception):
@@ -107,6 +108,9 @@ class SceneRecord:
     def __post_init__(self):
         self.map_polylines = [np.asarray(p, dtype=np.float64) for p in self.map_polylines]
         for i, p in enumerate(self.map_polylines):
+            if p.ndim != 2 or p.shape[1:] != (2,) or not len(p):
+                raise ValueError(f"map polyline {i}: expected a non-empty (n, 2) array, "
+                                 f"got shape {p.shape}")
             if why := _coord_error(p):
                 raise ValueError(f"map polyline {i}: {why}")
         self.frame_rate = float(self.frame_rate)
@@ -290,7 +294,7 @@ class IngestConfig:
     t_pred: int = 30
     k_heading: int = 5          # frames used to estimate terminal heading
     min_heading_disp: float = 0.1   # below this the rotation falls back to identity
-    view_extent: float = 100.0   # square viewport side, meters
+    view_extent: float = 100.0   # side of the square view around the agent, meters
     max_commands: int = 30       # split limit for converted lane paths
 
     def validate(self) -> None:
@@ -307,12 +311,13 @@ class IngestConfig:
 @dataclass(eq=False)
 class LaneChunks:
     """A scene's lanes as chunk vertices in the agent frame: chunk k is
-    vertices[offsets[k]:offsets[k + 1]], a MoveTo then LineTos, named ids[k]."""
+    vertices[offsets[k]:offsets[k + 1]], a MoveTo then LineTos, named ids[k].
+    Every vertex lies in the square view [-view_extent/2, view_extent/2]^2."""
 
-    vertices: np.ndarray    # (n_vertices, 2) float64, inside the viewport
+    vertices: np.ndarray    # (n_vertices, 2) float64
     offsets: np.ndarray     # (n_chunks + 1,) int64
     ids: list[str]          # lane{i}, or lane{i}#{k} for each chunk of a split lane
-    viewport: Viewport
+    view_extent: float      # side of the square view, meters
 
     @property
     def paths(self) -> list[np.ndarray]:
@@ -345,14 +350,15 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _lane_chunks(polylines: list[np.ndarray], to_frame, cfg: IngestConfig) -> LaneChunks:
-    """Clamp the map polylines to the viewport and split them by the module
-    docstring's rule. Empty polylines go first (reduceat needs non-empty segments),
-    then those with no vertex in view or under two once clamped and de-duplicated."""
+    """Clamp the map polylines to the view and split them by the module
+    docstring's rule. Polylines with no vertex in view, or under two once clamped
+    and de-duplicated, are dropped. A SceneRecord's polylines are non-empty, as
+    reduceat needs."""
     half, mc = cfg.view_extent / 2.0, cfg.max_commands
-    lanes = np.array([i for i, p in enumerate(polylines) if len(p)], dtype=np.int64)
-    lengths = np.array([len(polylines[i]) for i in lanes], dtype=np.int64)
+    lanes = np.arange(len(polylines))
+    lengths = np.array([len(p) for p in polylines], dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
-    pts = np.concatenate([to_frame(polylines[i]) for i in lanes] or [np.empty((0, 2))])
+    pts = np.concatenate([to_frame(p) for p in polylines] or [np.empty((0, 2))])
     in_view = np.logical_or.reduceat((np.abs(pts) <= half).all(axis=1), starts)
     pts = np.clip(pts, -half, half)
     keep = np.ones(len(pts), dtype=bool)
@@ -370,7 +376,7 @@ def _lane_chunks(polylines: list[np.ndarray], to_frame, cfg: IngestConfig) -> La
            for i, m in zip(lanes.tolist(), n_chunks.tolist()) for k in range(m)]
     return LaneChunks(vertices=pts[keep][_ranges(first[owner] + chunk_start, chunk_len)],
                       offsets=np.concatenate([[0], np.cumsum(chunk_len)]), ids=ids,
-                      viewport=Viewport((-half, -half), (cfg.view_extent, cfg.view_extent)))
+                      view_extent=cfg.view_extent)
 
 
 def _heading_rotation(disp: np.ndarray) -> np.ndarray:
@@ -380,7 +386,9 @@ def _heading_rotation(disp: np.ndarray) -> np.ndarray:
 
 
 def normalize_sample(record: SceneRecord, cfg: IngestConfig) -> NormalizedSample:
-    """Express a record in the main agent's frame and split its lanes into chunks."""
+    """Express a record in the main agent's frame and split its lanes into chunks;
+    a cfg that fails its validate() is a ValueError."""
+    cfg.validate()
     main = record.main_agent
     t_obs, t_pred = cfg.t_obs, cfg.t_pred
     wanted = np.arange(t_obs + t_pred)
@@ -486,7 +494,7 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
         kinds[i, row, cmd] = np.where(cmd == 0, int(CommandKind.MOVE_TO),
                                        int(CommandKind.LINE_TO))
         args[i, row, cmd, 4:] = quantize_coords(lanes.vertices[starts[kept][row] + cmd],
-                                                lanes.viewport.origin, lanes.viewport.extent)
+                                                lanes.view_extent)
         path_mask[i, :kept.size] = 1.0
         command_mask[i, row, cmd] = 1.0
         pids = [lanes.ids[j] for j in kept.tolist()]
@@ -533,6 +541,8 @@ def concat_batches(batches: Sequence[Batch]) -> Batch:
 # ---------------------------------------------------------------------------
 
 _CSV_COLUMNS = ("TIMESTAMP", "TRACK_ID", "OBJECT_TYPE", "X", "Y", "CITY_NAME")
+ARGOVERSE_T_OBS, ARGOVERSE_T_PRED = 20, 30   # Argoverse 1's frames at 10 Hz
+ARGOVERSE_MAP_BOX = 200.0   # m; a record keeps the lanes touching this square
 
 
 def _read_utf8(path: Path) -> str:
@@ -542,8 +552,7 @@ def _read_utf8(path: Path) -> str:
         raise DatasetError(f"{path.name}: not UTF-8 text ({exc})") from exc
 
 
-def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
-                    map_box: float) -> SceneRecord:
+def _import_one_csv(csv_path: Path, city_maps: dict) -> SceneRecord:
     rows = []
     reader = csv.DictReader(io.StringIO(_read_utf8(csv_path)))
     missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
@@ -576,7 +585,7 @@ def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
     frame_of = {t: int(round((t - stamps[0]) / dt)) for t in stamps}
     if len(set(frame_of.values())) < stamps.size:
         raise DatasetError(f"{csv_path.name}: two timestamps round to one frame")
-    n_frames = t_obs + t_pred
+    n_frames = ARGOVERSE_T_OBS + ARGOVERSE_T_PRED
 
     tracks: dict[str, dict] = {}
     for t, track_id, obj_type, x, y, city in rows:
@@ -584,6 +593,12 @@ def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
         if frame >= n_frames:
             continue
         rec = tracks.setdefault(track_id, {"type": obj_type, "pos": {}})
+        if rec["type"] != obj_type:
+            raise DatasetError(f"{csv_path.name}: track {track_id!r} is both "
+                               f"{rec['type']!r} and {obj_type!r}")
+        if frame in rec["pos"]:
+            raise DatasetError(f"{csv_path.name}: track {track_id!r} has two rows at "
+                               f"timestamp {t!r}")
         rec["pos"][frame] = (x, y)
 
     agents = []
@@ -597,7 +612,7 @@ def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
         except ValueError as exc:
             raise DatasetError(f"{csv_path.name}: track {track_id!r}: {exc}") from exc
         if is_main:
-            anchor_frame = frames[frames <= t_obs - 1]
+            anchor_frame = frames[frames <= ARGOVERSE_T_OBS - 1]
             main_xy = xy[len(anchor_frame) - 1] if len(anchor_frame) else xy[-1]
     if sum(a.is_main for a in agents) != 1:
         raise DatasetError(
@@ -606,7 +621,7 @@ def _import_one_csv(csv_path: Path, city_maps: dict, t_obs: int, t_pred: int,
 
     city = rows[0][5]
     polylines = []
-    half = map_box / 2.0
+    half = ARGOVERSE_MAP_BOX / 2.0
     for arr in city_maps.get(city, []):
         if ((np.abs(arr[:, 0] - main_xy[0]) <= half) &
                 (np.abs(arr[:, 1] - main_xy[1]) <= half)).any():
@@ -641,17 +656,18 @@ def _load_city_maps(path: Path) -> dict[str, list[np.ndarray]]:
 
 
 def import_argoverse_csv(csv_path: str | Path, map_json_path: str | Path,
-                         out_path: str | Path, t_obs: int = 20, t_pred: int = 30,
-                         map_box: float = 200.0) -> int:
+                         out_path: str | Path) -> int:
     """Convert motion-forecasting CSV sequences plus a city map JSON to JSONL.
 
     ``csv_path`` may be one CSV file or a directory of them; each file
-    becomes one record. The map JSON maps city name to a list of
-    centerline polylines; polylines are kept if they touch a map_box-sized
-    square around the main agent's last observed position.
+    becomes one record of its first 20 + 30 frames, whose AGENT track is the
+    main agent. A track with two OBJECT_TYPEs, or two rows at one timestamp, is
+    a DatasetError. The map JSON maps city name to a list of centerline
+    polylines; polylines are kept if they touch the 200 m square
+    (ARGOVERSE_MAP_BOX) around the main agent's last observed position.
     """
     csv_path = Path(csv_path)
     city_maps = _load_city_maps(Path(map_json_path))
     files = sorted(csv_path.glob("*.csv")) if csv_path.is_dir() else [csv_path]
-    records = [_import_one_csv(f, city_maps, t_obs, t_pred, map_box) for f in files]
+    records = [_import_one_csv(f, city_maps) for f in files]
     return save_dataset(records, out_path)

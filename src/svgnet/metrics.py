@@ -1,4 +1,5 @@
-"""Displacement metrics, miss rate, and the constant-velocity baseline."""
+"""Displacement metrics, miss rate (final error beyond MISS_THRESHOLD = 2 m), and the
+constant-velocity baseline (mean displacement over the last K_VEL = 3 frames)."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from .dataset import (Batch, DatasetError, IngestConfig, _atomic_write_json,
 
 
 MISS_THRESHOLD = 2.0  # meters; a miss is a final error strictly beyond this
+K_VEL = 3  # frames the constant-velocity baseline averages its displacement over
 EVAL_BATCH_SIZE = 64  # scenes per predict call in evaluate
 
 
@@ -58,25 +60,24 @@ def fde(pred, gt) -> float:
     return float(np.linalg.norm(pred[-1] - gt[-1]))
 
 
-def miss_rate(fdes: Sequence[float], threshold: float = MISS_THRESHOLD) -> float:
-    """Fraction of samples whose final error is strictly above the threshold."""
+def miss_rate(fdes: Sequence[float]) -> float:
+    """Fraction of samples whose final error is strictly above MISS_THRESHOLD."""
     fdes = np.asarray(fdes, dtype=np.float64)
     if fdes.size == 0:
         raise ValueError("miss_rate needs at least one sample")
-    return float((fdes > threshold).mean())
+    return float((fdes > MISS_THRESHOLD).mean())
 
 
-def constant_velocity_baseline(history: np.ndarray, t_pred: int = 30,
-                               k_vel: int = 3) -> np.ndarray:
-    """Extrapolate the displacement averaged over the last k_vel frames.
+def constant_velocity_baseline(history: np.ndarray, t_pred: int) -> np.ndarray:
+    """t_pred steps extrapolating the displacement averaged over the last K_VEL frames.
 
     Falls back to the longest available window when the history is shorter
-    than k_vel + 1 frames; fewer than 2 frames is an error.
+    than K_VEL + 1 frames; fewer than 2 frames is an error.
     """
     history = np.asarray(history, dtype=np.float64)
     if history.ndim != 2 or history.shape[0] < 2:
         raise DatasetError("need at least 2 observed frames")
-    k = min(k_vel, history.shape[0] - 1)
+    k = min(K_VEL, history.shape[0] - 1)
     v = (history[-1] - history[-1 - k]) / k
     steps = np.arange(1, t_pred + 1, dtype=np.float64)[:, None]
     return history[-1] + steps * v
@@ -92,11 +93,10 @@ def model_predictor(model) -> Callable[[Batch], np.ndarray]:
     return predict
 
 
-def constant_velocity_predictor(t_pred: int = 30, k_vel: int = 3
-                                ) -> Callable[[Batch], np.ndarray]:
+def constant_velocity_predictor(t_pred: int) -> Callable[[Batch], np.ndarray]:
     def predict(batch: Batch) -> np.ndarray:
         hist = batch.main_history.reshape(len(batch), -1, 2)
-        preds = [constant_velocity_baseline(h, t_pred, k_vel) for h in hist]
+        preds = [constant_velocity_baseline(h, t_pred) for h in hist]
         return np.stack(preds).reshape(len(batch), -1)
     return predict
 

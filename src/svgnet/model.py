@@ -206,13 +206,12 @@ class _Linear:
 
 
 class _LayerNorm:
-    def __init__(self, pf: _ParamFactory, name: str, dim: int, eps: float = 1e-5):
+    def __init__(self, pf: _ParamFactory, name: str, dim: int):
         self.gamma = pf.ones(f"{name}.gamma", (dim,))
         self.beta = pf.zeros(f"{name}.beta", (dim,))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 class _ResidualBlock:
@@ -340,7 +339,6 @@ class Decoder:
     """Fusion transformer over element latents plus the output head."""
 
     def __init__(self, pf: _ParamFactory, cfg: ModelConfig):
-        self.cfg = cfg
         self.type_embed = pf.embedding("decoder.type_embed", (N_ELEMENT_TYPES, cfg.d_m))
         self.input = _Linear(pf, "decoder.input", cfg.d_z, cfg.d_m)
         self.stack = _TransformerStack(pf, "decoder", cfg.d_m, cfg.n_heads, cfg.n_layers)

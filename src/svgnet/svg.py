@@ -3,10 +3,11 @@
 A scene's map is a set of paths over the command subset {MoveTo, LineTo,
 CubicTo, ClosePath}. Each command is encoded as a kind index and six argument
 slots (c1x, c1y, c2x, c2y, x, y); a used slot holds one of N_COORD_BINS bins of
-the viewport and an unused one SENTINEL_BIN. Two extra control kinds, Pad and
-Eos, exist only for the fixed-width encoding. Every lane path is a MoveTo then
-LineTos, which use the (x, y) slots only: dataset.make_batch encodes a scene's
-lane chunks from their vertex arrays with quantize_coords.
+the view, the square [-extent/2, extent/2]^2 around the agent, and an unused one
+SENTINEL_BIN. Two extra control kinds, Pad and Eos, exist only for the
+fixed-width encoding. Every lane path is a MoveTo then LineTos, which use the
+(x, y) slots only: dataset.make_batch encodes a scene's lane chunks from their
+vertex arrays with quantize_coords.
 
 split_path and encode_command state the same rules one path and one command
 at a time. The tests compare make_batch with them, and the benchmark's tracer
@@ -15,7 +16,6 @@ patches their names in dataset; nothing else calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -37,34 +37,21 @@ N_COORD_BINS = 256
 SENTINEL_BIN = -1
 
 
-@dataclass(frozen=True)
-class Viewport:
-    """Axis-aligned box mapping scene meters onto the quantization grid."""
-
-    origin: tuple[float, float]
-    extent: tuple[float, float]
-
-    def __post_init__(self):
-        if self.extent[0] <= 0 or self.extent[1] <= 0:
-            raise ValueError(f"viewport extent must be positive, got {self.extent}")
-
-
-def quantize_coords(values, origin, extent) -> np.ndarray:
-    """Clip values to [origin, origin + extent] and map them to int16 bins in
-    [0, 255], rounding half up; (n, 2) points take (x, y) origin and extent."""
-    origin = np.asarray(origin, dtype=np.float64)
-    extent = np.asarray(extent, dtype=np.float64)
-    rel = (np.clip(values, origin, origin + extent) - origin) / extent * (N_COORD_BINS - 1)
+def quantize_coords(values, extent: float) -> np.ndarray:
+    """Clip values to [-extent/2, extent/2] and map them to int16 bins in
+    [0, 255], rounding half up; extent is the side of the square view."""
+    half = extent / 2.0
+    rel = (np.clip(values, -half, half) + half) / extent * (N_COORD_BINS - 1)
     return np.clip(np.floor(rel + 0.5), 0, N_COORD_BINS - 1).astype(np.int16)
 
 
 def encode_command(kind: CommandKind, x: float, y: float,
-                   viewport: Viewport) -> tuple[int, tuple[int, ...]]:
+                   extent: float) -> tuple[int, tuple[int, ...]]:
     """A MoveTo or LineTo to (x, y) as its kind index and six argument bins.
 
-    The point is clipped to the viewport; the four control slots are unused.
+    The point is clipped to the view; the four control slots are unused.
     """
-    bx, by = quantize_coords([x, y], viewport.origin, viewport.extent).tolist()
+    bx, by = quantize_coords([x, y], extent).tolist()
     return int(kind), (SENTINEL_BIN,) * 4 + (bx, by)
 
 

@@ -35,8 +35,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data)
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -387,8 +387,8 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def layer_norm(a, gamma: Tensor | None = None, beta: Tensor | None = None,
-               axis: int = -1, eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean / unit variance along one axis, then, when
+               eps: float = 1e-5) -> Tensor:
+    """Normalize to zero mean / unit variance along the last axis, then, when
     given, scale by gamma and shift by beta (both or neither).
 
     One node, which keeps the normalized input besides its output.
@@ -398,9 +398,9 @@ def layer_norm(a, gamma: Tensor | None = None, beta: Tensor | None = None,
     if (gamma is None) != (beta is None):
         raise ValueError("layer_norm takes gamma and beta together")
     a = _as_tensor(a)
-    mean = a.data.mean(axis=axis, keepdims=True)
+    mean = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mean
-    var = (centered * centered).mean(axis=axis, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     affine = () if gamma is None else (gamma, beta)
@@ -414,8 +414,8 @@ def layer_norm(a, gamma: Tensor | None = None, beta: Tensor | None = None,
         if affine:
             grads = (_unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape))
             g = g * gamma.data
-        gm = g.mean(axis=axis, keepdims=True)
-        gx = (g * xhat).mean(axis=axis, keepdims=True)
+        gm = g.mean(axis=-1, keepdims=True)
+        gx = (g * xhat).mean(axis=-1, keepdims=True)
         return ((g - gm - xhat * gx) * inv_std,) + grads
 
     return _make(out, (a,) + affine, backward)

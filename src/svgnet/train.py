@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -166,9 +166,9 @@ def encode_samples(records, ingest: IngestConfig, n_paths: int, n_commands: int,
 
 
 def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
-          out_dir: str | Path | None = None,
-          eval_hook: Callable[[SvgNet], tuple[float, float]] | None = None) -> list[dict]:
-    """Run the full training loop on ``encode_samples`` output; returns the per-step loss log.
+          out_dir: str | Path | None = None) -> list[dict]:
+    """Run the full training loop on ``encode_samples`` output; returns the loss log,
+    {"epoch", "step", "lr", "loss"} for each step, as ``loss_log.jsonl`` holds it.
 
     An empty ``encoded`` raises ValueError before anything is written.
     Each step's gradients are the mapping its tape's backward returns;
@@ -183,8 +183,6 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
     Deterministic for a fixed config seed (single-threaded). Checkpoints,
     when out_dir is given, are written after every epoch as
     ``model_epoch{N}`` plus final ``model_final`` / ``optimizer_final``.
-    eval_hook, when given, is called after each epoch and should return
-    (ade, fde) on a validation set.
     """
     cfg.validate()
     n = len(encoded)
@@ -217,14 +215,9 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
                 clip_grad_norm(model.parameters(), grads, cfg.grad_clip_norm)
             optimizer.step(grads, lr)
             del grads   # free them before the next forward
-            log.append({"epoch": epoch, "step": step, "lr": lr,
-                        "loss": loss.item(), "val_ade": None, "val_fde": None})
+            log.append({"epoch": epoch, "step": step, "lr": lr, "loss": loss.item()})
             step += 1
 
-        if eval_hook is not None:
-            ade, fde = eval_hook(model)
-            log.append({"epoch": epoch, "step": step, "lr": lr_at(step, cfg, steps_per_epoch),
-                        "loss": None, "val_ade": ade, "val_fde": fde})
         if out_dir is not None:
             save_checkpoint(_weights(model), out_dir / f"model_epoch{epoch:03d}")
 

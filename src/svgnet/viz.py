@@ -5,7 +5,8 @@ yellow, ground truth red, prediction green. Attention over map paths and
 agents is shown as opacity, 0.15 + 0.85 * score / max_score, so unattended
 elements stay faintly visible. Raw scores are embedded as data-score
 attributes and their total as data-attention-sum on the root element.
-Coordinates are in the normalized agent frame.
+Coordinates are in the normalized agent frame, and the viewBox is the
+square view of side IngestConfig.view_extent centred on the agent.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ def render_attention_svg(sample: NormalizedSample, entries: list[tuple[str, str,
                          prediction: np.ndarray | None = None) -> str:
     """Build the SVG text for one sample from its extract_attention entries."""
     lanes = sample.scene_svg
-    (ox, oy), (w, h) = lanes.viewport.origin, lanes.viewport.extent
+    w = lanes.view_extent
+    ox = oy = -w / 2.0
     path_scores = {key: score for kind, key, score in entries if kind == "path"}
     agent_scores = {key: score for kind, key, score in entries if kind == "agent"}
     total = sum(score for _, _, score in entries)
@@ -59,7 +61,7 @@ def render_attention_svg(sample: NormalizedSample, entries: list[tuple[str, str,
                     default=0.0)
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{ox} {oy} {w} {h}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{ox} {oy} {w} {w}" '
         f'data-attention-sum="{total!r}">',
     ]
     for path_id, pts in zip(lanes.ids, lanes.paths):

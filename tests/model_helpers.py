@@ -87,7 +87,7 @@ def _linear(lin, x):
 
 
 def _layer_norm(ln, x):
-    return T.add(T.mul(T.layer_norm(x, eps=ln.eps), ln.gamma), ln.beta)
+    return T.add(T.mul(T.layer_norm(x), ln.gamma), ln.beta)
 
 
 def _padded_layer(layer, x, key_mask, record):
@@ -161,6 +161,11 @@ def padded_forward(model: SvgNet, batch: Batch, empty_noise=None):
     h = T.relu(_linear(dec.head1, T.concat([r, prof], axis=1)))
     pred = _linear(dec.head3, T.relu(_linear(dec.head2, h)))
     return pred, record[-1][:, :, -1, :].mean(axis=1)
+
+
+# the frame coordinates 0.0 and HALF_BIN_ODD sit exactly on a half-bin boundary
+# of the default 100 m view: bins 127.5 and 126.5 before rounding
+HALF_BIN_ODD = -0.39215686274509665
 
 
 def frame_record(polylines) -> SceneRecord:

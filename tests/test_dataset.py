@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from model_helpers import frame_record, take_batch
+from model_helpers import HALF_BIN_ODD, frame_record, take_batch
 from svgnet.dataset import (AgentTrack, Batch, DatasetError, IngestConfig, SceneRecord,
                             SchemaError, apply_affine_points, concat_batches, import_argoverse_csv, load_dataset, make_batch,
                             normalize_sample, save_dataset)
@@ -62,6 +62,16 @@ class TestRecords:
         far[1][2] = [-1e8, 1e8]
         SceneRecord(rec.scene_id, far, [AgentTrack(t.agent_id, t.frames, t.xy, t.is_main)
                                         for t in rec.agents])
+
+    @pytest.mark.parametrize("poly", [np.zeros((3, 3)), np.zeros(4), np.empty((0, 2))],
+                             ids=["three-columns", "1-d", "empty"])
+    def test_polyline_must_be_a_non_empty_point_array(self, poly):
+        # before, these records were built and normalize_sample failed with
+        # numpy's "operands could not be broadcast" (or dropped the empty one)
+        rec = straight_record()
+        message = f"map polyline 1: expected a non-empty (n, 2) array, got shape {poly.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SceneRecord("x", [rec.map_polylines[0], poly], rec.agents)
 
 
 class TestJsonl:
@@ -253,8 +263,8 @@ class TestPolylinesToSvg:
             np.testing.assert_array_equal(path, lanes.vertices[start:stop])
 
     def test_degenerate_skipped(self):
-        # none; one vertex; one repeated; one left once clamping collapses the repeats
-        for poly in (np.empty((0, 2)), [[0.0, 0.0]], [[3.0, 4.0], [3.0, 4.0]],
+        # one vertex; one repeated; one left once clamping collapses the repeats
+        for poly in ([[0.0, 0.0]], [[3.0, 4.0], [3.0, 4.0]],
                      [[49.0, 50.0], [49.0, 70.0], [49.0, 80.0]]):
             assert lane_chunks([poly]).paths == []
 
@@ -356,6 +366,15 @@ class TestNormalize:
         with pytest.raises(ValueError, match=field):
             IngestConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("field, value", [("view_extent", float("nan")),
+                                              ("view_extent", -100.0), ("k_heading", 0)])
+    def test_normalize_rejects_a_bad_setting(self, field, value):
+        # before, a NaN view_extent dropped all 12 lane chunks of synth seed 0's
+        # scene 0, and k_heading=0 skipped the heading rotation
+        rec = generate_records(SynthConfig(seed=0, n_scenes=1))[0]
+        with pytest.raises(ValueError, match=field):
+            normalize_sample(rec, IngestConfig(**{field: value}))
+
 
 class TestMakeBatch:
     CFG = IngestConfig()
@@ -445,7 +464,7 @@ def oracle_paths(record: SceneRecord, sample, cfg: IngestConfig) -> list[tuple[s
     return paths
 
 
-def oracle_path_arrays(paths: list[tuple[str, np.ndarray]], viewport, n_paths: int,
+def oracle_path_arrays(paths: list[tuple[str, np.ndarray]], extent: float, n_paths: int,
                        n_commands: int):
     """Scalar reference for make_batch's path arrays of one sample."""
     if len(paths) > n_paths:
@@ -459,18 +478,13 @@ def oracle_path_arrays(paths: list[tuple[str, np.ndarray]], viewport, n_paths: i
         path_mask[j] = 1.0
         for k, (x, y) in enumerate(pts[:n_commands]):
             kind = CommandKind.MOVE_TO if k == 0 else CommandKind.LINE_TO
-            kinds[j, k], args[j, k] = encode_command(kind, x, y, viewport)
+            kinds[j, k], args[j, k] = encode_command(kind, x, y, extent)
             command_mask[j, k] = 1.0
     return kinds, args, path_mask, command_mask, [path_id for path_id, _ in paths]
 
 
 def line(n, x=0.0, y0=-10.0):
     return [[x, y0 + k] for k in range(n)]
-
-
-# the frame coordinates 0.0 and HALF_BIN_ODD sit exactly on a half-bin boundary
-# of the default viewport: bins 127.5 and 126.5 before rounding
-HALF_BIN_ODD = -0.39215686274509665
 
 
 class TestMakeBatchOracle:
@@ -481,7 +495,7 @@ class TestMakeBatchOracle:
         for got, (_, want) in zip(sample.scene_svg.paths, paths, strict=True):
             assert np.array_equal(got, want)
         batch = make_batch([sample], n_paths, n_commands, 2)
-        want = oracle_path_arrays(paths, sample.scene_svg.viewport, n_paths, n_commands)
+        want = oracle_path_arrays(paths, sample.scene_svg.view_extent, n_paths, n_commands)
         got = (batch.command_kinds[0], batch.command_args[0], batch.path_mask[0],
                batch.command_mask[0], batch.path_ids[0])
         for g, w in zip(got[:4], want[:4]):

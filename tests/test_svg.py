@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from model_helpers import frame_record, read_svg_paths
+from model_helpers import HALF_BIN_ODD, frame_record, read_svg_paths
 from svgnet.dataset import IngestConfig, normalize_sample
-from svgnet.svg import CommandKind, Viewport, encode_command, quantize_coords, split_path
+from svgnet.svg import CommandKind, encode_command, quantize_coords, split_path
 from svgnet.viz import _poly_d, render_attention_svg
 
 
@@ -21,48 +21,48 @@ class TestSerialize:
 
 
 class TestQuantize:
-    VIEW = Viewport((0.0, 0.0), (100.0, 100.0))
+    # the view is the square [-50, 50] on each axis
+    EXTENT = 100.0
 
     def test_boundary_bins(self):
-        assert encode_command(CommandKind.LINE_TO, 0, 0, self.VIEW) == (
+        assert encode_command(CommandKind.LINE_TO, -50, -50, self.EXTENT) == (
             int(CommandKind.LINE_TO), (-1, -1, -1, -1, 0, 0))
-        assert encode_command(CommandKind.MOVE_TO, 100, 100, self.VIEW) == (
+        assert encode_command(CommandKind.MOVE_TO, 50, 50, self.EXTENT) == (
             int(CommandKind.MOVE_TO), (-1, -1, -1, -1, 255, 255))
 
     def test_round_half_up(self):
-        _, bins = encode_command(CommandKind.LINE_TO, 50, 100, self.VIEW)
+        _, bins = encode_command(CommandKind.LINE_TO, 0, 50, self.EXTENT)
         assert bins[4] == 128  # 50/100*255 = 127.5 rounds up
         assert bins[5] == 255
 
     def test_clamping(self):
-        _, bins = encode_command(CommandKind.LINE_TO, -5, 120, self.VIEW)
+        _, bins = encode_command(CommandKind.LINE_TO, -55, 70, self.EXTENT)
         assert bins[4] == 0 and bins[5] == 255
 
     def test_monotonicity(self):
         rng = np.random.default_rng(11)
-        coords = np.sort(rng.uniform(-10, 110, 200))
-        bins = quantize_coords(coords, 0.0, 100.0)
+        coords = np.sort(rng.uniform(-60, 60, 200))
+        bins = quantize_coords(coords, self.EXTENT)
         assert (np.diff(bins) >= 0).all()
         assert bins[0] == 0 and bins[-1] == 255   # clipped below and above
 
     def test_dequantize_error_bound(self):
         rng = np.random.default_rng(13)
-        coords = rng.uniform(0, 100, 500)
-        centres = quantize_coords(coords, 0.0, 100.0) / 255 * 100.0
+        coords = rng.uniform(-50, 50, 500)
+        centres = quantize_coords(coords, self.EXTENT) / 255 * 100.0 - 50.0
         assert (np.abs(centres - coords) <= 100.0 / 255 / 2 + 1e-9).all()
 
     def test_array_form_takes_xy_pairs(self):
-        # (n, 2) points against per-axis origin and extent, as make_batch calls it
-        pts = np.array([[-50.0, 0.0], [0.0, 20.0], [50.0, 40.0], [70.0, -1.0]])
-        bins = quantize_coords(pts, (-50.0, 0.0), (100.0, 40.0))
+        # (n, 2) points, as make_batch calls it
+        pts = np.array([[-50.0, 50.0], [0.0, 10.0], [60.0, -50.0], [-70.0, 0.0]])
+        bins = quantize_coords(pts, self.EXTENT)
         assert bins.dtype == np.int16
-        np.testing.assert_array_equal(bins, [[0, 0], [128, 128], [255, 255], [255, 0]])
+        np.testing.assert_array_equal(bins, [[0, 255], [128, 153], [255, 0], [0, 128]])
 
     def test_round_half_up_on_an_odd_bin(self):
         # 126.5 rounds to 127 where round-half-to-even would give 126
-        value = 126.5 / 255 * 100.0
-        assert value / 100.0 * 255 == 126.5
-        assert quantize_coords([value], 0.0, 100.0).tolist() == [127]
+        assert (HALF_BIN_ODD + 50.0) / 100.0 * 255 == 126.5
+        assert quantize_coords([HALF_BIN_ODD], self.EXTENT).tolist() == [127]
 
 
 class TestSplit:
@@ -97,7 +97,7 @@ class TestSplit:
 
 def test_document_xml_round_trip():
     # visualize's SVG reads back to each lane chunk's vertices and id, in order, for lanes
-    # that run out of the viewport (clamped onto its edge) and are split into chunks
+    # that run out of the view (clamped onto its edge) and are split into chunks
     rng = np.random.default_rng(17)
     across = np.stack([np.linspace(-81.3, 77.9, 40), rng.uniform(-70.0, 70.0, 40)], axis=1)
     inside = rng.uniform(-49.0, 49.0, (5, 2))

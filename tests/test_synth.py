@@ -106,7 +106,7 @@ class TestLearnability:
         cv_fdes = []
         for rec in generate_records(cfg):
             s = normalize_sample(rec, ingest)
-            pred = constant_velocity_baseline(s.main_history, t_pred=30, k_vel=3)
+            pred = constant_velocity_baseline(s.main_history, 30)
             cv_fdes.append(fde(pred, s.target))
         assert float(np.median(cv_fdes)) > 1.0
 
@@ -116,7 +116,7 @@ class TestLearnability:
         ingest = IngestConfig()
         for rec in generate_records(cfg):
             s = normalize_sample(rec, ingest)
-            pred = constant_velocity_baseline(s.main_history, t_pred=30, k_vel=3)
+            pred = constant_velocity_baseline(s.main_history, 30)
             assert ade(pred, s.target) < 1e-6
 
     def test_lead_vehicle_forces_deceleration(self):

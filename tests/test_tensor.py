@@ -33,7 +33,7 @@ class TestForwardOps:
     def test_layer_norm_moments(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(3, 7, (6, 32)))
-        out = T.layer_norm(x, axis=-1, eps=1e-5).data
+        out = T.layer_norm(x, eps=1e-5).data
         assert np.abs(out.mean(axis=-1)).max() < 1e-6
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
 
@@ -433,7 +433,6 @@ class TestDeterminismAndDtype:
             w = Parameter("w", np.ones((3, 2), dtype=dtype))
             assert T.softmax(T.linear(x, w)).data.dtype == dtype
         assert Tensor([1.0]).data.dtype == np.float64
-        assert Tensor([1.0], dtype=np.float32).data.dtype == np.float32
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(12)
