@@ -3,13 +3,13 @@
 Exit codes: 0 success, 2 configuration error (a ConfigError), 3 data error (a
 DatasetError: bad records, or a checkpoint that is corrupt, holds a NaN or
 inf, or does not fit the model), 4 runtime error (anything else). The model,
-train, ingest and synth sections of the config are all checked before any
-work starts, so a value out of range exits 2 without reading data or writing
-files. Map or agent coordinates that are not finite numbers, or that lie
-beyond 1e8 m of 0, make a record bad (exit 3 when no usable record is left),
-and so does a JSONL line that is not UTF-8. A config file that is not UTF-8
-exits 2, and an import-argoverse CSV or map file that is not UTF-8 exits 3,
-as does a CSV track with two OBJECT_TYPEs or two rows at one timestamp.
+train, ingest and synth sections of the config are each checked as they are
+built, before any work starts, so a value out of range exits 2 without
+reading data or writing files. Map or agent coordinates that are not finite
+numbers, or that lie beyond 1e8 m of 0, make a record bad (exit 3 when no
+usable record is left), and so does a JSONL line that is not UTF-8. A config
+file that is not UTF-8 exits 2. An import-argoverse input that is not UTF-8,
+or that import_argoverse_csv rejects, exits 3.
 A training step whose loss or any gradient is NaN or inf raises
 train.NonFiniteLossError, exit 4, before that step's update and before any
 further checkpoint or loss log write. Every output file's directory is

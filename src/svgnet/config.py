@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .dataset import IngestConfig, _atomic_write_json
@@ -18,32 +18,21 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    ingest: IngestConfig = field(default_factory=IngestConfig)
-    synth: SynthConfig = field(default_factory=SynthConfig)
+    model: ModelConfig
+    train: TrainConfig
+    ingest: IngestConfig
+    synth: SynthConfig
 
-    def validate(self) -> None:
-        try:
-            self.model.validate()
-            self.train.validate()
-            self.ingest.validate()
-            self.synth.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    def __post_init__(self) -> None:
         if self.ingest.t_obs != self.model.t_obs or self.ingest.t_pred != self.model.t_pred:
             raise ConfigError("ingest t_obs/t_pred must match the model horizon")
         if self.ingest.max_commands != self.model.n_commands:
             raise ConfigError("ingest max_commands must equal model n_commands")
 
-    def to_json_obj(self) -> dict:
-        return {"model": asdict(self.model), "train": asdict(self.train),
-                "ingest": asdict(self.ingest), "synth": asdict(self.synth)}
-
     def write_json(self, path: str | Path) -> None:
-        _atomic_write_json(path, self.to_json_obj())
+        _atomic_write_json(path, asdict(self))
 
 
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "ingest": IngestConfig,
@@ -68,6 +57,7 @@ def _fits(value, hint) -> bool:
 
 
 def _build_section(cls, data: dict, section: str):
+    """The section's config; a value of the wrong type or out of range is a ConfigError."""
     hints = typing.get_type_hints(cls)
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
@@ -80,14 +70,18 @@ def _build_section(cls, data: dict, section: str):
             raise ConfigError(f"{section}.{name} must be {expected}, got {value!r}")
         if isinstance(value, list):
             coerced[name] = tuple(value)
-    return cls(**coerced)
+    try:
+        return cls(**coerced)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_run_config(path: str | Path | None = None,
                     overrides: dict[str, object] | None = None) -> RunConfig:
     """Load a run config, applying dotted-key overrides like "train.seed".
 
-    Unknown sections or keys are rejected before any work starts.
+    An unknown section or key, a value of the wrong type and a setting out
+    of range are each a ConfigError, raised before any work starts.
     """
     sections: dict[str, dict] = {}
     if path is not None:
@@ -113,17 +107,11 @@ def load_run_config(path: str | Path | None = None,
             raise ConfigError(f"bad override key {key!r}")
         sections.setdefault(section, {})[name] = value
 
-    # the ingest horizon follows the model unless set explicitly
-    ingest_given = sections.get("ingest", {})
-    cfg = RunConfig(**{
-        name: _build_section(cls, sections.get(name, {}), name)
-        for name, cls in _SECTIONS.items()
-    })
-    if "t_obs" not in ingest_given:
-        cfg.ingest.t_obs = cfg.model.t_obs
-    if "t_pred" not in ingest_given:
-        cfg.ingest.t_pred = cfg.model.t_pred
-    if "max_commands" not in ingest_given:
-        cfg.ingest.max_commands = cfg.model.n_commands
-    cfg.validate()
-    return cfg
+    model = _build_section(ModelConfig, sections.get("model", {}), "model")
+    # the ingest horizon and split limit follow the model unless set explicitly
+    ingest = {"t_obs": model.t_obs, "t_pred": model.t_pred, "max_commands": model.n_commands,
+              **sections.get("ingest", {})}
+    return RunConfig(model=model,
+                     train=_build_section(TrainConfig, sections.get("train", {}), "train"),
+                     ingest=_build_section(IngestConfig, ingest, "ingest"),
+                     synth=_build_section(SynthConfig, sections.get("synth", {}), "synth"))

@@ -288,7 +288,7 @@ def save_dataset(records: Sequence[SceneRecord], path: str | Path) -> int:
 # Normalization
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class IngestConfig:
     t_obs: int = 20
     t_pred: int = 30
@@ -297,7 +297,9 @@ class IngestConfig:
     view_extent: float = 100.0   # side of the square view around the agent, meters
     max_commands: int = 30       # split limit for converted lane paths
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if min(self.t_obs, self.t_pred) < 1:
+            raise ValueError("ingest t_obs and t_pred must be positive")
         if not 0 < self.view_extent < np.inf:
             raise ValueError("ingest view_extent must be positive and finite")
         if self.k_heading < 1:
@@ -386,9 +388,8 @@ def _heading_rotation(disp: np.ndarray) -> np.ndarray:
 
 
 def normalize_sample(record: SceneRecord, cfg: IngestConfig) -> NormalizedSample:
-    """Express a record in the main agent's frame and split its lanes into chunks;
-    a cfg that fails its validate() is a ValueError."""
-    cfg.validate()
+    """Express a record in the main agent's frame and split its lanes into chunks.
+    cfg was checked when it was built."""
     main = record.main_agent
     t_obs, t_pred = cfg.t_obs, cfg.t_pred
     wanted = np.arange(t_obs + t_pred)
@@ -562,7 +563,7 @@ def _import_one_csv(csv_path: Path, city_maps: dict) -> SceneRecord:
     def number(row: dict, column: str) -> float:
         try:
             value = float(row[column])
-        except (TypeError, ValueError):
+        except ValueError:
             value = float("nan")
         if not np.isfinite(value):
             raise SchemaError(reader.line_num, column,
@@ -570,6 +571,9 @@ def _import_one_csv(csv_path: Path, city_maps: dict) -> SceneRecord:
         return value
 
     for row in reader:
+        # a row shorter than the header leaves its last columns None
+        if short := [c for c in reader.fieldnames if row[c] is None]:
+            raise SchemaError(reader.line_num, short[0], f"missing value in {csv_path.name}")
         rows.append((number(row, "TIMESTAMP"), row["TRACK_ID"], row["OBJECT_TYPE"],
                      number(row, "X"), number(row, "Y"), row["CITY_NAME"]))
     if not rows:
@@ -619,10 +623,15 @@ def _import_one_csv(csv_path: Path, city_maps: dict) -> SceneRecord:
             f"{csv_path.name}: expected exactly one AGENT track, "
             f"found {sum(a.is_main for a in agents)}")
 
-    city = rows[0][5]
+    cities = sorted({r[5] for r in rows})
+    if len(cities) > 1:
+        raise DatasetError(f"{csv_path.name}: rows name more than one city: {cities}")
+    if cities[0] not in city_maps:
+        raise DatasetError(f"{csv_path.name}: city {cities[0]!r} is not in the map JSON, "
+                           f"which names {sorted(city_maps)}")
     polylines = []
     half = ARGOVERSE_MAP_BOX / 2.0
-    for arr in city_maps.get(city, []):
+    for arr in city_maps[cities[0]]:
         if ((np.abs(arr[:, 0] - main_xy[0]) <= half) &
                 (np.abs(arr[:, 1] - main_xy[1]) <= half)).any():
             polylines.append(arr)
@@ -661,10 +670,11 @@ def import_argoverse_csv(csv_path: str | Path, map_json_path: str | Path,
 
     ``csv_path`` may be one CSV file or a directory of them; each file
     becomes one record of its first 20 + 30 frames, whose AGENT track is the
-    main agent. A track with two OBJECT_TYPEs, or two rows at one timestamp, is
-    a DatasetError. The map JSON maps city name to a list of centerline
-    polylines; polylines are kept if they touch the 200 m square
-    (ARGOVERSE_MAP_BOX) around the main agent's last observed position.
+    main agent. The map JSON maps city name to a list of centerline polylines.
+    A row shorter than the header is a SchemaError. A track with two OBJECT_TYPEs
+    or two rows at one timestamp is a DatasetError, and so are rows naming two
+    cities or a city the map JSON lacks. Polylines are kept if they touch the
+    200 m square (ARGOVERSE_MAP_BOX) around the main agent's last observed position.
     """
     csv_path = Path(csv_path)
     city_maps = _load_city_maps(Path(map_json_path))

@@ -48,7 +48,7 @@ SENTINEL_ROW = N_COORD_BINS
 N_ELEMENT_TYPES = 3  # scene path / other agent / main agent
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     d_m: int = 256          # transformer width
     d_z: int = 64           # per-element latent between encoders and decoder
@@ -81,15 +81,15 @@ class ModelConfig:
     def use_agents(self) -> bool:
         return self.input_mode == "hist+scene+agents"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.input_mode not in INPUT_MODES:
             raise ValueError(f"input_mode must be one of {INPUT_MODES}, got {self.input_mode!r}")
-        if self.d_m % self.n_heads != 0:
-            raise ValueError(f"d_m={self.d_m} not divisible by n_heads={self.n_heads}")
         for name in ("d_m", "d_z", "d_f", "d_profiler", "n_layers", "n_heads",
                      "t_obs", "t_pred", "n_paths", "n_commands", "n_agents"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.d_m % self.n_heads != 0:
+            raise ValueError(f"d_m={self.d_m} not divisible by n_heads={self.n_heads}")
         if self.n_commands < 2:
             raise ValueError("n_commands must be >= 2 (a MoveTo and a LineTo)")
 
@@ -377,7 +377,6 @@ class SvgNet:
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
         """dtype (float32, or float64 for gradient checks) is used for the
         parameters and for every array the model feeds to the tape."""
-        cfg.validate()
         self.dtype = np.dtype(dtype).type
         if self.dtype not in (np.float32, np.float64):
             raise ValueError("dtype must be float32 or float64")

@@ -25,7 +25,7 @@ from .dataset import AgentTrack, SceneRecord, _atomic_write_json, save_dataset
 VERTEX_SPACING = 1.0  # meters between lane polyline vertices
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     seed: int = 0
     n_scenes: int = 100
@@ -41,7 +41,7 @@ class SynthConfig:
     frame_rate: float = 10.0
     n_frames: int = 50          # t_obs + t_pred
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("synth seed must be >= 0")
         if self.n_scenes <= 0 or self.n_frames <= 0:
@@ -109,7 +109,6 @@ def _offset_polyline(poly: np.ndarray, offset: float) -> np.ndarray:
 
 def generate_scene(config: SynthConfig, index: int) -> SceneRecord:
     """Build one scene; byte-identical for identical (seed, index)."""
-    config.validate()
     rng = np.random.default_rng([config.seed, index])
     dt = 1.0 / config.frame_rate
     n_frames = config.n_frames

@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 MASK_LARGE = 1e9
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
 
 
 class Tensor:
@@ -386,22 +387,19 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def layer_norm(a, gamma: Tensor | None = None, beta: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(a, gamma: Tensor | None = None, beta: Tensor | None = None) -> Tensor:
     """Normalize to zero mean / unit variance along the last axis, then, when
     given, scale by gamma and shift by beta (both or neither).
 
     One node, which keeps the normalized input besides its output.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if (gamma is None) != (beta is None):
         raise ValueError("layer_norm takes gamma and beta together")
     a = _as_tensor(a)
     mean = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv_std
     affine = () if gamma is None else (gamma, beta)
     out = xhat

@@ -23,7 +23,7 @@ class NonFiniteLossError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
     batch_size: int = 32
@@ -37,7 +37,7 @@ class TrainConfig:
     seed: int = 0
     grad_clip_norm: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Reject settings that would train silently wrong; NaN fails every check."""
         for name in ("lr", "lr_decay_epochs", "eps"):
             if not 0.0 < getattr(self, name) < math.inf:
@@ -184,7 +184,6 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
     when out_dir is given, are written after every epoch as
     ``model_epoch{N}`` plus final ``model_final`` / ``optimizer_final``.
     """
-    cfg.validate()
     n = len(encoded)
     if n == 0:
         raise ValueError("no samples to train on")

@@ -397,25 +397,29 @@ def test_config_value_of_the_wrong_type_is_a_config_error(workspace, monkeypatch
     assert not out_dir.exists()
 
 
+ARGOVERSE_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"
 ARGOVERSE_ROWS = [f"{1000 + 0.1 * i:.1f},aa,AGENT,{10 + i},5.0,PIT" for i in range(50)]
 ARGOVERSE_LANE = [[0.0, 0.0], [50.0, 0.0]]
 
 
-def _argoverse_files(tmp_path, rows=ARGOVERSE_ROWS, polylines=(ARGOVERSE_LANE,)):
+def _argoverse_files(tmp_path, rows=ARGOVERSE_ROWS, polylines=(ARGOVERSE_LANE,),
+                     header=ARGOVERSE_HEADER):
     """A one-sequence CSV and its map JSON for import-argoverse."""
     csv_path = tmp_path / "seq.csv"
-    csv_path.write_text("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME\n" + "\n".join(rows) + "\n")
+    csv_path.write_text(header + "\n" + "\n".join(rows) + "\n")
     map_path = tmp_path / "map.json"
     map_path.write_text(json.dumps({"PIT": list(polylines)}))
     return csv_path, map_path
 
 
-@pytest.mark.parametrize("bad", ["csv_x", "csv_far", "csv_repeat", "csv_type", "map_polyline",
+@pytest.mark.parametrize("bad", ["csv_x", "csv_far", "csv_repeat", "csv_type", "csv_two_cities",
+                                 "csv_unknown_city", "csv_short_row", "map_polyline",
                                  "map_far"])
 def test_bad_argoverse_input_is_a_data_error(tmp_path, monkeypatch, capsys, bad):
-    # before, csv_repeat saved x = 999 m on frame 5, and in csv_type track bb,
-    # whose one row says AGENT, took the main-agent role from aa
-    rows, polylines = list(ARGOVERSE_ROWS), [ARGOVERSE_LANE]
+    # before, csv_repeat saved x = 999 m on frame 5, in csv_type track bb, whose
+    # one row says AGENT, took the main-agent role from aa, csv_two_cities and
+    # csv_unknown_city imported with no lanes, and csv_short_row exited 4
+    rows, polylines, header = list(ARGOVERSE_ROWS), [ARGOVERSE_LANE], ARGOVERSE_HEADER
     if bad == "csv_x":
         rows[3] = "1000.3,aa,AGENT,ten,5.0,PIT"
     elif bad == "csv_far":
@@ -425,11 +429,20 @@ def test_bad_argoverse_input_is_a_data_error(tmp_path, monkeypatch, capsys, bad)
     elif bad == "csv_type":
         rows[0] = "1000.0,aa,OTHERS,10,5.0,PIT"
         rows.insert(1, "1000.0,bb,AGENT,30,5.0,PIT")
+    elif bad == "csv_two_cities":
+        rows[0] = rows[0].replace("PIT", "MIA")
+    elif bad == "csv_unknown_city":
+        rows = [row.replace("PIT", "PTT") for row in rows]
+    elif bad == "csv_short_row":
+        # TRACK_ID is last, so a five-field row leaves it unset
+        header = "X,Y,TIMESTAMP,CITY_NAME,OBJECT_TYPE,TRACK_ID"
+        rows = [f"{10 + i},5.0,{1000 + 0.1 * i:.1f},PIT,AGENT,aa" for i in range(50)]
+        rows[3] = rows[3].removesuffix(",aa")
     elif bad == "map_polyline":
         polylines.append([[0.0, 1.0, 2.0]])
     else:
         polylines.append([[0.0, 1.0], [0.0, 2e8]])
-    csv_path, map_path = _argoverse_files(tmp_path, rows, polylines)
+    csv_path, map_path = _argoverse_files(tmp_path, rows, polylines, header)
     assert _run_main(monkeypatch, "import-argoverse", "--csv", str(csv_path),
                      "--map-json", str(map_path), "--out", str(tmp_path / "o.jsonl")) == 3
     err = capsys.readouterr().err
@@ -442,6 +455,12 @@ def test_bad_argoverse_input_is_a_data_error(tmp_path, monkeypatch, capsys, bad)
         assert "seq.csv: track 'aa' has two rows at timestamp 1000.5" in err
     elif bad == "csv_type":
         assert "seq.csv: track 'aa' is both 'OTHERS' and 'AGENT'" in err
+    elif bad == "csv_two_cities":
+        assert "seq.csv: rows name more than one city: ['MIA', 'PIT']" in err
+    elif bad == "csv_unknown_city":
+        assert "seq.csv: city 'PTT' is not in the map JSON, which names ['PIT']" in err
+    elif bad == "csv_short_row":
+        assert "line 5: bad or missing field 'TRACK_ID' (missing value in seq.csv)" in err
     else:
         assert "map.json" in err and ("beyond ±1e8 m" in err) == (bad == "map_far")
 

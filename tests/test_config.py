@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -33,7 +34,7 @@ def test_value_of_the_wrong_type_is_a_config_error(tmp_path, section, key, value
     ("synth", "speed_noise", "NaN"), ("synth", "speed_noise", "-1"),
     ("synth", "frame_rate", "-1"), ("synth", "frame_rate", "1e309"),
     ("synth", "speed_max", "1e309"), ("synth", "geometry_mix", "[NaN, 0.5, 0.5]"),
-    ("train", "seed", "-1"), ("synth", "seed", "-1")])
+    ("train", "seed", "-1"), ("synth", "seed", "-1"), ("model", "n_heads", "0")])
 def test_out_of_range_setting_is_a_config_error_naming_the_field(tmp_path, section, key,
                                                                   literal):
     # written as raw JSON text: 1e309 is how a file spells a number that loads as inf
@@ -78,3 +79,26 @@ def test_written_config_loads_back(tmp_path, overrides):
     cfg = load_run_config(None, overrides)
     cfg.write_json(tmp_path / "config.json")
     assert load_run_config(tmp_path / "config.json") == cfg
+
+
+@pytest.mark.parametrize("ingest", [{"t_obs": 10}, {"t_pred": 10}, {"max_commands": 10}])
+def test_ingest_that_disagrees_with_the_model_is_a_config_error(tmp_path, ingest):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"ingest": ingest}))
+    with pytest.raises(ConfigError, match="must (match the model horizon|equal model n_commands)"):
+        load_run_config(path)
+
+
+def test_ingest_horizon_and_split_limit_follow_the_model():
+    cfg = load_run_config(None, {"model.t_obs": 12, "model.t_pred": 7, "model.n_commands": 5})
+    assert (cfg.ingest.t_obs, cfg.ingest.t_pred, cfg.ingest.max_commands) == (12, 7, 5)
+
+
+@pytest.mark.parametrize("section, field", [(None, "model"), ("model", "d_m"),
+                                            ("train", "lr"), ("ingest", "t_obs"),
+                                            ("synth", "n_scenes")])
+def test_a_built_config_cannot_change(section, field):
+    cfg = load_run_config(None)
+    target = cfg if section is None else getattr(cfg, section)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(target, field, getattr(target, field))

@@ -360,11 +360,12 @@ class TestNormalize:
 
     @pytest.mark.parametrize("field, value", [("view_extent", 0.0), ("k_heading", 0),
                                               ("k_heading", -3), ("min_heading_disp", -0.1),
-                                              ("max_commands", 1)])
+                                              ("max_commands", 1), ("t_obs", 0),
+                                              ("t_obs", -2), ("t_pred", 0)])
     def test_config_validation(self, field, value):
-        IngestConfig().validate()
+        # before, t_obs -2 gave a 26-frame history and t_pred 0 an empty target
         with pytest.raises(ValueError, match=field):
-            IngestConfig(**{field: value}).validate()
+            IngestConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [("view_extent", float("nan")),
                                               ("view_extent", -100.0), ("k_heading", 0)])
@@ -567,7 +568,7 @@ class TestArgoverseImport:
         csv_path = tmp_path / "seq3.csv"
         self.write_csv(csv_path, self.make_rows(extra_tracks=2))
         map_path = tmp_path / "map.json"
-        map_path.write_text("{}")
+        map_path.write_text(json.dumps({"PIT": []}))
         out = tmp_path / "o.jsonl"
         import_argoverse_csv(csv_path, map_path, out)
         rec = next(load_dataset(out))

@@ -453,10 +453,10 @@ class TestTapeStructure:
 
 class TestConfigAndState:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ModelConfig(d_m=10, n_heads=3).validate()
-        with pytest.raises(ValueError):
-            ModelConfig(input_mode="everything").validate()
+        with pytest.raises(ValueError, match="not divisible by n_heads"):
+            ModelConfig(d_m=10, n_heads=3)
+        with pytest.raises(ValueError, match="input_mode must be one of"):
+            ModelConfig(input_mode="everything")
         cfg = tiny_config()
         assert cfg.d_h == 40 and cfg.d_out == 60
 

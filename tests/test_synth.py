@@ -143,9 +143,16 @@ class TestLearnability:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SynthConfig(speed_min=-1).validate()
-    with pytest.raises(ValueError):
-        SynthConfig(geometry_mix=(0.5, 0.5, 0.5)).validate()
-    with pytest.raises(ValueError):
-        SynthConfig(lead_probability=1.5).validate()
+    with pytest.raises(ValueError, match="speed_min"):
+        SynthConfig(speed_min=-1)
+    with pytest.raises(ValueError, match="geometry_mix"):
+        SynthConfig(geometry_mix=(0.5, 0.5, 0.5))
+    with pytest.raises(ValueError, match="lead_probability"):
+        SynthConfig(lead_probability=1.5)
+
+
+@pytest.mark.parametrize("n_scenes", [0, -3])
+def test_generate_records_without_scenes_is_a_value_error(n_scenes):
+    # building the config raises, so no empty record list can come back
+    with pytest.raises(ValueError, match="n_scenes and n_frames must be positive"):
+        generate_records(SynthConfig(n_scenes=n_scenes))

@@ -27,13 +27,14 @@ class TestForwardOps:
         np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_layer_norm_hand_computed(self):
-        out = T.layer_norm(Tensor([1.0, 2.0, 3.0]), eps=1e-12)
-        np.testing.assert_allclose(out.data, [-np.sqrt(1.5), 0.0, np.sqrt(1.5)], atol=1e-5)
+        out = T.layer_norm(Tensor([1.0, 2.0, 3.0]))
+        expected = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2 / 3 + T.LAYER_NORM_EPS)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-15, atol=0)
 
     def test_layer_norm_moments(self):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(3, 7, (6, 32)))
-        out = T.layer_norm(x, eps=1e-5).data
+        out = T.layer_norm(x).data
         assert np.abs(out.mean(axis=-1)).max() < 1e-6
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
 

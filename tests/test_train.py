@@ -423,3 +423,10 @@ def test_release_free_heap_returns_pages_that_live_chunks_pin():
     out = subprocess.run([sys.executable, "-c", _PINNED_HEAP], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     assert int(out.stdout) > 15 * 2**20
+
+
+def test_out_of_range_beta_never_reaches_the_optimizer():
+    # beta1 = 1.0 makes the bias correction 1 - beta1**t zero, so every weight would be NaN
+    params = SvgNet(tiny_config(), seed=0).parameters()
+    with pytest.raises(ValueError, match="beta1 must lie in"):
+        AdamW(params, TrainConfig(beta1=1.0))
