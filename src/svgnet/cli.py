@@ -14,13 +14,17 @@ A training step whose loss or any gradient is NaN or inf raises
 train.NonFiniteLossError, exit 4, before that step's update and before any
 further checkpoint or loss log write. Every output file's directory is
 created if it does not exist.
-SVGNET_LOG sets the logging level by name (default WARNING). The only
-messages are the WARNING for each skipped bad record, so SVGNET_LOG=ERROR
-silences them; nothing logs below WARNING.
+SVGNET_LOG sets the logging level by name (default WARNING); a name that
+logging does not know as a level exits 2. The only messages are the
+WARNING for each skipped bad record, so SVGNET_LOG=ERROR silences them;
+nothing logs below WARNING.
+main runs numpy's bundled OpenBLAS on one thread, so that every matmul
+sums in one order and training writes the same weights on any CPU count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
 import os
@@ -45,9 +49,24 @@ log = logging.getLogger("svgnet")
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("SVGNET_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    name = os.environ.get("SVGNET_LOG", "WARNING")
+    level = logging.getLevelName(name.upper())   # an int only for a level's name
+    if not isinstance(level, int):
+        raise ConfigError(f"SVGNET_LOG={name!r} is not a logging level name")
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+
+
+def _run_blas_on_one_thread() -> None:
+    """Set the OpenBLAS that numpy's core extension links (the one its wheels
+    bundle) to one thread; a no-op when numpy links another BLAS. The
+    setting is process-wide, so only main makes it, never an import."""
+    try:
+        from numpy._core import _multiarray_umath
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
 
 
 def _common_overrides(seed, input_mode) -> dict:
@@ -243,6 +262,7 @@ def visualize_cmd(checkpoint, data, scene_id, out, config_path, input_mode, dtyp
 
 
 def main() -> int:
+    _run_blas_on_one_thread()
     try:
         cli.main(standalone_mode=False)
         return 0

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import types
 import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -41,10 +40,7 @@ _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "ingest": IngestConfig,
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation. An int field takes no
-    float or bool, a float field also takes an int, and None fits only a
-    field whose annotation allows it."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
+    float or bool, a float field also takes an int, and no field takes None."""
     if typing.get_origin(hint) is tuple:
         args = typing.get_args(hint)
         return (isinstance(value, (list, tuple)) and len(value) == len(args)
@@ -59,9 +55,6 @@ def _fits(value, hint) -> bool:
 def _build_section(cls, data: dict, section: str):
     """The section's config; a value of the wrong type or out of range is a ConfigError."""
     hints = typing.get_type_hints(cls)
-    unknown = set(data) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {section!r} section: {sorted(unknown)}")
     coerced = dict(data)
     for name, value in data.items():
         hint = hints[name]
@@ -81,7 +74,8 @@ def load_run_config(path: str | Path | None = None,
     """Load a run config, applying dotted-key overrides like "train.seed".
 
     An unknown section or key, a value of the wrong type and a setting out
-    of range are each a ConfigError, raised before any work starts.
+    of range are each a ConfigError, raised before any work starts; the
+    unknown keys of every section are named together.
     """
     sections: dict[str, dict] = {}
     if path is not None:
@@ -106,6 +100,11 @@ def load_run_config(path: str | Path | None = None,
         if section not in _SECTIONS or not name:
             raise ConfigError(f"bad override key {key!r}")
         sections.setdefault(section, {})[name] = value
+
+    unknown = sorted(f"{section}.{name}" for section, data in sections.items()
+                     for name in set(data) - {f.name for f in fields(_SECTIONS[section])})
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
     model = _build_section(ModelConfig, sections.get("model", {}), "model")
     # the ingest horizon and split limit follow the model unless set explicitly

@@ -3,12 +3,14 @@
 A record couples map centerline polylines (city frame, meters) with agent
 tracks. Normalization moves everything into the main agent's frame: its
 last observed position becomes the origin and its recent heading points
-along +y. The map is clamped to the square view of side
-IngestConfig.view_extent centred on the origin and stored as arrays of
-chunk vertices, each chunk one line-command SVG path
-(a MoveTo, then LineTos). With mc = max_commands, a polyline of n vertices
-splits into chunks k = 0, 1, ... covering vertices [k*(mc-1), k*(mc-1)+mc)
-cut at n, so a chunk starts on the last vertex of the one before.
+along +y. The map is clamped to the square view of side VIEW_EXTENT
+centred on the origin and stored as arrays of chunk vertices, each chunk
+one line-command SVG path (a MoveTo, then LineTos). With mc =
+max_commands, a polyline of n vertices splits into chunks k = 0, 1, ...
+covering vertices [k*(mc-1), k*(mc-1)+mc) cut at n, so a chunk starts on
+the last vertex of the one before. The heading is the displacement
+over the K_HEADING frames up to the last observed one; when it is
+shorter than MIN_HEADING_DISP, the frame is not rotated.
 make_batch quantizes the vertex arrays directly, and visualize writes each
 chunk's path data from them.
 
@@ -288,24 +290,20 @@ def save_dataset(records: Sequence[SceneRecord], path: str | Path) -> int:
 # Normalization
 # ---------------------------------------------------------------------------
 
+VIEW_EXTENT = 100.0     # side of the square view around the agent, meters
+K_HEADING = 5           # frames before the last observed one that fix the heading
+MIN_HEADING_DISP = 0.1  # meters; a shorter displacement leaves the frame unrotated
+
+
 @dataclass(frozen=True)
 class IngestConfig:
     t_obs: int = 20
     t_pred: int = 30
-    k_heading: int = 5          # frames used to estimate terminal heading
-    min_heading_disp: float = 0.1   # below this the rotation falls back to identity
-    view_extent: float = 100.0   # side of the square view around the agent, meters
     max_commands: int = 30       # split limit for converted lane paths
 
     def __post_init__(self) -> None:
         if min(self.t_obs, self.t_pred) < 1:
             raise ValueError("ingest t_obs and t_pred must be positive")
-        if not 0 < self.view_extent < np.inf:
-            raise ValueError("ingest view_extent must be positive and finite")
-        if self.k_heading < 1:
-            raise ValueError("ingest k_heading must be >= 1 (an observed frame before the last)")
-        if not 0 <= self.min_heading_disp < np.inf:
-            raise ValueError("ingest min_heading_disp must be finite and >= 0")
         if self.max_commands < 2:
             raise ValueError("ingest max_commands must be >= 2")
 
@@ -314,12 +312,11 @@ class IngestConfig:
 class LaneChunks:
     """A scene's lanes as chunk vertices in the agent frame: chunk k is
     vertices[offsets[k]:offsets[k + 1]], a MoveTo then LineTos, named ids[k].
-    Every vertex lies in the square view [-view_extent/2, view_extent/2]^2."""
+    Every vertex lies in the square view [-VIEW_EXTENT/2, VIEW_EXTENT/2]^2."""
 
     vertices: np.ndarray    # (n_vertices, 2) float64
     offsets: np.ndarray     # (n_chunks + 1,) int64
     ids: list[str]          # lane{i}, or lane{i}#{k} for each chunk of a split lane
-    view_extent: float      # side of the square view, meters
 
     @property
     def paths(self) -> list[np.ndarray]:
@@ -356,7 +353,7 @@ def _lane_chunks(polylines: list[np.ndarray], to_frame, cfg: IngestConfig) -> La
     docstring's rule. Polylines with no vertex in view, or under two once clamped
     and de-duplicated, are dropped. A SceneRecord's polylines are non-empty, as
     reduceat needs."""
-    half, mc = cfg.view_extent / 2.0, cfg.max_commands
+    half, mc = VIEW_EXTENT / 2.0, cfg.max_commands
     lanes = np.arange(len(polylines))
     lengths = np.array([len(p) for p in polylines], dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
@@ -377,8 +374,7 @@ def _lane_chunks(polylines: list[np.ndarray], to_frame, cfg: IngestConfig) -> La
     ids = [f"lane{i}" if m == 1 else f"lane{i}#{k}"
            for i, m in zip(lanes.tolist(), n_chunks.tolist()) for k in range(m)]
     return LaneChunks(vertices=pts[keep][_ranges(first[owner] + chunk_start, chunk_len)],
-                      offsets=np.concatenate([[0], np.cumsum(chunk_len)]), ids=ids,
-                      view_extent=cfg.view_extent)
+                      offsets=np.concatenate([[0], np.cumsum(chunk_len)]), ids=ids)
 
 
 def _heading_rotation(disp: np.ndarray) -> np.ndarray:
@@ -401,9 +397,9 @@ def normalize_sample(record: SceneRecord, cfg: IngestConfig) -> NormalizedSample
                            f"every frame 0..{t_obs - 1}")
 
     anchor = main.xy[at[t_obs - 1]]
-    ref = main.xy[at[max(t_obs - 1 - cfg.k_heading, 0)]]
+    ref = main.xy[at[max(t_obs - 1 - K_HEADING, 0)]]
     disp = anchor - ref
-    rot = np.eye(2) if np.linalg.norm(disp) < cfg.min_heading_disp else _heading_rotation(disp)
+    rot = np.eye(2) if np.linalg.norm(disp) < MIN_HEADING_DISP else _heading_rotation(disp)
 
     def to_frame(pts: np.ndarray) -> np.ndarray:
         return (pts - anchor) @ rot.T
@@ -495,7 +491,7 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
         kinds[i, row, cmd] = np.where(cmd == 0, int(CommandKind.MOVE_TO),
                                        int(CommandKind.LINE_TO))
         args[i, row, cmd, 4:] = quantize_coords(lanes.vertices[starts[kept][row] + cmd],
-                                                lanes.view_extent)
+                                                VIEW_EXTENT)
         path_mask[i, :kept.size] = 1.0
         command_mask[i, row, cmd] = 1.0
         pids = [lanes.ids[j] for j in kept.tolist()]

@@ -10,7 +10,9 @@ that every input channel carries causal signal:
   agent's lane, forcing a deceleration that mostly happens inside the
   prediction horizon and is only anticipable from the lead's track.
 
-Everything is a pure function of (seed, scene index).
+Everything is a pure function of (seed, scene index). The frame rate, the
+agents' speed range and the least lane and agent counts are module
+constants; SynthConfig holds the settings that experiments vary.
 """
 
 from __future__ import annotations
@@ -23,22 +25,21 @@ import numpy as np
 from .dataset import AgentTrack, SceneRecord, _atomic_write_json, save_dataset
 
 VERTEX_SPACING = 1.0  # meters between lane polyline vertices
+LANES_MIN = 2         # lanes per scene, at least; SynthConfig.lanes_max caps them
+AGENTS_MIN = 1        # agents per scene before a lead vehicle is added
+SPEED_MIN, SPEED_MAX = 5.0, 12.0   # range of the agents' base speeds, m/s
+FRAME_RATE = 10.0     # Hz
 
 
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int = 0
     n_scenes: int = 100
-    lanes_min: int = 2
     lanes_max: int = 6
     geometry_mix: tuple[float, float, float] = (0.2, 0.4, 0.4)  # straight, arc, fork
-    agents_min: int = 1
     agents_max: int = 8
-    speed_min: float = 5.0      # m/s
-    speed_max: float = 12.0
     speed_noise: float = 0.3    # per-frame speed jitter sigma, m/s
     lead_probability: float = 0.5
-    frame_rate: float = 10.0
     n_frames: int = 50          # t_obs + t_pred
 
     def __post_init__(self) -> None:
@@ -46,17 +47,12 @@ class SynthConfig:
             raise ValueError("synth seed must be >= 0")
         if self.n_scenes <= 0 or self.n_frames <= 0:
             raise ValueError("n_scenes and n_frames must be positive")
-        if not 0 < self.speed_min <= self.speed_max < np.inf:
-            raise ValueError("synth speed_min must be > 0 and speed_max must be finite and "
-                             ">= speed_min")
         if not 0 <= self.speed_noise < np.inf:
             raise ValueError("synth speed_noise must be finite and >= 0")
-        if not 0 < self.frame_rate < np.inf:
-            raise ValueError("synth frame_rate must be positive and finite")
-        if not (1 <= self.agents_min <= self.agents_max):
-            raise ValueError("need 1 <= agents_min <= agents_max")
-        if not (1 <= self.lanes_min <= self.lanes_max):
-            raise ValueError("need 1 <= lanes_min <= lanes_max")
+        if self.agents_max < AGENTS_MIN:
+            raise ValueError(f"synth agents_max must be >= {AGENTS_MIN}")
+        if self.lanes_max < LANES_MIN:
+            raise ValueError(f"synth lanes_max must be >= {LANES_MIN}")
         if not abs(sum(self.geometry_mix) - 1.0) <= 1e-9 or min(self.geometry_mix) < 0:
             raise ValueError("geometry_mix must be a probability triple")
         if not 0.0 <= self.lead_probability <= 1.0:
@@ -110,16 +106,16 @@ def _offset_polyline(poly: np.ndarray, offset: float) -> np.ndarray:
 def generate_scene(config: SynthConfig, index: int) -> SceneRecord:
     """Build one scene; byte-identical for identical (seed, index)."""
     rng = np.random.default_rng([config.seed, index])
-    dt = 1.0 / config.frame_rate
+    dt = 1.0 / FRAME_RATE
     n_frames = config.n_frames
     t_obs = 20 if n_frames >= 50 else max(n_frames // 2, 1)
 
     kind = rng.choice(3, p=np.asarray(config.geometry_mix, dtype=np.float64))
     origin = rng.uniform(-1000.0, 1000.0, size=2)
     heading = rng.uniform(0.0, 2.0 * np.pi)
-    v_base = rng.uniform(config.speed_min, config.speed_max)
+    v_base = rng.uniform(SPEED_MIN, SPEED_MAX)
 
-    n_total_agents = int(rng.integers(config.agents_min, config.agents_max + 1))
+    n_total_agents = int(rng.integers(AGENTS_MIN, config.agents_max + 1))
     has_lead = bool(rng.random() < config.lead_probability)
     if has_lead:
         n_total_agents = max(n_total_agents, 2)
@@ -176,7 +172,7 @@ def generate_scene(config: SynthConfig, index: int) -> SceneRecord:
         polylines.append(route)
         polylines.append(other_branch)
 
-    n_lanes = int(rng.integers(config.lanes_min, config.lanes_max + 1))
+    n_lanes = int(rng.integers(LANES_MIN, config.lanes_max + 1))
     offsets = [3.5, -3.5, 7.0, -7.0, 10.5, -10.5]
     distractor_lanes = []
     for off in offsets[:max(n_lanes - len(polylines), 0)]:
@@ -196,15 +192,14 @@ def generate_scene(config: SynthConfig, index: int) -> SceneRecord:
         lanes = distractor_lanes if distractor_lanes else polylines
         lane = lanes[int(rng.integers(len(lanes)))]
         lane_len = _cum_lengths(lane)[-1]
-        v_d = rng.uniform(config.speed_min, config.speed_max)
+        v_d = rng.uniform(SPEED_MIN, SPEED_MAX)
         travel = v_d * dt * (n_frames - 1)
         s0 = rng.uniform(0.0, max(lane_len - travel, 1.0))
         s_d = s0 + v_d * dt * np.arange(n_frames)
         agents.append(AgentTrack(f"agent{len(agents)}", np.arange(n_frames),
                                  _points_at(lane, s_d)))
 
-    return SceneRecord(f"synth-{index:06d}", polylines, agents,
-                       frame_rate=config.frame_rate)
+    return SceneRecord(f"synth-{index:06d}", polylines, agents, frame_rate=FRAME_RATE)
 
 
 def generate_records(config: SynthConfig, first_index: int = 0) -> list[SceneRecord]:

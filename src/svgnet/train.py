@@ -23,34 +23,26 @@ class NonFiniteLossError(RuntimeError):
     pass
 
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8   # AdamW moment decays and denominator floor
+LR_DECAY = 0.9   # the learning rate's factor every lr_decay_epochs
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
     batch_size: int = 32
     lr: float = 1e-4
-    lr_decay: float = 0.9
     lr_decay_epochs: float = 2.5
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    grad_clip_norm: float | None = None
 
     def __post_init__(self) -> None:
         """Reject settings that would train silently wrong; NaN fails every check."""
-        for name in ("lr", "lr_decay_epochs", "eps"):
+        for name in ("lr", "lr_decay_epochs"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("lr_decay must lie in (0, 1]")
         if not 0.0 <= self.weight_decay < math.inf:
             raise ValueError("weight_decay must be finite and >= 0")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if self.grad_clip_norm is not None and not 0.0 < self.grad_clip_norm < math.inf:
-            raise ValueError("grad_clip_norm must be None or positive and finite")
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
         if self.seed < 0:
@@ -73,13 +65,14 @@ def mse_loss(pred: Tensor, target) -> Tensor:
 
 
 def lr_at(step: int, cfg: TrainConfig, steps_per_epoch: int) -> float:
-    """Stepped decay: lr * decay^floor(step / ceil(decay_epochs * spe))."""
+    """Stepped decay: lr * LR_DECAY^floor(step / ceil(lr_decay_epochs * spe))."""
     period = math.ceil(cfg.lr_decay_epochs * steps_per_epoch)
-    return cfg.lr * cfg.lr_decay ** (step // period)
+    return cfg.lr * LR_DECAY ** (step // period)
 
 
 class AdamW:
-    """Decoupled weight decay plus bias-corrected adaptive moments.
+    """Decoupled weight decay plus bias-corrected adaptive moments, with
+    decays BETA1 and BETA2 and denominator floor ADAM_EPS.
 
     step() takes the mapping a tape's backward returns, and reads it
     only: a parameter it lacks has a zero gradient. Each parameter's
@@ -105,18 +98,18 @@ class AdamW:
         cfg = self.cfg
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - cfg.beta1 ** t
-        bc2 = 1.0 - cfg.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = grads.get(p, 0.0)
             m, v = self._moments(name)
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             if cfg.weight_decay:
                 p.data *= 1.0 - lr * cfg.weight_decay
-            denom = np.sqrt(v / bc2) + cfg.eps
+            denom = np.sqrt(v / bc2) + ADAM_EPS
             p.data -= lr * (m / bc1) / denom
 
     def live_state(self) -> dict[str, np.ndarray]:
@@ -132,25 +125,6 @@ class AdamW:
             self.m[name] = arrays[f"m.{name}"].astype(p.data.dtype)
             self.v[name] = arrays[f"v.{name}"].astype(p.data.dtype)
         self.step_count = int(arrays["step"][0])
-
-
-def clip_grad_norm(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
-                   max_norm: float) -> float:
-    """Scale ``grads`` to a global norm of at most max_norm; returns the norm before.
-
-    The norm is summed in parameter order. Entries are replaced rather
-    than scaled in place, as two of them may be one array.
-    """
-    total = 0.0
-    for p in params.values():
-        if p in grads:
-            total += float((grads[p].astype(np.float64) ** 2).sum())
-    norm = math.sqrt(total)
-    if norm > max_norm and norm > 0:
-        scl = max_norm / norm
-        for p, g in grads.items():
-            grads[p] = g * scl
-    return norm
 
 
 def encode_samples(records, ingest: IngestConfig, n_paths: int, n_commands: int,
@@ -172,15 +146,18 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
 
     An empty ``encoded`` raises ValueError before anything is written.
     Each step's gradients are the mapping its tape's backward returns;
-    they are clipped, applied and dropped within the step.
+    they are applied and dropped within the step.
     A NaN or inf step loss, or a NaN or inf in any parameter's gradient
     (a finite loss can still overflow in backward), raises
     NonFiniteLossError naming the step, and the first such parameter in
-    parameter order, before that step's clipping and update and before
+    parameter order, before that step's update and before
     any further file is written.
     Before returning, it frees the optimizer and hands the heap pages that
     the tapes and the optimizer freed back to the OS (release_free_heap).
-    Deterministic for a fixed config seed (single-threaded). Checkpoints,
+    Deterministic for a fixed config seed and a fixed BLAS thread count:
+    a multi-threaded BLAS may split a matmul's sum differently, and that
+    changes the weights (``svgnet.cli.main`` runs one thread; a library
+    caller sets its own). Checkpoints,
     when out_dir is given, are written after every epoch as
     ``model_epoch{N}`` plus final ``model_final`` / ``optimizer_final``.
     """
@@ -210,8 +187,6 @@ def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
                 if p in grads and not np.isfinite(grads[p]).all():
                     raise NonFiniteLossError(
                         f"step {step} (epoch {epoch}): gradient of {name!r} is not finite")
-            if cfg.grad_clip_norm is not None:
-                clip_grad_norm(model.parameters(), grads, cfg.grad_clip_norm)
             optimizer.step(grads, lr)
             del grads   # free them before the next forward
             log.append({"epoch": epoch, "step": step, "lr": lr, "loss": loss.item()})

@@ -6,7 +6,7 @@ agents is shown as opacity, 0.15 + 0.85 * score / max_score, so unattended
 elements stay faintly visible. Raw scores are embedded as data-score
 attributes and their total as data-attention-sum on the root element.
 Coordinates are in the normalized agent frame, and the viewBox is the
-square view of side IngestConfig.view_extent centred on the agent.
+square view of side dataset.VIEW_EXTENT centred on the agent.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
-from .dataset import NormalizedSample
+from .dataset import VIEW_EXTENT, NormalizedSample
 
 COLORS = {
     "path": "#888888",
@@ -52,7 +52,7 @@ def render_attention_svg(sample: NormalizedSample, entries: list[tuple[str, str,
                          prediction: np.ndarray | None = None) -> str:
     """Build the SVG text for one sample from its extract_attention entries."""
     lanes = sample.scene_svg
-    w = lanes.view_extent
+    w = VIEW_EXTENT
     ox = oy = -w / 2.0
     path_scores = {key: score for kind, key, score in entries if kind == "path"}
     agent_scores = {key: score for kind, key, score in entries if kind == "agent"}

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from model_helpers import read_svg_paths
+from svgnet import cli as cli_module
 from svgnet.cli import cli, main
 from svgnet.synth import SynthConfig, generate_records
 
@@ -368,9 +372,7 @@ def test_string_is_main_is_a_data_error(tmp_path, monkeypatch, caplog):
     assert "'agents[1].is_main'" in caplog.text
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("model", "n_commands", 1), ("ingest", "view_extent", 0), ("ingest", "k_heading", -3),
-    ("ingest", "min_heading_disp", -0.5)])
+@pytest.mark.parametrize("section, key, value", [("model", "n_commands", 1)])
 def test_bad_ingest_setting_is_a_config_error(workspace, monkeypatch, capsys, section, key,
                                               value):
     cfg = dict(TINY_RUN_CONFIG, **{section: {**TINY_RUN_CONFIG.get(section, {}), key: value}})
@@ -385,16 +387,99 @@ def test_bad_ingest_setting_is_a_config_error(workspace, monkeypatch, capsys, se
 
 
 def test_config_value_of_the_wrong_type_is_a_config_error(workspace, monkeypatch, capsys):
-    # before, a fractional k_heading passed validation and normalize_sample
-    # failed with a TypeError (exit 4)
-    cfg = dict(TINY_RUN_CONFIG, ingest={"k_heading": 2.5})
+    # a fractional epoch count passes the range check, and range() would fail with
+    # a TypeError (exit 4) after the data was read
+    cfg = dict(TINY_RUN_CONFIG, train={**TINY_RUN_CONFIG["train"], "epochs": 2.5})
     cfg_path = workspace["dir"] / "bad.json"
     cfg_path.write_text(json.dumps(cfg))
     out_dir = workspace["dir"] / "run"
     assert _run_main(monkeypatch, "train", "--config", str(cfg_path),
                      "--data", str(workspace["data"]), "--out-dir", str(out_dir)) == 2
-    assert capsys.readouterr().err == "config error: ingest.k_heading must be int, got 2.5\n"
+    assert capsys.readouterr().err == "config error: train.epochs must be int, got 2.5\n"
     assert not out_dir.exists()
+
+
+# config keys that are module constants now, at the values they always held
+RETIRED_KEYS = {
+    "train": {"lr_decay": 0.9, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+              "grad_clip_norm": None},
+    "ingest": {"k_heading": 5, "min_heading_disp": 0.1, "view_extent": 100.0},
+    "synth": {"lanes_min": 2, "agents_min": 1, "speed_min": 5.0, "speed_max": 12.0,
+              "frame_rate": 10.0},
+}
+
+
+def test_config_that_sets_a_retired_key_is_a_config_error(workspace, monkeypatch, capsys):
+    # before, these keys loaded, so train ran and an eval next to its config.json scored
+    names = [f"{section}.{key}" for section, keys in RETIRED_KEYS.items() for key in keys]
+    old = {section: {**TINY_RUN_CONFIG.get(section, {}), **keys}
+           for section, keys in RETIRED_KEYS.items()}
+    cfg_path = workspace["dir"] / "old.json"
+    cfg_path.write_text(json.dumps({**TINY_RUN_CONFIG, **old}))
+    out_dir = workspace["dir"] / "run"
+    assert _run_main(monkeypatch, "train", "--config", str(cfg_path),
+                     "--data", str(workspace["data"]), "--out-dir", str(out_dir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and all(name in err for name in names)
+    assert not out_dir.exists()
+
+    assert _run_main(monkeypatch, "train", "--config", str(workspace["cfg"]),
+                     "--data", str(workspace["data"]), "--out-dir", str(out_dir)) == 0
+    written = json.loads((out_dir / "config.json").read_text())
+    for section, keys in RETIRED_KEYS.items():
+        written[section].update(keys)
+    (out_dir / "config.json").write_text(json.dumps(written))
+    capsys.readouterr()
+    assert _run_main(monkeypatch, "eval", "--checkpoint", str(out_dir / "model_final"),
+                     "--data", str(workspace["data"])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and all(name in err for name in names)
+
+
+@pytest.mark.parametrize("name", ["basic_format", "bogus", "10"])
+def test_unknown_log_level_is_a_config_error(workspace, monkeypatch, capsys, name):
+    # before, basic_format (a logging attribute that is not a level) exited 4 and
+    # any other unknown name logged at WARNING
+    monkeypatch.setenv("SVGNET_LOG", name)
+    assert _run_main(monkeypatch, "eval", "--checkpoint", str(workspace["dir"] / "none"),
+                     "--data", str(workspace["data"]), "--config", str(workspace["cfg"]),
+                     "--baseline") == 2
+    assert capsys.readouterr().err == (f"config error: SVGNET_LOG={name!r} is not a "
+                                       "logging level name\n")
+
+
+@pytest.mark.parametrize("name", ["error", "Info", "WARN"])
+def test_log_level_is_read_by_name(workspace, monkeypatch, name):
+    monkeypatch.setenv("SVGNET_LOG", name)
+    assert _run_main(monkeypatch, "eval", "--checkpoint", str(workspace["dir"] / "none"),
+                     "--data", str(workspace["data"]), "--config", str(workspace["cfg"]),
+                     "--baseline") == 0
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads")
+def test_train_writes_the_same_weights_on_one_or_two_blas_threads(tmp_path):
+    # before, the scene encoder's weight gradients summed their ~1,000 rows in
+    # a different order on two OpenBLAS threads, and the checkpoints differed
+    cfg = {"model": {"d_m": 64, "d_z": 16, "d_f": 32, "d_profiler": 16, "n_layers": 1,
+                     "n_heads": 2},
+           "train": {"epochs": 1, "batch_size": 4}, "synth": {"n_scenes": 8}}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    data = tmp_path / "train.jsonl"
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def svgnet(*argv, threads="1"):
+        subprocess.run([sys.executable, "-m", "svgnet.cli", *argv], check=True,
+                       capture_output=True, timeout=300,
+                       env={**env, "OPENBLAS_NUM_THREADS": threads})
+
+    svgnet("synth-gen", "--config", str(cfg_path), "--out", str(data))
+    for threads in ("1", "2"):
+        svgnet("train", "--config", str(cfg_path), "--data", str(data),
+               "--out-dir", str(tmp_path / threads), threads=threads)
+    assert ((tmp_path / "1" / "model_final.bin").read_bytes()
+            == (tmp_path / "2" / "model_final.bin").read_bytes())
 
 
 ARGOVERSE_HEADER = "TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME"

@@ -8,10 +8,11 @@ from svgnet.config import ConfigError, load_run_config
 
 @pytest.mark.parametrize("section, key, value", [
     ("model", "d_m", 16.0), ("model", "input_mode", None), ("model", "n_layers", True),
-    ("train", "epochs", 2.5), ("train", "lr", None), ("train", "grad_clip_norm", "1"),
-    ("ingest", "k_heading", 2.5), ("ingest", "view_extent", False),
-    ("synth", "n_scenes", True), ("synth", "geometry_mix", [0.5, 0.5]),
-    ("synth", "geometry_mix", [0.2, 0.4, "0.4"])])
+    ("train", "epochs", 2.5), ("train", "lr", None),
+    ("synth", "n_scenes", True),
+    # ids pinned: pytest names a list value by its position, which shifts as cases change
+    pytest.param("synth", "geometry_mix", [0.5, 0.5], id="synth-geometry_mix-value9"),
+    pytest.param("synth", "geometry_mix", [0.2, 0.4, "0.4"], id="synth-geometry_mix-value10")])
 def test_value_of_the_wrong_type_is_a_config_error(tmp_path, section, key, value):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({section: {key: value}}))
@@ -20,21 +21,12 @@ def test_value_of_the_wrong_type_is_a_config_error(tmp_path, section, key, value
 
 
 @pytest.mark.parametrize("section, key, literal", [
-    ("train", "grad_clip_norm", "-1.0"), ("train", "grad_clip_norm", "0"),
-    ("train", "grad_clip_norm", "NaN"), ("train", "grad_clip_norm", "1e309"),
     ("train", "weight_decay", "-5"), ("train", "weight_decay", "NaN"),
-    ("train", "weight_decay", "Infinity"),
-    ("train", "beta1", "1.5"), ("train", "beta1", "1.0"), ("train", "beta1", "-0.1"),
-    ("train", "beta1", "NaN"), ("train", "beta2", "1"), ("train", "beta2", "-1"),
-    ("train", "eps", "-1"), ("train", "eps", "0"), ("train", "eps", "NaN"),
-    ("train", "eps", "1e309"), ("train", "lr", "1e309"), ("train", "lr", "NaN"),
+    ("train", "weight_decay", "Infinity"), ("train", "lr", "1e309"), ("train", "lr", "NaN"),
     ("train", "lr_decay_epochs", "1e309"), ("train", "lr_decay_epochs", "NaN"),
-    ("ingest", "view_extent", "1e309"), ("ingest", "view_extent", "NaN"),
-    ("ingest", "view_extent", "-Infinity"), ("ingest", "min_heading_disp", "1e309"),
     ("synth", "speed_noise", "NaN"), ("synth", "speed_noise", "-1"),
-    ("synth", "frame_rate", "-1"), ("synth", "frame_rate", "1e309"),
-    ("synth", "speed_max", "1e309"), ("synth", "geometry_mix", "[NaN, 0.5, 0.5]"),
-    ("train", "seed", "-1"), ("synth", "seed", "-1"), ("model", "n_heads", "0")])
+    ("synth", "geometry_mix", "[NaN, 0.5, 0.5]"), ("synth", "lanes_max", "1"),
+    ("synth", "agents_max", "0"), ("train", "seed", "-1"), ("synth", "seed", "-1"), ("model", "n_heads", "0")])
 def test_out_of_range_setting_is_a_config_error_naming_the_field(tmp_path, section, key,
                                                                   literal):
     # written as raw JSON text: 1e309 is how a file spells a number that loads as inf
@@ -57,23 +49,21 @@ def test_section_that_is_not_an_object_is_a_config_error(tmp_path, text):
 
 def test_boundary_optimizer_settings_load(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"train": {"beta1": 0.0, "beta2": 0, "weight_decay": 0,
-                                          "grad_clip_norm": 1e-3, "eps": 1e-300}}))
+    path.write_text(json.dumps({"train": {"weight_decay": 0}}))
     cfg = load_run_config(path)
-    assert (cfg.train.beta1, cfg.train.beta2, cfg.train.weight_decay) == (0.0, 0, 0)
+    assert cfg.train.weight_decay == 0
 
 
-def test_float_fields_take_ints_and_optional_fields_take_none(tmp_path):
+def test_float_fields_take_ints(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"train": {"lr": 1, "grad_clip_norm": None},
-                                "ingest": {"view_extent": 80},
+    path.write_text(json.dumps({"train": {"lr": 1, "lr_decay_epochs": 3},
                                 "synth": {"geometry_mix": [0, 0.5, 0.5]}}))
     cfg = load_run_config(path)
-    assert (cfg.train.lr, cfg.train.grad_clip_norm, cfg.ingest.view_extent) == (1, None, 80)
+    assert (cfg.train.lr, cfg.train.lr_decay_epochs) == (1, 3)
     assert cfg.synth.geometry_mix == (0, 0.5, 0.5)
 
 
-@pytest.mark.parametrize("overrides", [{}, {"train.grad_clip_norm": 1.0,
+@pytest.mark.parametrize("overrides", [{}, {"train.weight_decay": 0.5,
                                             "model.input_mode": "hist"}])
 def test_written_config_loads_back(tmp_path, overrides):
     cfg = load_run_config(None, overrides)

@@ -143,8 +143,6 @@ class TestLearnability:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="speed_min"):
-        SynthConfig(speed_min=-1)
     with pytest.raises(ValueError, match="geometry_mix"):
         SynthConfig(geometry_mix=(0.5, 0.5, 0.5))
     with pytest.raises(ValueError, match="lead_probability"):
