@@ -3,13 +3,14 @@
 Exit codes: 0 success, 2 configuration error (a ConfigError), 3 data error (a
 DatasetError: bad records, or a checkpoint that is corrupt, holds a NaN or
 inf, or does not fit the model), 4 runtime error (anything else). The model,
-train, ingest and synth sections of the config are each checked as they are
-built, before any work starts, so a value out of range exits 2 without
-reading data or writing files. Map or agent coordinates that are not finite
-numbers, or that lie beyond 1e8 m of 0, make a record bad (exit 3 when no
-usable record is left), and so does a JSONL line that is not UTF-8. A config
-file that is not UTF-8 exits 2. An import-argoverse input that is not UTF-8,
-or that import_argoverse_csv rejects, exits 3.
+train and synth sections of the config are each checked as they are built,
+before any work starts, so a value out of range, or an unknown section such
+as the retired ingest, exits 2 without reading data or writing files. Map
+or agent coordinates that are not finite numbers, or that lie beyond 1e8 m
+of 0, make a record bad (exit 3 when no usable record is left), and so does
+a JSONL line that is not UTF-8. A config file that is not UTF-8 exits 2. An
+import-argoverse input that is not UTF-8, or that import_argoverse_csv
+rejects, exits 3.
 A training step whose loss or any gradient is NaN or inf raises
 train.NonFiniteLossError, exit 4, before that step's update and before any
 further checkpoint or loss log write. Every output file's directory is
@@ -161,8 +162,7 @@ def import_argoverse(csv_path, map_json, out) -> None:
 def train_cmd(config_path, data, out_dir, input_mode, dtype, seed) -> None:
     """Train a model; writes checkpoints, loss log, and config.json."""
     cfg = load_run_config(config_path, _common_overrides(seed, input_mode))
-    encoded = encode_samples(_read_records(data), cfg.ingest, cfg.model.n_paths,
-                             cfg.model.n_commands, cfg.model.n_agents)
+    encoded = encode_samples(_read_records(data), cfg.model)
     model = SvgNet(cfg.model, seed=cfg.train.seed, dtype=dtype)
     out = Path(out_dir)
     cfg.write_json(out / "config.json")
@@ -188,12 +188,11 @@ def eval_cmd(checkpoint, data, config_path, out, per_sample_csv, baseline, input
     """Report ADE / FDE / miss rate on a dataset with targets."""
     cfg = _load_config_near_checkpoint(checkpoint, config_path, input_mode)
     records = _read_records(data)
-    caps = (cfg.model.n_paths, cfg.model.n_commands, cfg.model.n_agents)
     if baseline:
         predictor = constant_velocity_predictor(cfg.model.t_pred)
     else:
         predictor = model_predictor(_load_model(checkpoint, cfg, dtype))
-    report = evaluate(predictor, records, ingest=cfg.ingest, caps=caps,
+    report = evaluate(predictor, records, ingest=cfg.model.ingest, caps=cfg.model.caps,
                       per_sample=per_sample_csv is not None)
     click.echo(json.dumps({"ade": report.ade, "fde": report.fde,
                            "miss_rate": report.miss_rate,
@@ -219,9 +218,8 @@ def predict_cmd(checkpoint, data, out, config_path, input_mode, dtype) -> None:
     records = _read_records(data)
     lines = []
     for rec in records:
-        sample = normalize_sample(rec, cfg.ingest)
-        batch = make_batch([sample], cfg.model.n_paths, cfg.model.n_commands,
-                           cfg.model.n_agents)
+        sample = normalize_sample(rec, cfg.model.ingest)
+        batch = make_batch([sample], *cfg.model.caps)
         pred = model.predict(batch)[0].reshape(-1, 2).astype(np.float64)
         city = apply_affine_points(sample.frame_to_city, pred)
         lines.append(json.dumps({"scene_id": rec.scene_id, "prediction": city.tolist()},
@@ -250,9 +248,8 @@ def visualize_cmd(checkpoint, data, scene_id, out, config_path, input_mode, dtyp
             break
     if record is None:
         raise DatasetError(f"scene {scene_id!r} not found in {data}")
-    sample = normalize_sample(record, cfg.ingest)
-    batch = make_batch([sample], cfg.model.n_paths, cfg.model.n_commands,
-                       cfg.model.n_agents)
+    sample = normalize_sample(record, cfg.model.ingest)
+    batch = make_batch([sample], *cfg.model.caps)
     pred_t, attn = model.forward(batch)
     entries = extract_attention(attn)[0]
     pred = pred_t.data[0].reshape(-1, 2)

@@ -1,4 +1,4 @@
-"""Run configuration: one JSON file covering model, training, ingest, synth."""
+"""Run configuration: one JSON file with model, train and synth sections."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .dataset import IngestConfig, _atomic_write_json
+from .dataset import _atomic_write_json
 from .model import ModelConfig
 from .synth import SynthConfig
 from .train import TrainConfig
@@ -21,21 +21,13 @@ class ConfigError(ValueError):
 class RunConfig:
     model: ModelConfig
     train: TrainConfig
-    ingest: IngestConfig
     synth: SynthConfig
-
-    def __post_init__(self) -> None:
-        if self.ingest.t_obs != self.model.t_obs or self.ingest.t_pred != self.model.t_pred:
-            raise ConfigError("ingest t_obs/t_pred must match the model horizon")
-        if self.ingest.max_commands != self.model.n_commands:
-            raise ConfigError("ingest max_commands must equal model n_commands")
 
     def write_json(self, path: str | Path) -> None:
         _atomic_write_json(path, asdict(self))
 
 
-_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "ingest": IngestConfig,
-             "synth": SynthConfig}
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "synth": SynthConfig}
 
 
 def _fits(value, hint) -> bool:
@@ -74,10 +66,12 @@ def load_run_config(path: str | Path | None = None,
     """Load a run config, applying dotted-key overrides like "train.seed".
 
     An unknown section or key, a value of the wrong type and a setting out
-    of range are each a ConfigError, raised before any work starts; the
-    unknown keys of every section are named together.
+    of range are each a ConfigError, raised before any work starts; every
+    unknown section and key is named in one message. There is no ingest
+    section: ModelConfig.ingest derives the horizon and the split limit.
     """
     sections: dict[str, dict] = {}
+    unknown: list[str] = []
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -85,13 +79,13 @@ def load_run_config(path: str | Path | None = None,
             raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(raw) - set(_SECTIONS)
-        if unknown:
-            raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
         for name, value in raw.items():
-            if not isinstance(value, dict):
+            if name not in _SECTIONS:
+                unknown.append(name)
+            elif not isinstance(value, dict):
                 raise ConfigError(f"config section {name!r} must be a JSON object")
-        sections = {k: dict(v) for k, v in raw.items()}
+            else:
+                sections[name] = dict(value)
 
     for key, value in (overrides or {}).items():
         if value is None:
@@ -101,16 +95,11 @@ def load_run_config(path: str | Path | None = None,
             raise ConfigError(f"bad override key {key!r}")
         sections.setdefault(section, {})[name] = value
 
-    unknown = sorted(f"{section}.{name}" for section, data in sections.items()
-                     for name in set(data) - {f.name for f in fields(_SECTIONS[section])})
+    unknown += [f"{section}.{name}" for section, data in sections.items()
+                for name in set(data) - {f.name for f in fields(_SECTIONS[section])}]
     if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ConfigError(f"unknown config section(s) or key(s): {', '.join(sorted(unknown))}")
 
-    model = _build_section(ModelConfig, sections.get("model", {}), "model")
-    # the ingest horizon and split limit follow the model unless set explicitly
-    ingest = {"t_obs": model.t_obs, "t_pred": model.t_pred, "max_commands": model.n_commands,
-              **sections.get("ingest", {})}
-    return RunConfig(model=model,
+    return RunConfig(model=_build_section(ModelConfig, sections.get("model", {}), "model"),
                      train=_build_section(TrainConfig, sections.get("train", {}), "train"),
-                     ingest=_build_section(IngestConfig, ingest, "ingest"),
                      synth=_build_section(SynthConfig, sections.get("synth", {}), "synth"))

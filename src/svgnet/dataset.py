@@ -669,11 +669,14 @@ def import_argoverse_csv(csv_path: str | Path, map_json_path: str | Path,
     main agent. The map JSON maps city name to a list of centerline polylines.
     A row shorter than the header is a SchemaError. A track with two OBJECT_TYPEs
     or two rows at one timestamp is a DatasetError, and so are rows naming two
-    cities or a city the map JSON lacks. Polylines are kept if they touch the
+    cities or a city the map JSON lacks, and a directory without a CSV file
+    (nothing is written then). Polylines are kept if they touch the
     200 m square (ARGOVERSE_MAP_BOX) around the main agent's last observed position.
     """
     csv_path = Path(csv_path)
-    city_maps = _load_city_maps(Path(map_json_path))
     files = sorted(csv_path.glob("*.csv")) if csv_path.is_dir() else [csv_path]
+    if not files:
+        raise DatasetError(f"{csv_path}: directory holds no *.csv file")
+    city_maps = _load_city_maps(Path(map_json_path))
     records = [_import_one_csv(f, city_maps) for f in files]
     return save_dataset(records, out_path)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .dataset import DatasetError
+from .dataset import DatasetError, IngestConfig
 from .svg import N_ARG_SLOTS, N_COORD_BINS, CommandKind
 from .tensor import Parameter, Tensor
 
@@ -72,6 +72,16 @@ class ModelConfig:
     @property
     def d_out(self) -> int:
         return 2 * self.t_pred
+
+    @property
+    def ingest(self) -> IngestConfig:
+        """The horizon and split limit that turn a record into this model's input."""
+        return IngestConfig(self.t_obs, self.t_pred, self.n_commands)
+
+    @property
+    def caps(self) -> tuple[int, int, int]:
+        """make_batch's slot caps: (n_paths, n_commands, n_agents)."""
+        return self.n_paths, self.n_commands, self.n_agents
 
     @property
     def use_scene(self) -> bool:

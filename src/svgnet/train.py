@@ -13,9 +13,9 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import save_checkpoint
-from .dataset import (Batch, DatasetError, IngestConfig, _atomic_write_text,
-                      concat_batches, make_batch, normalize_sample)
-from .model import SvgNet
+from .dataset import (Batch, DatasetError, _atomic_write_text, concat_batches, make_batch,
+                      normalize_sample)
+from .model import ModelConfig, SvgNet
 from .tensor import GradientTape, Tensor
 
 
@@ -127,22 +127,22 @@ class AdamW:
         self.step_count = int(arrays["step"][0])
 
 
-def encode_samples(records, ingest: IngestConfig, n_paths: int, n_commands: int,
-                   n_agents: int) -> list[Batch]:
-    """Encode records as single-sample batches; one without a target is a DatasetError."""
+def encode_samples(records, cfg: ModelConfig) -> list[Batch]:
+    """Encode records as single-sample batches at cfg's horizon, split limit
+    and slot caps; a record without a target is a DatasetError."""
     out = []
     for rec in records:
-        sample = normalize_sample(rec, ingest)
+        sample = normalize_sample(rec, cfg.ingest)
         if sample.target is None:
             raise DatasetError(f"scene {rec.scene_id!r} has no prediction target")
-        out.append(make_batch([sample], n_paths, n_commands, n_agents))
+        out.append(make_batch([sample], *cfg.caps))
     return out
 
 
 def train(model: SvgNet, encoded: Sequence[Batch], cfg: TrainConfig, *,
           out_dir: str | Path | None = None) -> list[dict]:
-    """Run the full training loop on ``encode_samples`` output; returns the loss log,
-    {"epoch", "step", "lr", "loss"} for each step, as ``loss_log.jsonl`` holds it.
+    """Run the full training loop on ``encode_samples(records, model.cfg)``; returns
+    the loss log, {"epoch", "step", "lr", "loss"} per step, as ``loss_log.jsonl`` holds it.
 
     An empty ``encoded`` raises ValueError before anything is written.
     Each step's gradients are the mapping its tape's backward returns;

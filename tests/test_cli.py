@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from model_helpers import read_svg_paths
 from svgnet import cli as cli_module
 from svgnet.cli import cli, main
+from svgnet.dataset import load_dataset
 from svgnet.synth import SynthConfig, generate_records
 
 TINY_RUN_CONFIG = {
@@ -403,37 +404,73 @@ def test_config_value_of_the_wrong_type_is_a_config_error(workspace, monkeypatch
 RETIRED_KEYS = {
     "train": {"lr_decay": 0.9, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
               "grad_clip_norm": None},
-    "ingest": {"k_heading": 5, "min_heading_disp": 0.1, "view_extent": 100.0},
     "synth": {"lanes_min": 2, "agents_min": 1, "speed_min": 5.0, "speed_max": 12.0,
               "frame_rate": 10.0},
 }
+# the retired ingest section at the tiny model's horizon and split limit, with the
+# three keys it lost to constants; the model section sets the first three now
+RETIRED_INGEST = {"t_obs": 20, "t_pred": 30, "max_commands": 10, "k_heading": 5,
+                  "min_heading_disp": 0.1, "view_extent": 100.0}
+
+
+def _train_then_edit_config(workspace, monkeypatch, capsys, edit) -> Path:
+    """A tiny run whose config.json is then changed by edit(dict); its directory."""
+    out_dir = workspace["dir"] / "run"
+    assert _run_main(monkeypatch, "train", "--config", str(workspace["cfg"]),
+                     "--data", str(workspace["data"]), "--out-dir", str(out_dir)) == 0
+    written = json.loads((out_dir / "config.json").read_text())
+    assert list(written) == ["model", "train", "synth"]
+    edit(written)
+    (out_dir / "config.json").write_text(json.dumps(written))
+    capsys.readouterr()
+    return out_dir
 
 
 def test_config_that_sets_a_retired_key_is_a_config_error(workspace, monkeypatch, capsys):
     # before, these keys loaded, so train ran and an eval next to its config.json scored
-    names = [f"{section}.{key}" for section, keys in RETIRED_KEYS.items() for key in keys]
+    message = ("config error: unknown config section(s) or key(s): ingest, " + ", ".join(sorted(
+        f"{section}.{key}" for section, keys in RETIRED_KEYS.items() for key in keys)) + "\n")
     old = {section: {**TINY_RUN_CONFIG.get(section, {}), **keys}
            for section, keys in RETIRED_KEYS.items()}
     cfg_path = workspace["dir"] / "old.json"
-    cfg_path.write_text(json.dumps({**TINY_RUN_CONFIG, **old}))
+    cfg_path.write_text(json.dumps({**TINY_RUN_CONFIG, **old, "ingest": RETIRED_INGEST}))
     out_dir = workspace["dir"] / "run"
     assert _run_main(monkeypatch, "train", "--config", str(cfg_path),
                      "--data", str(workspace["data"]), "--out-dir", str(out_dir)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and all(name in err for name in names)
+    assert capsys.readouterr().err == message
     assert not out_dir.exists()
 
-    assert _run_main(monkeypatch, "train", "--config", str(workspace["cfg"]),
-                     "--data", str(workspace["data"]), "--out-dir", str(out_dir)) == 0
-    written = json.loads((out_dir / "config.json").read_text())
-    for section, keys in RETIRED_KEYS.items():
-        written[section].update(keys)
-    (out_dir / "config.json").write_text(json.dumps(written))
-    capsys.readouterr()
+    def add_retired(written):
+        written["ingest"] = RETIRED_INGEST
+        for section, keys in RETIRED_KEYS.items():
+            written[section].update(keys)
+
+    out_dir = _train_then_edit_config(workspace, monkeypatch, capsys, add_retired)
     assert _run_main(monkeypatch, "eval", "--checkpoint", str(out_dir / "model_final"),
                      "--data", str(workspace["data"])) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and all(name in err for name in names)
+    assert capsys.readouterr().err == message
+
+
+def test_config_with_an_ingest_section_is_a_config_error(workspace, monkeypatch, capsys):
+    # before, an ingest section equal to the model's horizon and split limit loaded
+    ingest = {"t_obs": 20, "t_pred": 30, "max_commands": 10}
+    message = "config error: unknown config section(s) or key(s): ingest\n"
+    cfg_path = workspace["dir"] / "with_ingest.json"
+    cfg_path.write_text(json.dumps({**TINY_RUN_CONFIG, "ingest": ingest}))
+    out_dir = workspace["dir"] / "run"
+    assert _run_main(monkeypatch, "train", "--config", str(cfg_path),
+                     "--data", str(workspace["data"]), "--out-dir", str(out_dir)) == 2
+    assert capsys.readouterr().err == message
+    assert not out_dir.exists()
+
+    out_dir = _train_then_edit_config(workspace, monkeypatch, capsys,
+                                      lambda written: written.update(ingest=ingest))
+    for command in ("eval", "predict"):
+        out = ["--out", str(workspace["dir"] / "p.jsonl")] if command == "predict" else []
+        assert _run_main(monkeypatch, command, "--checkpoint", str(out_dir / "model_final"),
+                         "--data", str(workspace["data"]), *out) == 2
+        assert capsys.readouterr().err == message
+    assert not (workspace["dir"] / "p.jsonl").exists()
 
 
 @pytest.mark.parametrize("name", ["basic_format", "bogus", "10"])
@@ -548,6 +585,30 @@ def test_bad_argoverse_input_is_a_data_error(tmp_path, monkeypatch, capsys, bad)
         assert "line 5: bad or missing field 'TRACK_ID' (missing value in seq.csv)" in err
     else:
         assert "map.json" in err and ("beyond ±1e8 m" in err) == (bad == "map_far")
+
+
+def test_import_argoverse_writes_a_loadable_dataset(tmp_path, monkeypatch, capsys):
+    csv_path, map_path = _argoverse_files(tmp_path)
+    out = tmp_path / "sub" / "seq.jsonl"
+    assert _run_main(monkeypatch, "import-argoverse", "--csv", str(csv_path),
+                     "--map-json", str(map_path), "--out", str(out)) == 0
+    assert capsys.readouterr().out == f"wrote 1 records to {out}\n"
+    (rec,) = load_dataset(out)
+    assert rec.scene_id == "seq" and rec.main_agent.frames.size == 50
+    assert len(rec.map_polylines) == 1
+
+
+def test_import_argoverse_from_a_directory_without_a_csv_is_a_data_error(tmp_path, monkeypatch,
+                                                                       capsys):
+    # before, it printed "wrote 0 records" and wrote an empty JSONL
+    _, map_path = _argoverse_files(tmp_path)
+    csv_dir = tmp_path / "sequences"
+    csv_dir.mkdir()
+    out = tmp_path / "o.jsonl"
+    assert _run_main(monkeypatch, "import-argoverse", "--csv", str(csv_dir),
+                     "--map-json", str(map_path), "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"data error: {csv_dir}: directory holds no *.csv file\n"
+    assert not out.exists()
 
 
 # "Köln" in Latin-1: the 0xf6 byte is not UTF-8

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
 from svgnet.config import ConfigError, load_run_config
+from svgnet.dataset import IngestConfig
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -37,7 +39,7 @@ def test_out_of_range_setting_is_a_config_error_naming_the_field(tmp_path, secti
 
 
 @pytest.mark.parametrize("text", ['{"model": 5}', '{"train": [["seed", 3]]}',
-                                  '{"synth": null}', '{"ingest": "t_obs"}'],
+                                  '{"synth": null}', '{"train": "seed"}'],
                          ids=["number", "pair-list", "null", "string"])
 def test_section_that_is_not_an_object_is_a_config_error(tmp_path, text):
     # before, a list of pairs loaded as a section and any other value ended in exit 4
@@ -71,22 +73,39 @@ def test_written_config_loads_back(tmp_path, overrides):
     assert load_run_config(tmp_path / "config.json") == cfg
 
 
-@pytest.mark.parametrize("ingest", [{"t_obs": 10}, {"t_pred": 10}, {"max_commands": 10}])
-def test_ingest_that_disagrees_with_the_model_is_a_config_error(tmp_path, ingest):
+def test_ingest_horizon_and_split_limit_follow_the_model():
+    cfg = load_run_config(None, {"model.t_obs": 12, "model.t_pred": 7, "model.n_commands": 5,
+                                 "model.n_paths": 9, "model.n_agents": 4})
+    assert cfg.model.ingest == IngestConfig(t_obs=12, t_pred=7, max_commands=5)
+    assert cfg.model.caps == (9, 5, 4)
+
+
+def test_ingest_section_is_named_with_the_other_unknown_keys(tmp_path):
+    # before, an ingest section that matched the model loaded; the model section sets it now
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"ingest": ingest}))
-    with pytest.raises(ConfigError, match="must (match the model horizon|equal model n_commands)"):
+    path.write_text(json.dumps({"ingest": {"t_obs": 20, "t_pred": 30, "max_commands": 30},
+                                "train": {"beta1": 0.9}}))
+    with pytest.raises(ConfigError) as exc:
+        load_run_config(path)
+    assert str(exc.value) == "unknown config section(s) or key(s): ingest, train.beta1"
+
+
+@pytest.mark.parametrize("text", ['[{"model": {}}]', '"model"'], ids=["list", "string"])
+def test_config_root_that_is_not_an_object_is_a_config_error(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="^config root must be a JSON object$"):
         load_run_config(path)
 
 
-def test_ingest_horizon_and_split_limit_follow_the_model():
-    cfg = load_run_config(None, {"model.t_obs": 12, "model.t_pred": 7, "model.n_commands": 5})
-    assert (cfg.ingest.t_obs, cfg.ingest.t_pred, cfg.ingest.max_commands) == (12, 7, 5)
+@pytest.mark.parametrize("key", ["bogus", "train", "train.", "ingest.t_obs"])
+def test_override_outside_the_sections_is_a_config_error(key):
+    with pytest.raises(ConfigError, match=rf"^bad override key '{re.escape(key)}'$"):
+        load_run_config(None, {key: 1})
 
 
 @pytest.mark.parametrize("section, field", [(None, "model"), ("model", "d_m"),
-                                            ("train", "lr"), ("ingest", "t_obs"),
-                                            ("synth", "n_scenes")])
+                                            ("train", "lr"), ("synth", "n_scenes")])
 def test_a_built_config_cannot_change(section, field):
     cfg = load_run_config(None)
     target = cfg if section is None else getattr(cfg, section)

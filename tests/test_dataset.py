@@ -112,6 +112,27 @@ class TestJsonl:
         path.write_text("")
         assert list(load_dataset(path)) == []
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        line = json.dumps(straight_record().to_json_obj())
+        path = tmp_path / "blank.jsonl"
+        path.write_text(f"\n{line}\n   \n\t\n{line}\n\n")
+        errors: list[SchemaError] = []
+        assert [r.scene_id for r in load_dataset(path, errors=errors)] == ["s0", "s0"]
+        assert errors == []
+
+    @pytest.mark.parametrize("agent, field", [(["main"], "agents[0]"),
+                                              ({"agent_id": "main", "is_main": True},
+                                               "agents[0].positions")],
+                             ids=["not-an-object", "no-positions"])
+    def test_malformed_agent_entry_is_a_schema_error(self, tmp_path, agent, field):
+        obj = straight_record().to_json_obj()
+        obj["agents"][0] = agent
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(SchemaError) as info:
+            list(load_dataset(path))
+        assert (info.value.line_no, info.value.field) == (1, field)
+
     @pytest.mark.parametrize("vertex, value", [(0, float("nan")), (5, float("nan")),
                                                (5, float("inf"))],
                              ids=["first-nan", "interior-nan", "interior-inf"])
@@ -598,6 +619,72 @@ class TestArgoverseImport:
         map_path.write_text(json.dumps({"PIT": [[[0.0, 0.0], [50.0, 0.0]], poly]}))
         with pytest.raises(DatasetError, match=r"map\.json: bad polyline PIT\[1\]"):
             import_argoverse_csv(csv_path, map_path, tmp_path / "o.jsonl")
+
+    def test_directory_without_a_csv_is_a_data_error(self, tmp_path):
+        # before, it wrote an empty JSONL and returned 0
+        csv_dir = tmp_path / "sequences"
+        csv_dir.mkdir()
+        (csv_dir / "notes.txt").write_text("no sequences here\n")
+        map_path = tmp_path / "map.json"
+        map_path.write_text("{}")
+        out = tmp_path / "o.jsonl"
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(csv_dir))}: directory holds "
+                                               r"no \*\.csv file$"):
+            import_argoverse_csv(csv_dir, map_path, out)
+        assert not out.exists()
+
+    def test_directory_imports_each_csv(self, tmp_path):
+        csv_dir = tmp_path / "sequences"
+        csv_dir.mkdir()
+        for name in ("b", "a"):
+            self.write_csv(csv_dir / f"{name}.csv", self.make_rows())
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps({"PIT": []}))
+        out = tmp_path / "o.jsonl"
+        assert import_argoverse_csv(csv_dir, map_path, out) == 2
+        assert [r.scene_id for r in load_dataset(out)] == ["a", "b"]
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y\n1000.0,aa,AGENT,10,5\n", SchemaError,
+         "line 0: bad or missing field 'CITY_NAME' (missing CSV columns in seq.csv)"),
+        ("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME\n", DatasetError,
+         "seq.csv: empty sequence"),
+        ("TIMESTAMP,TRACK_ID,OBJECT_TYPE,X,Y,CITY_NAME\n1000.0,aa,AGENT,10,5,PIT\n", DatasetError,
+         "seq.csv: need at least two timestamps")],
+        ids=["no-city-column", "header-only", "one-timestamp"])
+    def test_csv_without_a_sequence_is_a_data_error(self, tmp_path, text, error, message):
+        csv_path = tmp_path / "seq.csv"
+        csv_path.write_text(text)
+        map_path = tmp_path / "map.json"
+        map_path.write_text("{}")
+        with pytest.raises(error) as info:
+            import_argoverse_csv(csv_path, map_path, tmp_path / "o.jsonl")
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_rows_past_the_horizon_are_dropped(self, tmp_path):
+        csv_path = tmp_path / "seq.csv"
+        self.write_csv(csv_path, self.make_rows(n=60))
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps({"PIT": []}))
+        out = tmp_path / "o.jsonl"
+        assert import_argoverse_csv(csv_path, map_path, out) == 1
+        main = next(load_dataset(out)).main_agent
+        np.testing.assert_array_equal(main.frames, np.arange(50))
+        assert main.xy[-1, 0] == 59.0   # x of row 49, the last one kept
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", r"map\.json: not valid JSON"),
+        ('[["PIT", []]]', r"map\.json: expected an object mapping city name to polylines$"),
+        ('{"PIT": {"lane": [[0, 0], [1, 0]]}}', r"map\.json: 'PIT' is not a list of polylines$")],
+        ids=["not-json", "list", "city-not-a-list"])
+    def test_malformed_map_json_is_a_data_error(self, tmp_path, text, message):
+        csv_path = tmp_path / "seq.csv"
+        self.write_csv(csv_path, self.make_rows())
+        map_path = tmp_path / "map.json"
+        map_path.write_text(text)
+        with pytest.raises(DatasetError, match=message):
+            import_argoverse_csv(csv_path, map_path, tmp_path / "o.jsonl")
+        assert not (tmp_path / "o.jsonl").exists()
 
     def test_two_timestamps_on_one_frame(self, tmp_path):
         # every step is within 10% of the median 1.0, but 1006.54 and 1007.45

@@ -158,8 +158,7 @@ class TestEvaluate:
         cfg = tiny_config()
         model = SvgNet(cfg, seed=0)
         recs = self.records(10)
-        ingest = IngestConfig(max_commands=cfg.n_commands)
-        caps = (cfg.n_paths, cfg.n_commands, cfg.n_agents)
+        ingest, caps = cfg.ingest, cfg.caps
         n_encoded, chunks = [], []
         monkeypatch.setattr(metrics, "make_batch",
                             lambda *a: n_encoded.append(1) or make_batch(*a))
@@ -201,11 +200,11 @@ class TestEvaluate:
                      caps=(16, 30, 4))
 
     def test_model_predictor_and_per_sample(self, tmp_path):
-        model = SvgNet(tiny_config(), seed=0)
+        cfg = tiny_config()
+        model = SvgNet(cfg, seed=0)
         recs = self.records(3)
-        ingest = IngestConfig(max_commands=tiny_config().n_commands)
-        report = evaluate(model_predictor(model), recs, ingest=ingest,
-                          caps=(4, 6, 2), per_sample=True)
+        report = evaluate(model_predictor(model), recs, ingest=cfg.ingest, caps=cfg.caps,
+                          per_sample=True)
         assert report.n_samples == 3
         assert len(report.per_sample) == 3
         assert np.isfinite(report.ade)

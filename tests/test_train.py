@@ -13,7 +13,7 @@ import pytest
 from model_helpers import random_batch, take_batch, tiny_config
 from svgnet import tensor as T
 from svgnet.checkpoint import load_checkpoint, save_checkpoint
-from svgnet.dataset import DatasetError, IngestConfig, _atomic_write
+from svgnet.dataset import DatasetError, _atomic_write
 from svgnet.gradcheck import grad_check
 from svgnet.model import SvgNet
 from svgnet.synth import SynthConfig, generate_records
@@ -238,9 +238,7 @@ class TestCheckpoint:
 class TestTrainingLoop:
     def make_batches(self, n=8):
         cfg = SynthConfig(seed=0, n_scenes=n, agents_max=2, lanes_max=3)
-        caps = tiny_config()
-        return encode_samples(generate_records(cfg), IngestConfig(max_commands=caps.n_commands),
-                              caps.n_paths, caps.n_commands, caps.n_agents)
+        return encode_samples(generate_records(cfg), tiny_config())
 
     def test_deterministic_runs(self, tmp_path):
         batches = self.make_batches(6)
