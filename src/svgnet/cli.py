@@ -38,7 +38,7 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .config import ConfigError, RunConfig, load_run_config
 from .dataset import (DatasetError, SchemaError, _atomic_write_text, apply_affine_points,
-                      load_dataset, make_batch, normalize_sample)
+                      import_argoverse_csv, load_dataset, make_batch, normalize_sample)
 from .metrics import constant_velocity_predictor, evaluate, model_predictor, \
     write_per_sample_csv
 from .model import INPUT_MODES, SvgNet, extract_attention
@@ -70,22 +70,13 @@ def _run_blas_on_one_thread() -> None:
     set_threads(1)
 
 
-def _common_overrides(seed, input_mode) -> dict:
-    overrides = {}
-    if seed is not None:
-        overrides["train.seed"] = seed
-    if input_mode is not None:
-        overrides["model.input_mode"] = input_mode
-    return overrides
-
-
 def _load_config_near_checkpoint(checkpoint: str, config: str | None,
                                  input_mode: str | None) -> RunConfig:
     if config is None:
         sibling = Path(checkpoint).parent / "config.json"
         if sibling.exists():
             config = str(sibling)
-    return load_run_config(config, _common_overrides(None, input_mode))
+    return load_run_config(config, {"model.input_mode": input_mode})
 
 
 def _load_model(checkpoint: str, cfg: RunConfig, dtype) -> SvgNet:
@@ -105,6 +96,16 @@ def _read_records(data: str) -> list:
     return records
 
 
+def _encode(record, cfg: RunConfig):
+    """(sample, one-sample batch) of a record, as the model of cfg reads it."""
+    sample = normalize_sample(record, cfg.model.ingest)
+    return sample, make_batch([sample], *cfg.model.caps)
+
+
+config_option = click.option("--config", "config_path", default=None,
+                             type=click.Path(exists=True, dir_okay=False))
+checkpoint_option = click.option("--checkpoint", required=True, type=click.Path())
+data_option = click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
 input_mode_option = click.option(
     "--input-mode", type=click.Choice(INPUT_MODES),
     default=None, help="Which inputs the model attends to.")
@@ -122,20 +123,14 @@ def cli() -> None:
 
 
 @cli.command("synth-gen")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
+@config_option
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--n-scenes", type=int, default=None)
 @click.option("--first-index", type=click.IntRange(min=0), default=0)
 @seed_option
 def synth_gen(config_path, out, n_scenes, first_index, seed) -> None:
     """Generate a synthetic JSONL dataset plus its manifest."""
-    overrides = {}
-    if n_scenes is not None:
-        overrides["synth.n_scenes"] = n_scenes
-    if seed is not None:
-        overrides["synth.seed"] = seed
-    cfg = load_run_config(config_path, overrides)
+    cfg = load_run_config(config_path, {"synth.n_scenes": n_scenes, "synth.seed": seed})
     path = generate_dataset(cfg.synth, out, first_index=first_index)
     click.echo(f"wrote {cfg.synth.n_scenes} scenes to {path}")
 
@@ -146,22 +141,20 @@ def synth_gen(config_path, out, n_scenes, first_index, seed) -> None:
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def import_argoverse(csv_path, map_json, out) -> None:
     """Convert motion-forecasting CSV sequences to the JSONL schema."""
-    from .dataset import import_argoverse_csv
     n = import_argoverse_csv(csv_path, map_json, out)
     click.echo(f"wrote {n} records to {out}")
 
 
 @cli.command("train")
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
-@click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
+@config_option
+@data_option
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @input_mode_option
 @f64_option
 @seed_option
 def train_cmd(config_path, data, out_dir, input_mode, dtype, seed) -> None:
     """Train a model; writes checkpoints, loss log, and config.json."""
-    cfg = load_run_config(config_path, _common_overrides(seed, input_mode))
+    cfg = load_run_config(config_path, {"train.seed": seed, "model.input_mode": input_mode})
     encoded = encode_samples(_read_records(data), cfg.model)
     model = SvgNet(cfg.model, seed=cfg.train.seed, dtype=dtype)
     out = Path(out_dir)
@@ -172,10 +165,9 @@ def train_cmd(config_path, data, out_dir, input_mode, dtype, seed) -> None:
 
 
 @cli.command("eval")
-@click.option("--checkpoint", required=True, type=click.Path())
-@click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
+@checkpoint_option
+@data_option
+@config_option
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the metrics report JSON here.")
 @click.option("--per-sample-csv", type=click.Path(dir_okay=False), default=None)
@@ -204,11 +196,10 @@ def eval_cmd(checkpoint, data, config_path, out, per_sample_csv, baseline, input
 
 
 @cli.command("predict")
-@click.option("--checkpoint", required=True, type=click.Path())
-@click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
+@checkpoint_option
+@data_option
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
+@config_option
 @input_mode_option
 @f64_option
 def predict_cmd(checkpoint, data, out, config_path, input_mode, dtype) -> None:
@@ -218,8 +209,7 @@ def predict_cmd(checkpoint, data, out, config_path, input_mode, dtype) -> None:
     records = _read_records(data)
     lines = []
     for rec in records:
-        sample = normalize_sample(rec, cfg.model.ingest)
-        batch = make_batch([sample], *cfg.model.caps)
+        sample, batch = _encode(rec, cfg)
         pred = model.predict(batch)[0].reshape(-1, 2).astype(np.float64)
         city = apply_affine_points(sample.frame_to_city, pred)
         lines.append(json.dumps({"scene_id": rec.scene_id, "prediction": city.tolist()},
@@ -229,12 +219,11 @@ def predict_cmd(checkpoint, data, out, config_path, input_mode, dtype) -> None:
 
 
 @cli.command("visualize")
-@click.option("--checkpoint", required=True, type=click.Path())
-@click.option("--data", required=True, type=click.Path(exists=True, dir_okay=False))
+@checkpoint_option
+@data_option
 @click.option("--scene-id", required=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None)
+@config_option
 @input_mode_option
 @f64_option
 def visualize_cmd(checkpoint, data, scene_id, out, config_path, input_mode, dtype) -> None:
@@ -248,8 +237,7 @@ def visualize_cmd(checkpoint, data, scene_id, out, config_path, input_mode, dtyp
             break
     if record is None:
         raise DatasetError(f"scene {scene_id!r} not found in {data}")
-    sample = normalize_sample(record, cfg.model.ingest)
-    batch = make_batch([sample], *cfg.model.caps)
+    sample, batch = _encode(record, cfg)
     pred_t, attn = model.forward(batch)
     entries = extract_attention(attn)[0]
     pred = pred_t.data[0].reshape(-1, 2)

@@ -11,8 +11,9 @@ that every input channel carries causal signal:
   prediction horizon and is only anticipable from the lead's track.
 
 Everything is a pure function of (seed, scene index). The frame rate, the
-agents' speed range and the least lane and agent counts are module
-constants; SynthConfig holds the settings that experiments vary.
+agents' speed range, the side lanes' offsets and the least lane and agent
+counts are module constants; SynthConfig holds the settings that
+experiments vary.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .dataset import AgentTrack, SceneRecord, _atomic_write_json, save_dataset
 
 VERTEX_SPACING = 1.0  # meters between lane polyline vertices
 LANES_MIN = 2         # lanes per scene, at least; SynthConfig.lanes_max caps them
+LANE_OFFSETS = (3.5, -3.5, 7.0, -7.0, 10.5, -10.5)  # side lanes' offsets from the route, m
 AGENTS_MIN = 1        # agents per scene before a lead vehicle is added
 SPEED_MIN, SPEED_MAX = 5.0, 12.0   # range of the agents' base speeds, m/s
 FRAME_RATE = 10.0     # Hz
@@ -53,6 +55,9 @@ class SynthConfig:
             raise ValueError(f"synth agents_max must be >= {AGENTS_MIN}")
         if self.lanes_max < LANES_MIN:
             raise ValueError(f"synth lanes_max must be >= {LANES_MIN}")
+        if self.lanes_max > 1 + len(LANE_OFFSETS):
+            raise ValueError(f"synth lanes_max must be <= {1 + len(LANE_OFFSETS)}: the route "
+                             f"and {len(LANE_OFFSETS)} side lanes")
         if not abs(sum(self.geometry_mix) - 1.0) <= 1e-9 or min(self.geometry_mix) < 0:
             raise ValueError("geometry_mix must be a probability triple")
         if not 0.0 <= self.lead_probability <= 1.0:
@@ -173,9 +178,8 @@ def generate_scene(config: SynthConfig, index: int) -> SceneRecord:
         polylines.append(other_branch)
 
     n_lanes = int(rng.integers(LANES_MIN, config.lanes_max + 1))
-    offsets = [3.5, -3.5, 7.0, -7.0, 10.5, -10.5]
     distractor_lanes = []
-    for off in offsets[:max(n_lanes - len(polylines), 0)]:
+    for off in LANE_OFFSETS[:max(n_lanes - len(polylines), 0)]:
         lane = _offset_polyline(route, off)
         polylines.append(lane)
         distractor_lanes.append(lane)

@@ -1,12 +1,12 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A define-by-run tape: operations executed while a GradientTape is active
-append a node holding their inputs and a backward closure. A tape runs
-backward once: each node, with the output it keeps alive, is dropped as
-soon as its closure has run, so the gradients take the place of the
-activations they replace and the tape ends empty. backward returns the
-gradients as a mapping from leaf tensor to array; tensors themselves
-hold only their values. Values are numpy arrays and every op keeps its
+append a node holding their inputs and a backward closure, and keep its
+output alive. backward runs once, with one gradient map keyed by tensor:
+each node pops its output's entry, adds its closure's results into its
+parents' entries and is dropped with its output, so gradients replace
+activations, the tape ends empty and the entries left are the leaves'.
+Tensors hold only their values, numpy arrays, and every op keeps its
 inputs' dtype: the model picks the dtype (float32 for training, float64
 for gradient checking) when it creates its parameters and inputs.
 
@@ -23,7 +23,7 @@ sums the gathered rows inside its node and keeps only the sum.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,13 +68,9 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
-class _Node:
-    __slots__ = ("out_id", "parents", "backward")
-
-    def __init__(self, out_id: int, parents: tuple[Tensor, ...], backward: Callable):
-        self.out_id = out_id
-        self.parents = parents
-        self.backward = backward
+class _Node(NamedTuple):
+    parents: tuple[Tensor, ...]
+    backward: Callable
 
 
 class GradientTape:
@@ -87,9 +83,7 @@ class GradientTape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._out_ids: set[int] = set()
-        # keep outputs alive so id()s stay unique until backward frees them
-        self._retained: list[Tensor] = []
+        self._retained: list[Tensor] = []   # node i's output
         self._ran = False
 
     def __enter__(self) -> "GradientTape":
@@ -105,44 +99,36 @@ class GradientTape:
         return cls._stack[-1] if cls._stack else None
 
     def record(self, out: Tensor, parents: Sequence[Tensor], backward: Callable) -> None:
-        self._nodes.append(_Node(id(out), tuple(parents), backward))
-        self._out_ids.add(id(out))
+        self._nodes.append(_Node(tuple(parents), backward))
         self._retained.append(out)
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
         """d(loss)/d(leaf) for every leaf with requires_grad set that the loss
         reaches, in the leaf's dtype; emptying the tape.
 
-        Two leaves' gradients may be one array, so treat them as read-only.
+        A leaf is a tensor that no node of this tape produced: a parameter,
+        or an enclosing tape's output. Its contributions are summed in their
+        own dtype and the sum is cast once. Two leaves' gradients may be one
+        array, so treat them as read-only.
         """
         if self._ran:
             raise ValueError("this tape's backward has already run; record a new tape")
         if loss.data.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-        if id(loss) not in self._out_ids:
+        if not any(t is loss for t in self._retained):
             raise ValueError("loss was not produced under this tape")
         self._ran = True
 
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaf_grads: dict[Tensor, np.ndarray] = {}
+        grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
         while self._nodes:
-            # parents precede their consumers, so ids still pending stay unique
             node = self._nodes.pop()
-            self._retained.pop()
-            self._out_ids.discard(node.out_id)
-            g = grads.pop(node.out_id, None)
-            if g is None:
-                continue
-            parent_grads = node.backward(g)
-            for p, pg in zip(node.parents, parent_grads):
-                if pg is None or not p.requires_grad:
-                    continue
-                if id(p) in self._out_ids:
-                    grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
-                else:
-                    pg = pg.astype(p.data.dtype, copy=False)
-                    leaf_grads[p] = leaf_grads[p] + pg if p in leaf_grads else pg
-        return leaf_grads
+            # parents precede their consumers: this entry has all its terms
+            g = grads.pop(self._retained.pop(), None)
+            if g is not None:
+                for p, pg in zip(node.parents, node.backward(g)):
+                    if pg is not None and p.requires_grad:
+                        grads[p] = grads[p] + pg if p in grads else pg
+        return {p: g.astype(p.data.dtype, copy=False) for p, g in grads.items()}
 
 
 def _as_tensor(x) -> Tensor:
@@ -244,23 +230,17 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, a.shape).astype(a.data.dtype, copy=False),)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
 
     return _make(np.asarray(out), (a,), backward)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    elif isinstance(axis, int):
-        count = a.shape[axis]
-    else:
-        count = int(np.prod([a.shape[ax] for ax in axis]))
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    total = tsum(a, axis=axis, keepdims=keepdims)
+    return scale(total, total.data.size / a.data.size)   # == 1 / count, correctly rounded
 
 
 # ---------------------------------------------------------------------------

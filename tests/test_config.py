@@ -28,6 +28,7 @@ def test_value_of_the_wrong_type_is_a_config_error(tmp_path, section, key, value
     ("train", "lr_decay_epochs", "1e309"), ("train", "lr_decay_epochs", "NaN"),
     ("synth", "speed_noise", "NaN"), ("synth", "speed_noise", "-1"),
     ("synth", "geometry_mix", "[NaN, 0.5, 0.5]"), ("synth", "lanes_max", "1"),
+    ("synth", "lanes_max", "8"),
     ("synth", "agents_max", "0"), ("train", "seed", "-1"), ("synth", "seed", "-1"), ("model", "n_heads", "0")])
 def test_out_of_range_setting_is_a_config_error_naming_the_field(tmp_path, section, key,
                                                                   literal):

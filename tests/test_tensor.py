@@ -207,7 +207,29 @@ class TestBackward:
         assert ref() is not None
         tape.backward(loss)
         assert ref() is None
-        assert not tape._nodes and not tape._retained and not tape._out_ids
+        assert not tape._nodes and not tape._retained
+
+    def test_an_outer_tapes_output_is_a_leaf_of_an_inner_tape(self):
+        p = Parameter("p", np.array([1.0, 2.0]))
+        with GradientTape() as outer:
+            hidden = T.mul(p, p)
+            with GradientTape() as inner:
+                inner_grads = inner.backward(T.tsum(T.mul(hidden, hidden)))
+            outer_grads = outer.backward(T.tsum(T.mul(hidden, Tensor(np.array([3.0, 5.0])))))
+        assert list(inner_grads) == [hidden]
+        np.testing.assert_array_equal(inner_grads[hidden], 2 * hidden.data)
+        assert list(outer_grads) == [p]
+        np.testing.assert_array_equal(outer_grads[p], 2 * p.data * [3.0, 5.0])
+
+    def test_a_leafs_contributions_are_summed_in_their_dtype_then_cast_once(self):
+        # cast one by one, f32(1 + 2**-24) is 1 and 1 + 2**-24 rounds back to 1 in f32
+        p = Parameter("p", np.ones(1, dtype=np.float32))
+        with GradientTape() as tape:
+            big = T.mul(p, Tensor(np.array([1.0 + 2.0 ** -24])))
+            small = T.mul(p, Tensor(np.array([2.0 ** -24])))
+            grads = tape.backward(T.tsum(T.add(big, small)))
+        assert grads[p].dtype == np.float32
+        assert grads[p][0] == np.float32(1.0 + 2.0 ** -23)
 
     def test_linear_adds_the_bias_into_the_matmul_buffer(self):
         # with a residual and a ReLU too, the layer keeps one buffer
