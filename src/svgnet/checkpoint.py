@@ -69,8 +69,8 @@ def load_checkpoint(prefix: str | Path) -> dict[str, np.ndarray]:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
         if manifest.get("format_version") != FORMAT_VERSION:
-            raise DatasetError(
-                f"unsupported checkpoint version {manifest.get('format_version')}")
+            raise DatasetError(f"{manifest_path.name}: unsupported checkpoint version "
+                               f"{manifest.get('format_version')}")
         entries = [(e["name"], e["shape"], e["offset"]) for e in manifest["params"]]
     except (ValueError, AttributeError, KeyError, TypeError) as exc:
         # DatasetError is not a ValueError, so the version check passes through

@@ -23,14 +23,19 @@ Every map or agent x, y is a number within MAX_COORD = 1e8 m of 0: above
 any map projection's range (UTM northings stay under 1e7 m), and small
 enough that every agent-frame value stays finite in float32. Every point
 list (a polyline, an agent's positions) is non-empty. frame_rate is a
-finite positive number, agent_id a string and is_main a boolean. Frame
-numbers are integers within 2**53 of 0 and strictly increasing per agent,
-and exactly one agent is the main one. A line that is not UTF-8 JSON or
-breaks any of this is a SchemaError. _record_from_obj states these rules
-once: load_dataset reads each line through it, and save_dataset applies
-the loader's check to every record before it writes. The coordinate rule
-is checked by AgentTrack and SceneRecord themselves, so a record built
-in code with a coordinate out of range is a ValueError at construction.
+finite positive number, agent_id a string and is_main a boolean. A
+scene_id or agent_id holds only characters of XML 1.0's Char production,
+so every artifact (the SVG, the CSV, the JSONL) can carry it: no
+U+0000-U+0008, U+000B, U+000C, U+000E-U+001F, lone surrogate
+U+D800-U+DFFF, U+FFFE or U+FFFF; tab, LF, CR and all other text are
+fine. Frame numbers are integers within 2**53 of 0 and strictly
+increasing per agent, and exactly one agent is the main one. A line that
+is not UTF-8 JSON or breaks any of this is a SchemaError.
+_record_from_obj states these rules once: load_dataset reads each line
+through it, and save_dataset applies the loader's check to every record
+before it writes. The coordinate rule is checked by AgentTrack and
+SceneRecord themselves, so a record built in code with a coordinate out
+of range is a ValueError at construction.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from dataclasses import InitVar, dataclass, field, fields
@@ -139,6 +145,10 @@ class SceneRecord:
         }
 
 
+# the characters outside XML 1.0's Char production that a Python str can hold
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _points(value, width: int) -> np.ndarray:
     """value as a non-empty (n, width) float64 array; ValueError otherwise.
 
@@ -166,7 +176,13 @@ def _record_from_obj(obj, line_no: int) -> SceneRecord:
             raise SchemaError(line_no, key, f"expected {typ}")
         return v
 
+    def check_id(value: str, fieldname: str) -> None:
+        if bad := _NOT_XML_CHAR.search(value):
+            raise SchemaError(line_no, fieldname,
+                              f"character U+{ord(bad.group()):04X} is not allowed in an id")
+
     scene_id, frame_rate = need("scene_id", str), need("frame_rate")
+    check_id(scene_id, "scene_id")
     # a bool is an int to Python; the upper bound also rejects inf and NaN
     if (not isinstance(frame_rate, (int, float)) or isinstance(frame_rate, bool)
             or not 0 < frame_rate <= sys.float_info.max):
@@ -191,6 +207,7 @@ def _record_from_obj(obj, line_no: int) -> SceneRecord:
         for key, typ in (("agent_id", str), ("is_main", bool)):
             if not isinstance(a[key], typ):
                 raise SchemaError(line_no, f"agents[{i}].{key}", f"expected {typ.__name__}")
+        check_id(a["agent_id"], f"agents[{i}].agent_id")
         try:
             pos = _points(a["positions"], 3)
             # a whole number up to 2**53 converts to int64 exactly; NaN and inf are not
@@ -455,6 +472,12 @@ class Batch:
         return self.command_kinds.shape[0]
 
 
+def _nearest(sq_dist: np.ndarray, cap: int) -> np.ndarray:
+    """Indices of the cap smallest squared distances, in index order; a tie
+    keeps the lower index."""
+    return np.sort(np.argsort(sq_dist, kind="stable")[:cap])
+
+
 def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: int,
                n_agents: int) -> Batch:
     """Assemble padded tensors; excess paths/agents are dropped farthest-first."""
@@ -483,8 +506,7 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
         kept = np.arange(starts.size)
         if kept.size > n_paths:
             x, y = lanes.vertices.T
-            dist = np.minimum.reduceat(x * x + y * y, starts)
-            kept = np.sort(np.argsort(dist, kind="stable")[:n_paths])
+            kept = _nearest(np.minimum.reduceat(x * x + y * y, starts), n_paths)
         n_c = np.minimum(lengths[kept], n_commands)
         row = np.repeat(np.arange(kept.size), n_c)
         cmd = _ranges(np.zeros_like(n_c), n_c)
@@ -501,13 +523,13 @@ def make_batch(samples: Sequence[NormalizedSample], n_paths: int, n_commands: in
         if has_target:
             targets[i] = s.target.reshape(-1)
 
-        order = range(len(s.other_ids))
-        if len(order) > n_agents:
+        order = np.arange(len(s.other_ids))
+        if order.size > n_agents:
             last = [h[np.flatnonzero(v)[-1]] for h, v in zip(s.other_histories, s.other_valid)]
-            order = sorted(sorted(order, key=lambda j: float(last[j] @ last[j]))[:n_agents])
+            order = _nearest(np.array([xy @ xy for xy in last]), n_agents)
         for slot, j in enumerate(order):
             agent_hist[i, slot] = s.other_histories[j].reshape(-1)
-        agent_mask[i, :len(order)] = 1.0
+        agent_mask[i, :order.size] = 1.0
         aids = [s.other_ids[j] for j in order]
 
         scene_ids.append(s.scene_id)

@@ -292,25 +292,24 @@ class SceneEncoder:
     Maps n paths' command rows, kinds (n, N_C), args (n, N_C, 6) and
     cmd_mask (n, N_C), to (n, d_z) latents. Only the real commands are
     embedded and run through the stack, as rows placed at their command
-    slot of their path's block.
-    """
+    slot of their path's block. The table ``embed`` holds the kind rows,
+    then each argument slot's N_ARG_ROWS rows."""
 
     def __init__(self, pf: _ParamFactory, cfg: ModelConfig):
         self.cfg = cfg
-        self.kind_embed = pf.embedding("scene_encoder.kind_embed", (N_COMMAND_KINDS, cfg.d_m))
-        self.arg_embed = pf.embedding("scene_encoder.arg_embed",
-                                      (N_ARG_SLOTS, N_ARG_ROWS, cfg.d_m))
+        self.embed = pf.embedding("scene_encoder.embed",
+                                  (N_COMMAND_KINDS + N_ARG_SLOTS * N_ARG_ROWS, cfg.d_m))
         self.stack = _TransformerStack(pf, "scene_encoder", cfg.d_m, cfg.n_heads, cfg.n_layers)
         self.pool = _Linear(pf, "scene_encoder.pool", cfg.d_m, cfg.d_z)
         self.pos_enc = sinusoidal_encoding(cfg.n_commands, cfg.d_m, pf.dtype)
 
     def embed_commands(self, kinds: np.ndarray, args: np.ndarray) -> Tensor:
-        """kinds (..., ), args (..., 6) with -1 sentinels -> (..., d_m)."""
+        """kinds (..., ), args (..., 6) with -1 sentinels -> (..., d_m): one
+        gather summing 7 rows, the six argument slots' and then the kind's."""
         rows = np.where(args < 0, SENTINEL_ROW, args)
-        rows = rows + np.arange(N_ARG_SLOTS) * N_ARG_ROWS
-        table = T.reshape(self.arg_embed, (N_ARG_SLOTS * N_ARG_ROWS, self.cfg.d_m))
-        arg_vecs = T.embedding_lookup(table, rows, sum_axis=-1)
-        return T.add(T.embedding_lookup(self.kind_embed, kinds), arg_vecs)
+        rows = rows + (N_COMMAND_KINDS + np.arange(N_ARG_SLOTS) * N_ARG_ROWS)
+        return T.embedding_lookup(self.embed, np.concatenate([rows, kinds[..., None]], axis=-1),
+                                  sum_axis=-1)
 
     def __call__(self, kinds: np.ndarray, args: np.ndarray, cmd_mask: np.ndarray) -> Tensor:
         real = cmd_mask > 0

@@ -217,13 +217,13 @@ def release_free_heap() -> None:
     A paper-size training step at B=4 frees about 70 MB of activations.
     glibc's free() gives back only the top of the heap, so freed pages
     below any live allocation stay resident, and how many do depends on
-    where a few small allocations happened to land. Without this call, the
-    peak RSS of a train-paper-b4 benchmark run (seed 0, 2-CPU x86-64
-    Linux) moved between 295 and 365 MB as the process environment grew by
-    up to 4 KB, when a step still held about 100 MB; with it, ten runs
-    peaked at 219.2-219.5 MB. The price is that the next step
-    faults the released pages back in: a loop of one-step train() calls
-    pays that every step (about 12% of a paper-size step there).
+    where a few small allocations happened to land. In five alternating
+    pairs of 15 s train-paper-b4 benchmark runs (seed 0, 2-CPU x86-64
+    Linux), the peak RSS read 217.0-217.1 MB with this call and
+    307.2-307.3 MB without it. The price is that the next step faults the
+    released pages back in: a loop of one-step train() calls pays that
+    every step, and the median step time there read 350 against 320 ms,
+    about 9% of a paper-size step.
     """
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)

@@ -147,7 +147,8 @@ class TestTrainEvalPredict:
         assert main() == 3
 
     def test_visualize_escapes_agent_ids(self, trained, workspace, runner, tmp_path):
-        odd_id = 'a"b<'
+        # tab and LF survive only as character references in an attribute
+        odd_id = 'a"b< & \t \n é'
         lines = workspace["data"].read_text().splitlines()
         obj = json.loads(lines[0])
         others = [a for a in obj["agents"] if not a["is_main"]]
@@ -323,6 +324,21 @@ def test_json_line_that_is_not_an_object_is_skipped(workspace, monkeypatch, caps
                      "--data", str(data), "--config", str(workspace["cfg"]),
                      "--baseline") == 0
     assert json.loads(capsys.readouterr().out)["n_samples"] == 8
+
+
+def test_record_with_a_bad_id_is_skipped(workspace, monkeypatch, capsys, caplog):
+    # before, eval printed the report, then failed writing the CSV (exit 4)
+    obj = json.loads(workspace["data"].read_text().splitlines()[0])
+    obj["scene_id"] = "lone\ud800"
+    data = workspace["dir"] / "bad_id.jsonl"
+    data.write_text(workspace["data"].read_text() + json.dumps(obj) + "\n")
+    rows = workspace["dir"] / "rows.csv"
+    assert _run_main(monkeypatch, "eval", "--checkpoint", str(workspace["dir"] / "none"),
+                     "--data", str(data), "--config", str(workspace["cfg"]), "--baseline",
+                     "--per-sample-csv", str(rows)) == 0
+    assert json.loads(capsys.readouterr().out)["n_samples"] == 8
+    assert "line 9: bad or missing field 'scene_id'" in caplog.text
+    assert len(rows.read_text().splitlines()) == 1 + 8
 
 
 @pytest.mark.parametrize("period", [0, -1])
@@ -535,12 +551,13 @@ def _argoverse_files(tmp_path, rows=ARGOVERSE_ROWS, polylines=(ARGOVERSE_LANE,),
 
 
 @pytest.mark.parametrize("bad", ["csv_x", "csv_far", "csv_repeat", "csv_type", "csv_two_cities",
-                                 "csv_unknown_city", "csv_short_row", "map_polyline",
-                                 "map_far"])
+                                 "csv_unknown_city", "csv_short_row", "csv_track_id",
+                                 "map_polyline", "map_far"])
 def test_bad_argoverse_input_is_a_data_error(tmp_path, monkeypatch, capsys, bad):
     # before, csv_repeat saved x = 999 m on frame 5, in csv_type track bb, whose
     # one row says AGENT, took the main-agent role from aa, csv_two_cities and
-    # csv_unknown_city imported with no lanes, and csv_short_row exited 4
+    # csv_unknown_city imported with no lanes, csv_short_row exited 4, and
+    # csv_track_id imported an agent id that no SVG can hold
     rows, polylines, header = list(ARGOVERSE_ROWS), [ARGOVERSE_LANE], ARGOVERSE_HEADER
     if bad == "csv_x":
         rows[3] = "1000.3,aa,AGENT,ten,5.0,PIT"
@@ -560,6 +577,8 @@ def test_bad_argoverse_input_is_a_data_error(tmp_path, monkeypatch, capsys, bad)
         header = "X,Y,TIMESTAMP,CITY_NAME,OBJECT_TYPE,TRACK_ID"
         rows = [f"{10 + i},5.0,{1000 + 0.1 * i:.1f},PIT,AGENT,aa" for i in range(50)]
         rows[3] = rows[3].removesuffix(",aa")
+    elif bad == "csv_track_id":
+        rows = [row.replace(",aa,", ",a\x01b,") for row in rows]
     elif bad == "map_polyline":
         polylines.append([[0.0, 1.0, 2.0]])
     else:
@@ -583,6 +602,8 @@ def test_bad_argoverse_input_is_a_data_error(tmp_path, monkeypatch, capsys, bad)
         assert "seq.csv: city 'PTT' is not in the map JSON, which names ['PIT']" in err
     elif bad == "csv_short_row":
         assert "line 5: bad or missing field 'TRACK_ID' (missing value in seq.csv)" in err
+    elif bad == "csv_track_id":
+        assert "cannot save field 'agents[0].agent_id'" in err
     else:
         assert "map.json" in err and ("beyond ±1e8 m" in err) == (bad == "map_far")
 

@@ -218,17 +218,61 @@ class TestJsonl:
         assert info.value.field == (key if key == "frame_rate" else f"agents[1].{key}")
 
     @pytest.mark.parametrize("field, value", [
+        ("scene_id", "lone\ud800"), ("scene_id", "form\x0cfeed"), ("scene_id", "\ufffe"),
+        ("agents[1].agent_id", "a\x01b"), ("agents[1].agent_id", "nul\x00"),
+        ("agents[1].agent_id", "end\uffff"), ("agents[1].agent_id", "\udc80")],
+        ids=["scene-surrogate", "scene-form-feed", "scene-fffe", "agent-control",
+             "agent-nul", "agent-ffff", "agent-low-surrogate"])
+    def test_id_outside_xml_chars_is_a_schema_error(self, tmp_path, field, value):
+        # before, these loaded: an agent id "a\x01b" made visualize write an
+        # SVG no XML parser reads, and a scene id "lone\ud800" made eval
+        # --per-sample-csv fail with a UnicodeEncodeError (exit 4)
+        obj = straight_record(extra_agents=1).to_json_obj()
+        if field == "scene_id":
+            obj["scene_id"] = value
+        else:
+            obj["agents"][1]["agent_id"] = value
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(SchemaError, match="is not allowed in an id") as info:
+            list(load_dataset(path))
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("n_main", [0, 2])
+    def test_not_exactly_one_main_agent_is_a_schema_error(self, tmp_path, n_main):
+        obj = straight_record(extra_agents=1).to_json_obj()
+        for i, agent in enumerate(obj["agents"]):
+            agent["is_main"] = i < n_main
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(SchemaError, match=f"exactly 1 main agent, got {n_main}") as info:
+            list(load_dataset(path))
+        assert info.value.field == "agents"
+
+    def test_ids_with_any_xml_char_load(self, tmp_path):
+        odd = 'tab\t lf\n cr\r "quote" <lt> &amp; é 場 🚗 \x7f \ud7ff \ue000 \U0010ffff'
+        obj = straight_record(scene_id=odd, extra_agents=1).to_json_obj()
+        obj["agents"][1]["agent_id"] = odd
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        (rec,) = load_dataset(path)
+        assert rec.scene_id == odd and rec.agents[1].agent_id == odd
+
+    @pytest.mark.parametrize("field, value", [
         ("frame_rate", float("nan")), ("scene_id", 5), ("agents[1].agent_id", None),
         ("agents[1].is_main", np.bool_(False)), ("map_polylines[0]", float("inf")),
         ("map_polylines[0]", np.empty((0, 2))), ("map_polylines[0]", np.zeros((3, 3))),
         ("agents[1].positions", ([], np.empty((0, 2)))),
-        ("agents[1].positions", ([0, 2 ** 62], np.zeros((2, 2))))],
+        ("agents[1].positions", ([0, 2 ** 62], np.zeros((2, 2)))),
+        ("agents[1].agent_id", "a\x01b"), ("agents[1].agent_id", "lone\ud800")],
         ids=["rate-nan", "id-number", "agent-id-null", "main-numpy-bool", "map-inf",
-             "map-empty", "map-three-columns", "agent-no-positions", "frame-2**62"])
+             "map-empty", "map-three-columns", "agent-no-positions", "frame-2**62",
+             "agent-id-control", "agent-id-surrogate"])
     def test_save_rejects_what_load_rejects(self, tmp_path, field, value):
         # before, the first three were written and then failed to load, the
         # numpy bool was an untyped TypeError and the inf was written as
-        # Infinity; the last four were written and then failed to load
+        # Infinity; the next four were written and then failed to load, and
+        # the two agent ids outside XML's characters were written and loaded
         bad = straight_record(scene_id="bad", extra_agents=1)
         if field == "agents[1].positions":
             bad.agents[1] = AgentTrack("other0", *value)

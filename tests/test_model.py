@@ -4,7 +4,7 @@ import pytest
 from model_helpers import padded_forward, random_batch, take_batch, tiny_config
 from svgnet import tensor as T
 from svgnet.checkpoint import load_checkpoint, save_checkpoint
-from svgnet.dataset import IngestConfig, make_batch, normalize_sample
+from svgnet.dataset import DatasetError, IngestConfig, make_batch, normalize_sample
 from svgnet.gradcheck import grad_check
 from svgnet.model import (INPUT_MODES, AttentionRecord, ModelConfig, SvgNet, _ResidualBlock,
                           _TransformerLayer, extract_attention, sinusoidal_encoding)
@@ -446,9 +446,10 @@ class TestTapeStructure:
                                                                  + cfg.n_decoder_blocks)
         for cls, tensors in kept:
             assert (len(tensors), buffers(tensors)) == expected[cls], cls.__name__
-        # the rest: embedding, pooling, encoder and decoder input/output layers and the head
+        # the rest: the scene embedding (one node), pooling, encoder and
+        # decoder input/output layers and the head
         outside = len(tape._retained) - sum(len(tensors) for _, tensors in kept)
-        assert outside == 32
+        assert outside == 29
 
 
 class TestConfigAndState:
@@ -468,6 +469,14 @@ class TestConfigAndState:
         assert not np.allclose(a.predict(batch), b.predict(batch))
         b.load_state(a.state_arrays())
         assert (a.predict(batch) == b.predict(batch)).all()
+
+    def test_load_state_names_a_missing_parameter(self):
+        model = SvgNet(tiny_config(), seed=0)
+        state = model.state_arrays()
+        del state["decoder.head.l2.w"]
+        with pytest.raises(DatasetError,
+                           match=r"^checkpoint is missing parameter 'decoder\.head\.l2\.w'$"):
+            model.load_state(state)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_load_state_copies_into_the_parameter_buffers(self, tmp_path, dtype):

@@ -226,6 +226,13 @@ class TestCheckpoint:
         with pytest.raises(DatasetError, match="c.json: entry 'a' is listed twice"):
             load_checkpoint(tmp_path / "c")
 
+    def test_an_unsupported_version_names_the_file(self, tmp_path):
+        save_checkpoint({"a": np.ones(1, np.float32)}, tmp_path / "c")
+        manifest = json.loads((tmp_path / "c.json").read_text())
+        (tmp_path / "c.json").write_text(json.dumps({**manifest, "format_version": 2}))
+        with pytest.raises(DatasetError, match=r"^c\.json: unsupported checkpoint version 2$"):
+            load_checkpoint(tmp_path / "c")
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_value_names_its_entry(self, tmp_path, value):
         # before, a NaN weight loaded, and eval scored every scene NaN with a 0.0 miss rate
