@@ -46,7 +46,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -260,9 +259,11 @@ def _atomic_write(path: Path, chunks: Iterable) -> None:
     Every file the package writes goes through here, and the parent directory
     is created first. ``chunks`` may be a generator, so the caller never holds
     the whole payload; if it raises, neither ``path`` nor the temp file is left.
+    The file gets the mode that ``open(path, "w")`` gives, 0o666 less the umask.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

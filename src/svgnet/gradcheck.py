@@ -8,8 +8,10 @@ import numpy as np
 
 from .tensor import GradientTape, Tensor
 
+FD_EPS = 1e-5   # the central-difference step
 
-def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor], eps: float = 1e-5,
+
+def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor],
                max_coords_per_param: int | None = None, rng=None) -> float:
     """Compare tape gradients of a scalar function against central differences.
 
@@ -50,12 +52,12 @@ def grad_check(f: Callable[[], Tensor], params: Iterable[Tensor], eps: float = 1
             coords = np.unique(np.concatenate(picked))
         for i in coords:
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + FD_EPS
             hi = float(f().data)
-            flat[i] = orig - eps
+            flat[i] = orig - FD_EPS
             lo = float(f().data)
             flat[i] = orig
-            fd = (hi - lo) / (2.0 * eps)
+            fd = (hi - lo) / (2.0 * FD_EPS)
             an = float(a_flat[i])
             err = abs(an - fd) / max(abs(an), abs(fd), 1e-8)
             max_err = max(max_err, err)

@@ -8,7 +8,11 @@ parents' entries and is dropped with its output, so gradients replace
 activations, the tape ends empty and the entries left are the leaves'.
 Tensors hold only their values, numpy arrays, and every op keeps its
 inputs' dtype: the model picks the dtype (float32 for training, float64
-for gradient checking) when it creates its parameters and inputs.
+for gradient checking) when it creates its parameters and inputs. Ops
+take Tensors, never bare arrays: a caller wraps an array once, with
+``Tensor(x)``. A constant operand (``add_const``, ``mul_const``) is the
+one exception, and ``mul_const`` casts it to the tensor's dtype;
+``scale`` is a second name for ``mul_const``.
 
 A forward pass keeps each node's output and what its closure reads, and
 two ops fuse steps to skip buffers that no backward reads. ``linear``
@@ -126,13 +130,9 @@ class GradientTape:
             g = grads.pop(self._retained.pop(), None)
             if g is not None:
                 for p, pg in zip(node.parents, node.backward(g)):
-                    if pg is not None and p.requires_grad:
+                    if p.requires_grad:
                         grads[p] = grads[p] + pg if p in grads else pg
         return {p: g.astype(p.data.dtype, copy=False) for p, g in grads.items()}
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable) -> Tensor:
@@ -161,8 +161,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # Elementwise and reduction ops
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def backward(g):
@@ -171,8 +170,7 @@ def add(a, b) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def backward(g):
@@ -181,8 +179,7 @@ def sub(a, b) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def backward(g):
@@ -191,32 +188,26 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
+def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), lambda g: (-g,))
 
 
-def scale(a, s: float) -> Tensor:
-    """Multiply by a python scalar (no gradient for the scalar)."""
-    a = _as_tensor(a)
-    return _make(a.data * s, (a,), lambda g: (g * s,))
-
-
-def add_const(a, c) -> Tensor:
+def add_const(a: Tensor, c) -> Tensor:
     """Add a constant array/scalar (no gradient for the constant)."""
-    a = _as_tensor(a)
     return _make(a.data + c, (a,), lambda g: (g,))
 
 
-def mul_const(a, c) -> Tensor:
-    """Multiply by a constant array/scalar (no gradient for the constant)."""
-    a = _as_tensor(a)
+def mul_const(a: Tensor, c) -> Tensor:
+    """Multiply by a constant array/scalar, cast to a's dtype (no gradient for
+    the constant)."""
     c = np.asarray(c, dtype=a.data.dtype)
     return _make(a.data * c, (a,), lambda g: (g * c,))
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
+scale = mul_const   # svgbench's tracer times each op it finds by name, this one too
+
+
+def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)
 
     def backward(g):
@@ -225,30 +216,27 @@ def relu(a) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
 
-    return _make(np.asarray(out), (a,), backward)
+    return _make(out, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    total = tsum(a, axis=axis, keepdims=keepdims)
-    return scale(total, total.data.size / a.data.size)   # == 1 / count, correctly rounded
+def tmean(a: Tensor, axis=None) -> Tensor:
+    total = tsum(a, axis=axis)
+    return mul_const(total, total.data.size / a.data.size)   # == 1 / count, correctly rounded
 
 
 # ---------------------------------------------------------------------------
 # Shape ops
 # ---------------------------------------------------------------------------
 
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
+def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
 
     def backward(g):
@@ -257,8 +245,7 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = _as_tensor(a)
+def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
     out = np.swapaxes(a.data, ax1, ax2)
 
     def backward(g):
@@ -267,8 +254,8 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
+def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    ts = tuple(tensors)
     out = np.concatenate([t.data for t in ts], axis=axis)
     sizes = [t.shape[axis] for t in ts]
     splits = np.cumsum(sizes)[:-1]
@@ -276,12 +263,11 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     def backward(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _make(out, tuple(ts), backward)
+    return _make(out, ts, backward)
 
 
-def take_index(a, axis: int, index: int) -> Tensor:
+def take_index(a: Tensor, axis: int, index: int) -> Tensor:
     """Select one slice along an axis (gradient scatters back into place)."""
-    a = _as_tensor(a)
     out = np.take(a.data, index, axis=axis)
 
     def backward(g):
@@ -298,8 +284,7 @@ def take_index(a, axis: int, index: int) -> Tensor:
 # Linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul requires tensors with ndim >= 2")
     if a.shape[-1] != b.shape[-2]:
@@ -314,7 +299,7 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def linear(x, w: Tensor, b: Tensor | None = None, *, residual=None,
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, *, residual: Tensor | None = None,
            relu: bool = False) -> Tensor:
     """x @ w + b + residual for x of shape (rows, d_in), then max(., 0) if relu.
 
@@ -336,7 +321,6 @@ def linear(x, w: Tensor, b: Tensor | None = None, *, residual=None,
         y += b.data
         parents += (b,)
     if residual is not None:
-        residual = _as_tensor(residual)
         y += residual.data
         parents += (residual,)
     if relu:
@@ -354,8 +338,7 @@ def linear(x, w: Tensor, b: Tensor | None = None, *, residual=None,
 # Normalization and attention primitives
 # ---------------------------------------------------------------------------
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
@@ -367,7 +350,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def layer_norm(a, gamma: Tensor | None = None, beta: Tensor | None = None) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None) -> Tensor:
     """Normalize to zero mean / unit variance along the last axis, then, when
     given, scale by gamma and shift by beta (both or neither).
 
@@ -375,7 +358,6 @@ def layer_norm(a, gamma: Tensor | None = None, beta: Tensor | None = None) -> Te
     """
     if (gamma is None) != (beta is None):
         raise ValueError("layer_norm takes gamma and beta together")
-    a = _as_tensor(a)
     mean = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
@@ -451,7 +433,7 @@ def _max_last_axis(x: np.ndarray) -> np.ndarray:
     return x.copy() if m is x else m
 
 
-def scaled_dot_product_attention(q, k, v, place, n_heads: int,
+def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, place, n_heads: int,
                                  record: list | None = None) -> Tensor:
     """Multi-head self-attention within blocks of placed rows, as one node.
 
@@ -468,7 +450,6 @@ def scaled_dot_product_attention(q, k, v, place, n_heads: int,
     When ``record`` is a list, the (n, H, t, t) weights are appended to
     it.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     n_rows, d_m = q.shape
     if k.shape != q.shape or v.shape != q.shape:
         raise ValueError(f"q, k and v differ: {q.shape}, {k.shape}, {v.shape}")

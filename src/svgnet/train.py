@@ -49,19 +49,19 @@ class TrainConfig:
             raise ValueError("seed must be >= 0")
 
 
-def mse_loss(pred: Tensor, target) -> Tensor:
+def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean over the batch of the summed squared error over all coordinates.
 
     For one sample this is the sum over the predicted steps of the squared
-    Euclidean displacement.
+    Euclidean displacement. target is an array of pred's shape, as
+    ``Batch.targets`` is, and carries no gradient.
     """
-    target = np.asarray(target.data if isinstance(target, Tensor) else target)
-    if tuple(target.shape) != pred.shape:
+    if target.shape != pred.shape:
         raise ValueError(f"pred {pred.shape} vs target {target.shape}")
     if not np.isfinite(target).all():
         raise ValueError("targets contain non-finite values")
     diff = T.add_const(pred, -target.astype(pred.data.dtype))
-    return T.scale(T.tsum(T.mul(diff, diff)), 1.0 / pred.shape[0])
+    return T.mul_const(T.tsum(T.mul(diff, diff)), 1.0 / pred.shape[0])
 
 
 def lr_at(step: int, cfg: TrainConfig, steps_per_epoch: int) -> float:

@@ -147,7 +147,7 @@ class TestBackward:
     def test_weight_gradient_structure(self):
         # loss = sum(W x): dL/dW[i, j] = x[j]
         w = Parameter("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
-        x = np.array([[5.0], [7.0]])
+        x = Tensor(np.array([[5.0], [7.0]]))
         with GradientTape() as tape:
             loss = T.tsum(T.matmul(w, x))
             grads = tape.backward(loss)

@@ -13,7 +13,7 @@ import pytest
 from model_helpers import random_batch, take_batch, tiny_config
 from svgnet import tensor as T
 from svgnet.checkpoint import load_checkpoint, save_checkpoint
-from svgnet.dataset import DatasetError, _atomic_write
+from svgnet.dataset import DatasetError, _atomic_write, save_dataset
 from svgnet.gradcheck import grad_check
 from svgnet.model import SvgNet
 from svgnet.synth import SynthConfig, generate_records
@@ -194,6 +194,19 @@ class TestCheckpoint:
         with pytest.raises(RuntimeError):
             _atomic_write(tmp_path / "out.bin", chunks())
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_written_files_get_the_umask_mode(self, tmp_path, umask, mode):
+        # before, every written file was 0600 whatever the umask
+        old = os.umask(umask)
+        try:
+            save_dataset(generate_records(SynthConfig(n_scenes=1)), tmp_path / "d.jsonl")
+            save_checkpoint({"a": np.ones(3, np.float32)}, tmp_path / "c")
+        finally:
+            os.umask(old)
+        for name in ("d.jsonl", "c.bin", "c.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
     def test_unconvertible_array_writes_neither_file(self, tmp_path):
         with pytest.raises(ValueError):
